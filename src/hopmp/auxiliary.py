@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -153,7 +153,7 @@ def solve_h(traj: Trajectory, triple: DefiningTriple) -> HCoefficients:
     jet0 = traj.jet(0.0, depth)
     jetT = traj.jet(T, depth)
     uj0 = traj.control.jet(0.0, r + 1)
-    ujT = traj.control.jet(np.nextafter(T, 0.0), r + 1)
+    ujT = traj.control.jet(traj.control.clamp(T), r + 1)
 
     m0 = lagrangian_momenta(triple, jet0, uj0)
     mT = full_momenta(triple, jetT, ujT)
@@ -239,9 +239,25 @@ def h_quadratic_terms(coeffs: HCoefficients, t) -> np.ndarray:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
+def gauss_legendre(f: Callable[[float], float], a: float, b: float) -> float:
+    """5-point Gauss-Legendre integral of ``f`` over [a, b]; 0 when b <= a."""
+    if b <= a:
+        return 0.0
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return half * sum(w * f(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+
+
 class ExtendedCurve:
-    """A controlled curve together with its auxiliary companions and the
-    scalar mu obtained by quadrature of the extended Lagrangian."""
+    """A controlled curve together with its auxiliary companions, the scalar
+    mu obtained by quadrature of the extended Lagrangian, and the time
+    integral of the bare Lagrangian.
+
+    The auxiliary coefficients, the cumulative mu table and the Lagrangian
+    integral are computed on first use and cached on the instance, so they
+    live as long as the curve that owns them.  Needle verdicts that share
+    one instance for the reference curve pay for each at most once.
+    """
 
     def __init__(self, base: Trajectory, triple: DefiningTriple,
                  h_coeffs: Optional[HCoefficients] = None) -> None:
@@ -251,6 +267,7 @@ class ExtendedCurve:
         self.lam = 1.0
         self._mu_nodes: Optional[np.ndarray] = None
         self._mu_cum: Optional[np.ndarray] = None
+        self._lagrangian_integral: Optional[float] = None
 
     @property
     def h_coeffs(self) -> HCoefficients:
@@ -261,37 +278,43 @@ class ExtendedCurve:
 
     # -- extended Lagrangian --------------------------------------------------
 
-    def ltilde(self, t: float) -> float:
+    def lagrangian(self, t: float) -> float:
         r = self.triple.lagrangian.actual_order
         jet = self.base.jet(t, r)
-        tu = t if t < self.base.horizon else np.nextafter(self.base.horizon, 0.0)
-        u = self.base.control.value(tu)
-        return (self.triple.lagrangian.value(jet, u)
-                + float(h_quadratic_terms(self.h_coeffs, t)))
+        u = self.base.control.value(self.base.control.clamp(t))
+        return self.triple.lagrangian.value(jet, u)
 
-    # -- mu by cumulative Gauss-Legendre over the integrator mesh -------------
+    def ltilde(self, t: float) -> float:
+        return self.lagrangian(t) + float(h_quadratic_terms(self.h_coeffs, t))
 
-    def _ensure_mu(self) -> None:
-        if self._mu_nodes is not None:
-            return
+    # -- Gauss-Legendre over the integrator mesh -------------------------------
+
+    def _mesh(self) -> np.ndarray:
         mesh = np.unique(np.clip(self.base.mesh, 0.0, self.base.horizon))
         if mesh[0] > 0.0:
             mesh = np.concatenate([[0.0], mesh])
         if mesh[-1] < self.base.horizon:
             mesh = np.concatenate([mesh, [self.base.horizon]])
+        return mesh
+
+    def lagrangian_integral(self) -> float:
+        """Integral of the bare Lagrangian from 0 to T, on the mesh of mu."""
+        if self._lagrangian_integral is None:
+            mesh = self._mesh()
+            self._lagrangian_integral = sum(
+                gauss_legendre(self.lagrangian, a, b)
+                for a, b in zip(mesh[:-1], mesh[1:]))
+        return self._lagrangian_integral
+
+    def _ensure_mu(self) -> None:
+        if self._mu_nodes is not None:
+            return
+        mesh = self._mesh()
         cum = np.zeros(mesh.size)
         for k in range(mesh.size - 1):
-            cum[k + 1] = cum[k] + self._gl_segment(mesh[k], mesh[k + 1])
+            cum[k + 1] = cum[k] + gauss_legendre(self.ltilde, mesh[k], mesh[k + 1])
         self._mu_nodes = mesh
         self._mu_cum = cum
-
-    def _gl_segment(self, a: float, b: float) -> float:
-        if b <= a:
-            return 0.0
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        return half * sum(w * self.ltilde(mid + half * x)
-                          for x, w in zip(_GL_NODES, _GL_WEIGHTS))
 
     def mu(self, t: float) -> float:
         """mu(t) = - integral of Ltilde from 0 to t."""
@@ -301,7 +324,7 @@ class ExtendedCurve:
         t = min(t, self.base.horizon)
         k = int(np.searchsorted(self._mu_nodes, t, side="right") - 1)
         k = min(k, self._mu_nodes.size - 2)
-        partial = self._gl_segment(self._mu_nodes[k], t)
+        partial = gauss_legendre(self.ltilde, self._mu_nodes[k], t)
         return -(self._mu_cum[k] + partial)
 
     def mu_rate(self, t: float) -> float:
@@ -313,8 +336,7 @@ class ExtendedCurve:
         r = self.triple.lagrangian.actual_order
         depth = max(2 * r, _boundary_jet_depth(self.triple) + 1)
         jet = self.base.jet(t, depth)
-        tu = t if t < self.base.horizon else np.nextafter(self.base.horizon, 0.0)
-        ujet = self.base.control.jet(tu, r + 1)
+        ujet = self.base.control.jet(self.base.control.clamp(t), r + 1)
         h = np.stack([self.h_coeffs.h(t, d) for d in range(4)], axis=-1)
         hp = np.stack([self.h_coeffs.hp(t, d) for d in range(4)], axis=-1)
         hpp = np.stack([self.h_coeffs.hpp(t, d) for d in range(4)], axis=-1)

@@ -214,8 +214,7 @@ def adjoint_integrate(cp: ClassicalProblem, x_traj: Trajectory, u: ControlCurve,
 
     def rhs(t, p):
         x = x_traj.state(t)[:n]
-        tt = t if t < T else np.nextafter(T, 0.0)
-        jac = np.atleast_2d(cp.dfdx(t, x, u.value(tt)))
+        jac = np.atleast_2d(cp.dfdx(t, x, u.value(u.clamp(t))))
         return -p @ jac
 
     sol = solve_ivp(rhs, (T, 0.0), np.asarray(p_terminal, dtype=float),

@@ -41,7 +41,6 @@ from .homotopy import (
 )
 from .needle import (
     NeedleSpec,
-    corrective_term,
     default_eps_sequence,
     gpmp_verdict,
     mu_prime_gap_closed,
@@ -235,8 +234,7 @@ def _suite_homotopy(cfg, triple, gamma0) -> SuiteResult:
         sigma_path=lambda s: sigma0,
         s_grid=uniform_s_grid(cfg.s_nodes),
         horizon=triple.horizon,
-        du_ds=lambda t, s: top.value(t) - u0.value(
-            t if t < triple.horizon else np.nextafter(triple.horizon, 0.0)),
+        du_ds=lambda t, s: top.value(t) - u0.value(u0.clamp(t)),
     )
     surface = build_surface(triple, hom, tol=cfg.tol)
 
@@ -299,15 +297,14 @@ def _suite_needle(cfg, triple, gamma0) -> SuiteResult:
     spec = NeedleSpec(tau=tau, omega=omega, eps0=cfg.eps0, k=cfg.needle_k)
     eps_seq = default_eps_sequence(cfg.eps0, cfg.eps_count)
 
-    est = corrective_term(triple, gamma0, spec, eps_seq, tol=cfg.tol)
+    v = gpmp_verdict(triple, gamma0, spec, eps_seq, tol=cfg.tol)
+    est = v.corrective
     res.info("corrective-term table (eps, estimate, boundary residual):")
-    for e, v, g in zip(est.eps, est.estimates, est.goodn_residuals):
-        res.info(f"    {_fmt(e)}  {_fmt(v)}  {_fmt(g)}")
+    for e, q, g in zip(est.eps, est.estimates, est.goodn_residuals):
+        res.info(f"    {_fmt(e)}  {_fmt(q)}  {_fmt(g)}")
     res.info(f"shrinking-limit proxy: {_fmt(est.liminf_proxy)}; "
              f"extrapolated: {_fmt(est.richardson) if est.richardson is not None else 'n/a'}; "
              f"trend consistent: {est.consistent}")
-
-    v = gpmp_verdict(triple, gamma0, spec, eps_seq, tol=cfg.tol)
     res.check("pointwise inequality at the probe needle", v.satisfied,
               f"margin={_fmt(v.margin)} tol={_fmt(v.tolerance)} "
               f"boundary-sign test: {'pass' if v.goodn_all else 'fail'}")
@@ -460,11 +457,9 @@ def _write_trajectory_csv(cfg: RunConfig, triple, gamma0) -> Path:
         header = ["t"] + [c[0] for c in state_cols] + [c[0] for c in adjoint_cols]
         header += [f"u{a+1}" for a in range(triple.controls.dim)]
         fh.write(",".join(header) + "\n")
-        T = triple.horizon
         for t in ts:
             y = gamma0.state(float(t))
-            tu = t if t < T else np.nextafter(T, 0.0)
-            u = gamma0.control.value(float(tu))
+            u = gamma0.control.value(float(gamma0.control.clamp(t)))
             row = [_fmt(t)]
             row += [_fmt(y[idx]) for _, idx in state_cols]
             row += [_fmt(y[idx]) for _, idx in adjoint_cols]

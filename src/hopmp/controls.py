@@ -56,8 +56,10 @@ class ControlCurve:
     def __call__(self, t: float) -> np.ndarray:
         return self.value(t)
 
-    def values_on(self, ts: np.ndarray) -> np.ndarray:
-        return np.array([self.value(t) for t in np.atleast_1d(ts)])
+    def clamp(self, t: float) -> float:
+        """``t`` moved just left of the horizon when it reaches it, so that a
+        right-continuous curve reports its last piece at ``t = T``."""
+        return t if t < self.horizon else np.nextafter(self.horizon, 0.0)
 
 
 class ConstantControl(ControlCurve):
@@ -236,17 +238,3 @@ class InterpolatedSamplesControl(ControlCurve):
 
     def jet(self, t: float, depth: int) -> np.ndarray:
         return np.vstack([np.atleast_1d(self._spline(t, nu=k)) for k in range(depth + 1)])
-
-
-def range_within_box(u: ControlCurve, lower, upper, margin: float = 0.0,
-                     samples: int = 512, tol: float = 1e-12) -> bool:
-    """Sampled check that a curve stays inside the (inflated) box."""
-    lo = np.atleast_1d(np.asarray(lower, dtype=float)) - margin - tol
-    hi = np.atleast_1d(np.asarray(upper, dtype=float)) + margin + tol
-    ts = np.linspace(0.0, u.horizon, samples)
-    ts = np.unique(np.concatenate([ts, np.asarray(u.breakpoints, dtype=float)]))
-    for t in ts:
-        v = u.value(min(t, u.horizon * (1 - 1e-15)))
-        if np.any(v < lo) or np.any(v > hi):
-            return False
-    return True

@@ -234,14 +234,10 @@ class Trajectory:
         k = self._segment(t)
         return np.atleast_1d(self._seg_sols[k](t))
 
-    def states_on(self, ts: np.ndarray) -> np.ndarray:
-        return np.array([self.state(t) for t in np.atleast_1d(ts)])
-
     def jet(self, t: float, order: int) -> JetPoint:
         y = self.state(t)
         depth = self.dynamics.u_depth + max(0, order - min(self.dynamics.orders))
-        tu = t if t < self.horizon else np.nextafter(self.horizon, 0.0)
-        ujet = self.control.jet(tu, depth)
+        ujet = self.control.jet(self.control.clamp(t), depth)
         return self.dynamics.jets_at(t, y, ujet, order)
 
     def terminal_jet(self, order: int) -> JetPoint:

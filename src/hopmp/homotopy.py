@@ -167,12 +167,10 @@ class VariationSurface:
             return hit
         M = self.triple.controls.dim
         out = np.empty((self.n_slices, ts.size, M))
-        T = self.hom.horizon
         for k, sl in enumerate(self.slices):
             u = sl.traj.control
             for j, t in enumerate(ts):
-                tt = t if t < T else np.nextafter(T, 0.0)
-                out[k, j] = u.value(tt)
+                out[k, j] = u.value(u.clamp(t))
         self._grid_cache[key] = out
         return out
 

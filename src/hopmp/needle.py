@@ -37,8 +37,6 @@ from .auxiliary import ExtendedCurve
 from .jetspace import JetPoint
 from .problem import DefiningTriple, lagrangian_momenta, pontryagin_p
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
-
 
 @dataclass
 class NeedleSpec:
@@ -115,7 +113,7 @@ def needle_variation(triple: DefiningTriple, gamma0: Trajectory,
             raise BadParams("sigma family must anchor the base data at s = 0")
 
     def du_ds(t, s):
-        tt = t if t < triple.horizon else np.nextafter(triple.horizon, 0.0)
+        tt = u0.clamp(t)
         return smoothed.value(tt) - u0.value(tt)
 
     hom = ControlHomotopy(
@@ -144,26 +142,6 @@ def _as_sigma_mapping(triple: DefiningTriple, state: np.ndarray) -> dict:
     return out
 
 
-def _integral_of_L(triple: DefiningTriple, traj: Trajectory) -> float:
-    """Gauss-Legendre integral of the bare Lagrangian along a trajectory."""
-    r = triple.lagrangian.actual_order
-    T = traj.horizon
-
-    def val(t):
-        tt = t if t < T else np.nextafter(T, 0.0)
-        return triple.lagrangian.value(traj.jet(t, r), traj.control.value(tt))
-
-    total = 0.0
-    mesh = traj.mesh
-    for a, b in zip(mesh[:-1], mesh[1:]):
-        if b <= a:
-            continue
-        half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        total += half * sum(w * val(mid + half * x)
-                            for x, w in zip(_GL_NODES, _GL_WEIGHTS))
-    return total
-
-
 def _boundary_pairing(triple: DefiningTriple, surface: VariationSurface,
                       t_star: float) -> float:
     """integral over s of sum_{i,beta} m^L_{i,beta} Y^i_(beta) at t_star."""
@@ -173,8 +151,7 @@ def _boundary_pairing(triple: DefiningTriple, surface: VariationSurface,
     vals = np.empty(surface.n_slices)
     for k, sl in enumerate(surface.slices):
         jet = sl.traj.jet(t_star, depth)
-        tu = t_star if t_star < triple.horizon else np.nextafter(triple.horizon, 0.0)
-        ujet = sl.traj.control.jet(tu, r + 1)
+        ujet = sl.traj.control.jet(sl.traj.control.clamp(t_star), r + 1)
         m = lagrangian_momenta(triple, jet, ujet)         # (N, r)
         vals[k] = float(np.sum(m * Y[k, :r].T))
     return float(simpson(vals, x=surface.s_nodes))
@@ -182,13 +159,17 @@ def _boundary_pairing(triple: DefiningTriple, surface: VariationSurface,
 
 def mu_prime_gap_closed(triple: DefiningTriple, surface: VariationSurface) -> float:
     """mu'(T,1) - mu'(T,0) from terminal-cost difference, Lagrangian
-    integrals and the two boundary pairings (no auxiliary functions)."""
+    integrals and the two boundary pairings (no auxiliary functions).
+
+    The Lagrangian integrals are read from the end slices' extended curves,
+    which cache them."""
     T = triple.horizon
     order = max(1, triple.cost.actual_order)
-    c1 = triple.cost.value(surface.slices[-1].traj.terminal_jet(order))
-    c0 = triple.cost.value(surface.slices[0].traj.terminal_jet(order))
-    int_L1 = _integral_of_L(triple, surface.slices[-1].traj)
-    int_L0 = _integral_of_L(triple, surface.slices[0].traj)
+    first, last = surface.slices[0], surface.slices[-1]
+    c1 = triple.cost.value(last.traj.terminal_jet(order))
+    c0 = triple.cost.value(first.traj.terminal_jet(order))
+    int_L1 = last.ext.lagrangian_integral()
+    int_L0 = first.ext.lagrangian_integral()
     bT = _boundary_pairing(triple, surface, T)
     b0 = _boundary_pairing(triple, surface, 0.0)
     return (c1 - c0) - int_L1 + int_L0 + bT - b0
@@ -265,7 +246,7 @@ def goodn_check(triple: DefiningTriple, surface: VariationSurface,
     when it is nonnegative up to tolerance.
     """
     residual = -mu_prime_gap_closed(triple, surface)
-    scale = 1.0 + abs(_integral_of_L(triple, surface.slices[0].traj))
+    scale = 1.0 + abs(surface.slices[0].ext.lagrangian_integral())
     return residual >= -tol_scale * scale, residual
 
 
@@ -481,6 +462,10 @@ def gpmp_verdict(triple: DefiningTriple, gamma0: Trajectory, spec: NeedleSpec,
 
     When the boundary sign test passes for every width, the corrective term
     is dropped; otherwise the shrinking-width estimate is subtracted.
+
+    ``base`` is the s = 0 slice of every width's variation: gamma0 with its
+    extended curve, which caches gamma0's Lagrangian integral.  It is built
+    here when omitted; a scan passes one slice to all of its verdicts.
     """
     spec.validate(triple.horizon)
     if eps_sequence is None:
@@ -491,9 +476,11 @@ def gpmp_verdict(triple: DefiningTriple, gamma0: Trajectory, spec: NeedleSpec,
     p_omega = P(spec.omega)
     p_uo = P(gamma0.control.value(spec.tau))
 
+    if base is None:
+        base = SurfaceSlice(0.0, gamma0, ExtendedCurve(gamma0, triple))
     est = corrective_term(triple, gamma0, spec, eps_sequence,
                           s_intervals=s_intervals, tol=tol, base=base)
-    scale = 1.0 + abs(_integral_of_L(triple, gamma0))
+    scale = 1.0 + abs(base.ext.lagrangian_integral())
     goodn_all = bool(np.all(est.goodn_residuals >= -1e-6 * scale))
     corrective_used = 0.0 if goodn_all else est.liminf_proxy
 
@@ -548,6 +535,10 @@ def pmp_scan(triple: DefiningTriple, gamma0: Trajectory,
     test, the remaining grid uses the dropped corrective term, which is what
     the sign test licenses.  ``certification="full"`` runs the complete
     verdict at every grid point instead.
+
+    Every verdict of the scan shares one s = 0 slice: gamma0 and its
+    extended curve, so gamma0's Lagrangian integral is computed once per
+    scan.  The other slices are integrated afresh for each needle and width.
     """
     taus = np.atleast_1d(np.asarray(tau_grid, dtype=float))
     omegas = np.atleast_2d(np.asarray(omega_grid, dtype=float).reshape(len(omega_grid), -1))

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from hopmp.auxiliary import ExtendedCurve
 from hopmp.controls import ConstantControl, PiecewiseConstantControl
 from hopmp.errors import BadParams, NonSolvableForm
-from hopmp.homotopy import mu_prime_gap_direct
+from hopmp.homotopy import SurfaceSlice, mu_prime_gap_direct
 from hopmp.needle import (
     NeedleSpec,
     corrective_term,
@@ -252,6 +253,43 @@ def test_gpmp_verdict_violation(triple):
     v = gpmp_verdict(triple, g0, spec)
     assert not v.satisfied
     assert v.margin == pytest.approx(2 * math.sin(PI / 4), abs=1e-8)
+
+
+def test_gpmp_verdict_shared_base_matches_own(triple, gamma_opt):
+    # a shared s = 0 slice whose cached integral an earlier verdict filled
+    base = SurfaceSlice(0.0, gamma_opt, ExtendedCurve(gamma_opt, triple))
+    gpmp_verdict(triple, gamma_opt, NeedleSpec(tau=0.5, omega=[0.0], eps0=0.05),
+                 base=base)
+    spec = NeedleSpec(tau=0.5, omega=[-1.0], eps0=0.05)
+    own = gpmp_verdict(triple, gamma_opt, spec)
+    shared = gpmp_verdict(triple, gamma_opt, spec, base=base)
+    assert shared.margin == own.margin
+    np.testing.assert_array_equal(shared.corrective.gaps, own.corrective.gaps)
+    assert shared.goodn_all == own.goodn_all
+
+
+def test_pmp_scan_integrates_base_lagrangian_once(triple, monkeypatch):
+    u0 = ConstantControl([-1.0], triple.horizon)
+    g0 = triple.controlled_curve(u0, triple.initial_data.make(v=1.0),
+                                 tol=(1e-10, 1e-12))
+    # the Gauss-Legendre nodes of the first mesh interval, where only the
+    # quadrature of the Lagrangian along g0 reads its jets
+    a, b = g0.mesh[0], g0.mesh[1]
+    x, _ = np.polynomial.legendre.leggauss(5)
+    nodes = set(0.5 * (a + b) + 0.5 * (b - a) * x)
+    jet = g0.jet
+    hits = []
+
+    def counting_jet(t, order):
+        if t in nodes:
+            hits.append(t)
+        return jet(t, order)
+
+    monkeypatch.setattr(g0, "jet", counting_jet)
+    report = pmp_scan(triple, g0, [0.5, 1.0], np.array([[-1.0], [1.0]]),
+                      eps0=0.05, certification="full")
+    assert len(report.certificate) == 4
+    assert len(hits) == len(nodes)
 
 
 def test_pmp_scan_optimal_empty(triple, gamma_opt):
