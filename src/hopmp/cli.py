@@ -16,6 +16,7 @@ import argparse
 import configparser
 import math
 import sys
+import traceback
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -132,6 +133,8 @@ def load_config(path: Path) -> RunConfig:
     if cfg.t_nodes < 2 or cfg.s_nodes < 2 or cfg.tau_points < 1 \
             or cfg.omega_points < 1 or cfg.eps_count < 3:
         raise ConfigError("grids must be nonempty (and eps_count >= 3)")
+    if cfg.s_nodes % 2:
+        raise ConfigError(f"s_nodes = {cfg.s_nodes} is odd; the Simpson rule over s needs it even")
     return cfg
 
 
@@ -518,6 +521,10 @@ def run(cfg: RunConfig) -> int:
         else:
             lines.append(f"NUMERICAL FAILURE: {type(exc).__name__}: {exc}")
             exit_code = 3
+    except Exception as exc:  # a defect, not a verdict: never exit 0 or 1
+        traceback.print_exc()
+        lines.append(f"INTERNAL ERROR: {type(exc).__name__}: {' '.join(str(exc).split())}")
+        exit_code = 3
 
     lines.append(f"exit code: {exit_code}")
     report = "\n".join(lines) + "\n"

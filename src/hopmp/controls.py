@@ -49,6 +49,10 @@ class ControlCurve:
     def value(self, t: float) -> np.ndarray:
         return self.jet(t, 0)[0]
 
+    def values(self, ts) -> np.ndarray:
+        """Values on a grid of times, shape (len(ts), dim)."""
+        return np.vstack([self.value(t) for t in ts])
+
     def jet(self, t: float, depth: int) -> np.ndarray:
         """Value and time derivatives at ``t``, shape (depth+1, dim)."""
         raise NotImplementedError
@@ -74,6 +78,36 @@ class ConstantControl(ControlCurve):
         out = np.zeros((depth + 1, self.dim))
         out[0] = self._v
         return out
+
+
+class HarmonicControl(ControlCurve):
+    """``mid + amp * sin(om * t + ph)`` with exact derivatives of every order."""
+
+    def __init__(self, mid, amp, om: float, ph: float, horizon: float) -> None:
+        self.mid = np.atleast_1d(np.asarray(mid, dtype=float))
+        super().__init__(horizon, self.mid.size)
+        self.amp = np.atleast_1d(np.asarray(amp, dtype=float))
+        self.om, self.ph = float(om), float(ph)
+
+    def _layer(self, k: int, x: float) -> np.ndarray:
+        a, om = self.amp, self.om
+        if k == 0:
+            return self.mid + a * np.sin(x)
+        if k == 2:  # (-a * om) * om rounds apart from -a * om**2; tests pin these bits
+            return -a * om * om * np.sin(x)
+        sign = 1.0 if k % 4 < 2 else -1.0
+        return sign * a * om ** k * (np.sin(x) if k % 2 == 0 else np.cos(x))
+
+    def jet(self, t: float, depth: int) -> np.ndarray:
+        x = self.om * t + self.ph
+        out = np.empty((depth + 1, self.dim))
+        for k in range(depth + 1):
+            out[k] = self._layer(k, x)
+        return out
+
+    def values(self, ts) -> np.ndarray:
+        x = self.om * np.asarray(ts, dtype=float)[:, None] + self.ph
+        return self.mid + self.amp * np.sin(x)
 
 
 class CallbackControl(ControlCurve):
@@ -145,6 +179,11 @@ class NeedleOverlayControl(ControlCurve):
             out[0] = self.omega
             return out
         return self.base.jet(t, depth)
+
+    def values(self, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        inside = (self.tau - self.eps <= ts) & (ts < self.tau)
+        return np.where(inside[:, None], self.omega, self.base.values(ts))
 
 
 class SmoothedNeedleControl(ControlCurve):

@@ -3,6 +3,7 @@ import textwrap
 
 import pytest
 
+from hopmp import cli
 from hopmp.cli import RunConfig, load_config, main, run
 from hopmp.errors import ConfigError
 
@@ -88,6 +89,32 @@ def test_bad_problem_params_exit_two(tmp_path):
         out = {tmp_path / 'out'}
     """)
     assert main(["--config", str(path), "--quiet"]) == 2
+
+
+def test_odd_s_nodes_exit_two(tmp_path, capsys):
+    path = write_config(tmp_path, f"""
+        [grids]
+        s_nodes = 63
+        [run]
+        suites = homotopy
+        out = {tmp_path / 'out'}
+    """)
+    with pytest.raises(ConfigError, match="Simpson"):
+        load_config(path)
+    assert main(["--config", str(path), "--quiet"]) == 2
+    assert "Simpson" in capsys.readouterr().err
+
+
+def test_internal_error_exit_three(tmp_path, monkeypatch):
+    def broken(cfg, triple, gamma0):
+        raise ZeroDivisionError("float division\nby zero")
+
+    monkeypatch.setitem(cli._SUITE_FUNCS, "validate", broken)
+    code = main(["--config", str(small_cfg(tmp_path, suites="validate")), "--quiet"])
+    assert code == 3
+    lines = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    assert "INTERNAL ERROR: ZeroDivisionError: float division by zero" in lines
+    assert lines[-1] == "exit code: 3"
 
 
 def test_report_determinism(tmp_path):

@@ -1,0 +1,118 @@
+"""Grid evaluation of control curves and the sine control's jets."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from hopmp.controls import (
+    ConstantControl,
+    ControlCurve,
+    HarmonicControl,
+    NeedleOverlayControl,
+)
+from hopmp.dynamics import _random_smooth_control, control_measure_diff
+
+unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def needle_grids(draw):
+    """(T, tau, eps, ts): a needle inside [0, T] and a sorted grid holding
+    0, tau - eps, tau and T exactly."""
+    T = draw(st.floats(0.1, 6.0))
+    tau = T * draw(st.floats(0.05, 0.95))
+    eps = tau * draw(st.floats(0.01, 1.0))
+    extra = draw(st.lists(unit, max_size=40))
+    ts = np.array(sorted({0.0, tau - eps, tau, T} | {T * x for x in extra}))
+    return T, tau, eps, ts
+
+
+@st.composite
+def harmonics(draw, T):
+    dim = draw(st.integers(1, 2))
+    mid = draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim))
+    amp = draw(st.lists(st.floats(0.0, 2.0), min_size=dim, max_size=dim))
+    om = draw(st.floats(0.1, 5.0))
+    ph = draw(st.floats(0.0, 2 * math.pi))
+    return HarmonicControl(mid, amp, om, ph, T)
+
+
+def _stacked(c, ts):
+    return np.vstack([c.value(t) for t in ts])
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), grid=needle_grids())
+def test_values_equal_stacked_scalar_values(data, grid):
+    T, tau, eps, ts = grid
+    sine = data.draw(harmonics(T))
+    const = ConstantControl(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=sine.dim,
+                                               max_size=sine.dim)), T)
+    omega = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=sine.dim, max_size=sine.dim))
+    curves = [
+        const,
+        sine,
+        NeedleOverlayControl(const, tau, omega, eps),
+        NeedleOverlayControl(sine, tau, omega, eps),
+    ]
+    for c in curves:
+        got = c.values(ts)
+        assert got.shape == (ts.size, c.dim)
+        assert np.array_equal(got, _stacked(c, ts)), type(c).__name__
+
+
+@settings(deadline=None, max_examples=60)
+@given(t=st.floats(0.0, 6.0), om=st.floats(0.1, 5.0), ph=st.floats(0.0, 2 * math.pi),
+       amp=st.floats(0.01, 2.0), mid=st.floats(-2.0, 2.0))
+def test_harmonic_jet(t, om, ph, amp, mid):
+    mid, amp = np.array([mid]), np.array([amp])
+
+    # the sine control's derivative formulas, written out one by one
+    def f(t):
+        return mid + amp * np.sin(om * t + ph)
+
+    def df(t):
+        return amp * om * np.cos(om * t + ph)
+
+    def d2f(t):
+        return -amp * om * om * np.sin(om * t + ph)
+
+    def d3f(t):
+        return -amp * om ** 3 * np.cos(om * t + ph)
+
+    jet = HarmonicControl(mid, amp, om, ph, 6.0).jet(t, 6)
+    assert jet.shape == (7, 1)
+    assert np.array_equal(jet[:4], np.vstack([f(t), df(t), d2f(t), d3f(t)]))
+    for k in range(4, 7):
+        scale = amp * om ** k
+        closed = scale * np.sin(om * t + ph + k * math.pi / 2)
+        np.testing.assert_allclose(jet[k], closed, rtol=0.0, atol=1e-12 * scale[0])
+
+
+def _all_subclasses(cls):
+    out = [cls]
+    for sub in cls.__subclasses__():
+        out += _all_subclasses(sub)
+    return out
+
+
+def test_control_measure_diff_makes_no_scalar_calls(monkeypatch):
+    T = 2.0
+    u = _random_smooth_control(np.random.default_rng(5), [-1.0], [1.0], T)
+    u2 = NeedleOverlayControl(u, 1.2, [1.0], 0.1)
+    calls = {"n": 0}
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls["n"] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for cls in _all_subclasses(ControlCurve):
+        for name in ("value", "jet"):
+            if name in cls.__dict__:
+                monkeypatch.setattr(cls, name, counting(cls.__dict__[name]))
+    d = control_measure_diff(u, u2, T)
+    assert calls["n"] == 0
+    assert abs(d - 0.1) <= 2 * T / 4001
