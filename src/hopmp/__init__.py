@@ -6,11 +6,11 @@ and classical cross-checks."""
 __version__ = "0.1.0"
 
 from .jetspace import (  # noqa: F401
+    JetField,
     JetPoint,
     ScalarJetField,
     finite_diff_partial,
     iterated_total_derivative,
-    jet_of_trajectory,
     total_derivative,
 )
 from .problem import (  # noqa: F401
@@ -34,9 +34,6 @@ from .dynamics import (  # noqa: F401
 from .auxiliary import (  # noqa: F401
     HCoefficients,
     boundary_matrix,
-    eval_h,
-    extend,
-    mu_of,
     pc_form_pairing,
     solve_h,
 )

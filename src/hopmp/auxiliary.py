@@ -128,11 +128,6 @@ class HCoefficients:
                              (self.second - other.second) / scale)
 
 
-def eval_h(coeffs: HCoefficients, t, deriv: int = 0, which: str = "h"):
-    """Closed-form evaluation of h, h' or h'' (derivatives up to any order)."""
-    return coeffs.eval(which, t, deriv)
-
-
 def _boundary_jet_depth(triple: DefiningTriple) -> int:
     r = triple.lagrangian.actual_order
     return max(2 * r - 1, triple.cost.actual_order + r, 1)
@@ -343,15 +338,6 @@ class ExtendedCurve:
         return ExtendedJetPoint(jet=jet, ujet=ujet, h=h, hp=hp, hpp=hpp,
                                 lam=1.0, mu_value=self.mu(t),
                                 mu_rate=self.mu_rate(t))
-
-
-def extend(traj: Trajectory, triple: DefiningTriple) -> ExtendedCurve:
-    return ExtendedCurve(traj, triple)
-
-
-def mu_of(ext: ExtendedCurve, t: float) -> float:
-    """The bookkeeping scalar at time t (zero at t = 0 by construction)."""
-    return ext.mu(t)
 
 
 @dataclass

@@ -202,9 +202,6 @@ class AdjointTrajectory:
     def p(self, t: float) -> np.ndarray:
         return np.atleast_1d(self._sol(t))
 
-    def values_on(self, ts) -> np.ndarray:
-        return np.array([self.p(t) for t in np.atleast_1d(ts)])
-
 
 def adjoint_integrate(cp: ClassicalProblem, x_traj: Trajectory, u: ControlCurve,
                       p_terminal, tol=(1e-10, 1e-12)) -> AdjointTrajectory:
@@ -290,24 +287,15 @@ def mth_order_bang_bang(a: Sequence[float], T: float, tol: float = 1e-10,
     switch times are located by bisection on its dense output.
     """
     from .needle import transversality_synthesize
-    from .problems import mth_order
+    from .problems import _adjoint_chain_rhs, mth_order
 
     a = np.asarray(a, dtype=float)
-    m = a.size - 1
     triple = mth_order(a, T)
     conds = transversality_synthesize(triple)
     term = conds.terminal_values[triple.dynamics.names[1]]
 
-    sgn = (-1.0) ** m
-
-    def rhs(t, y):
-        out = np.empty(m)
-        out[:-1] = y[1:]
-        out[-1] = -sum(((-1.0) ** b) * a[b] * y[b] for b in range(m)) / (sgn * a[m])
-        return out
-
-    sol = solve_ivp(rhs, (T, 0.0), term, method="DOP853", dense_output=True,
-                    rtol=1e-12, atol=1e-14)
+    sol = solve_ivp(_adjoint_chain_rhs(a), (T, 0.0), term, method="DOP853",
+                    dense_output=True, rtol=1e-12, atol=1e-14)
     if not sol.success:
         raise DegenerateAdjoint(sol.message)
     adjoint = AdjointTrajectory(sol.sol, T)

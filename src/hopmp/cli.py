@@ -228,10 +228,7 @@ def _suite_homotopy(cfg, triple, gamma0) -> SuiteResult:
     top = ConstantControl(corner, triple.horizon)
     from .controls import BlendControl
 
-    sigma0 = {name: gamma0.initial_state[off:off + m].copy()
-              for name, off, m in zip(triple.dynamics.names,
-                                      triple.dynamics.offsets,
-                                      triple.dynamics.orders)}
+    sigma0 = triple.dynamics.unpack_state(gamma0.initial_state)
     hom = ControlHomotopy(
         slice_curve=lambda s: u0 if s == 0.0 else BlendControl(u0, top, s),
         sigma_path=lambda s: sigma0,
@@ -348,10 +345,7 @@ def _suite_pmp_scan(cfg, triple, gamma0) -> SuiteResult:
 
 
 def _suite_classical_cross(cfg, triple, gamma0) -> SuiteResult:
-    from .classical import classical_chain_oracle, chain_reduction_problem, \
-        classical_pmp_check
-    from .problem import pontryagin_p
-    from .needle import adjoint_branch
+    from .classical import chain_reduction_problem, classical_pmp_check
 
     res = SuiteResult("classical-cross")
     if len(triple.state_vars) != 1 or not triple.adjoint_vars:
@@ -359,9 +353,11 @@ def _suite_classical_cross(cfg, triple, gamma0) -> SuiteResult:
                  "variable; skipped")
         return res
 
+    taus = np.linspace(0.1, 0.9, 7) * triple.horizon
     conds = transversality_synthesize(
         triple, jet_T=gamma0.jet(triple.horizon,
-                                 2 * triple.lagrangian.actual_order - 1))
+                                 2 * triple.lagrangian.actual_order - 1),
+        validate_with=gamma0, tau_grid=taus)
     name = triple.dynamics.names[triple.adjoint_vars[0]]
     vals = " ".join(_fmt(v) for v in conds.terminal_values[name])
     res.info(f"synthesized terminal adjoint jet ({name}): {vals}")
@@ -370,17 +366,8 @@ def _suite_classical_cross(cfg, triple, gamma0) -> SuiteResult:
     res.check("annihilation residuals", float(np.max(conds.residuals)) < 1e-8,
               f"max={_fmt(float(np.max(conds.residuals)))}")
 
-    taus = np.linspace(0.1, 0.9, 7) * triple.horizon
-    omegas = triple.controls.grid(5)
-    oracle = classical_chain_oracle(triple, gamma0, taus, omegas)
-    branch = adjoint_branch(triple, gamma0, conds)
-    agree = True
-    r = triple.lagrangian.actual_order
-    for row, tau in enumerate(taus):
-        P = pontryagin_p(triple, branch.jet(float(tau), r))
-        w_p, _ = P.argmax_on_grid(omegas)
-        agree = agree and bool(np.max(np.abs(w_p - oracle[row])) < 1e-9)
-    res.check("argmax agreement with the chain-reduction oracle", agree)
+    res.check("argmax agreement with the chain-reduction oracle",
+              conds.oracle_agreement)
 
     cp = chain_reduction_problem(triple, gamma0)
     rep = classical_pmp_check(cp, gamma0.control, taus,
@@ -449,9 +436,9 @@ _SUITE_FUNCS = {
 def _write_trajectory_csv(cfg: RunConfig, triple, gamma0) -> Path:
     dyn = triple.dynamics
     state_cols, adjoint_cols = [], []
-    for i, (name, off, m) in enumerate(zip(dyn.names, dyn.offsets, dyn.orders)):
-        labels = [name] + [f"{name}_d{k}" for k in range(1, m)]
-        cols = [(lab, off + k) for k, lab in enumerate(labels)]
+    labels = dyn.state_labels()
+    for i, (off, m) in enumerate(zip(dyn.offsets, dyn.orders)):
+        cols = list(zip(labels[off:off + m], range(off, off + m)))
         (adjoint_cols if i in triple.adjoint_vars else state_cols).extend(cols)
 
     path = Path(cfg.out) / "trajectory.csv"

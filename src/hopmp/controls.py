@@ -39,8 +39,6 @@ def smoothstep5(theta: float, deriv: int = 0) -> float:
 class ControlCurve:
     """Base class; subclasses implement ``value`` and ``jet``."""
 
-    kind = "abstract"
-
     def __init__(self, horizon: float, dim: int) -> None:
         self.horizon = float(horizon)
         self.dim = int(dim)
@@ -67,8 +65,6 @@ class ControlCurve:
 
 
 class ConstantControl(ControlCurve):
-    kind = "analytic-callback"
-
     def __init__(self, value, horizon: float) -> None:
         v = np.atleast_1d(np.asarray(value, dtype=float))
         super().__init__(horizon, v.size)
@@ -117,8 +113,6 @@ class CallbackControl(ControlCurve):
     back to symmetric differences of the highest analytic layer.
     """
 
-    kind = "analytic-callback"
-
     def __init__(self, fun: Callable[[float], Sequence[float]], horizon: float,
                  dim: int = 1, derivatives: Optional[Sequence[Callable]] = None) -> None:
         super().__init__(horizon, dim)
@@ -141,8 +135,6 @@ class CallbackControl(ControlCurve):
 class PiecewiseConstantControl(ControlCurve):
     """Right-continuous step function; ``times`` are the interior jumps."""
 
-    kind = "piecewise-constant"
-
     def __init__(self, times: Sequence[float], values, horizon: float) -> None:
         vals = np.atleast_2d(np.asarray(values, dtype=float))
         if vals.shape[0] != len(times) + 1:
@@ -161,8 +153,6 @@ class PiecewiseConstantControl(ControlCurve):
 
 class NeedleOverlayControl(ControlCurve):
     """Base curve overwritten by a constant ceiling value on [tau-eps, tau)."""
-
-    kind = "piecewise-constant"
 
     def __init__(self, base: ControlCurve, tau: float, omega, eps: float) -> None:
         super().__init__(base.horizon, base.dim)
@@ -194,8 +184,6 @@ class SmoothedNeedleControl(ControlCurve):
     blend ``(1-w) base + w ceiling`` on the two ramps.  Box-valued whenever
     base and ceiling are.
     """
-
-    kind = "smoothed-needle"
 
     def __init__(self, base: ControlCurve, tau: float, omega, eps: float, k: float) -> None:
         super().__init__(base.horizon, base.dim)
@@ -249,8 +237,6 @@ class SmoothedNeedleControl(ControlCurve):
 class BlendControl(ControlCurve):
     """Convex interpolation (1-s) u0 + s u1 of two curves on one horizon."""
 
-    kind = "analytic-callback"
-
     def __init__(self, u0: ControlCurve, u1: ControlCurve, s: float) -> None:
         if abs(u0.horizon - u1.horizon) > 1e-12:
             raise ValueError("blended curves must share the horizon")
@@ -264,8 +250,6 @@ class BlendControl(ControlCurve):
 
 
 class InterpolatedSamplesControl(ControlCurve):
-    kind = "interpolated-samples"
-
     def __init__(self, ts: Sequence[float], us, horizon: float) -> None:
         from scipy.interpolate import CubicSpline
 

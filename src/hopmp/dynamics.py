@@ -17,7 +17,7 @@ from scipy.integrate import solve_ivp
 
 from .controls import ControlCurve, HarmonicControl, NeedleOverlayControl
 from .errors import ConstraintViolation, OrderUnavailable, StepSizeUnderflow, TimeOutOfRange
-from .jetspace import JetPoint, ScalarJetField, iterated_total_derivative
+from .jetspace import JetField, JetPoint, ScalarJetField, _as_ujet, iterated_total_derivative
 
 # Jet blocks above a variable's chain come from nested total derivatives of
 # its top field; each nesting multiplies the finite-difference work, so deep
@@ -31,7 +31,7 @@ class ChainBlock:
 
     name: str
     order: int
-    top: ScalarJetField
+    top: JetField
 
 
 class NormalFormDynamics:
@@ -73,6 +73,11 @@ class NormalFormDynamics:
         if y.size != self.state_dim:
             raise ValueError(f"state has dimension {self.state_dim}, got {y.size}")
         return y.copy()
+
+    def unpack_state(self, y: np.ndarray) -> dict:
+        """The mapping name -> jets that :meth:`pack_state` turns into ``y``."""
+        return {name: np.asarray(y[off:off + m], dtype=float).copy()
+                for name, off, m in zip(self.names, self.offsets, self.orders)}
 
     def state_labels(self) -> list[str]:
         out = []
@@ -136,11 +141,7 @@ class NormalFormDynamics:
             for delta in range(dj + 1):
                 self._fill(j, delta, t, memo, ujet, filling)
         pt = self._materialize(t, memo, depth)
-        udepth = getattr(fld, "u_depth", 0)
-        uj = ujet
-        if uj.shape[0] < udepth + 1:
-            uj = np.vstack([uj, np.zeros((udepth + 1 - uj.shape[0], uj.shape[1]))])
-        val = float(fld.value_uj(pt, uj))
+        val = float(fld.value_uj(pt, _as_ujet(ujet, fld.u_depth)))
         filling.discard(key)
         memo[key] = val
         return val

@@ -98,9 +98,46 @@ def _as_ujet(u, depth: int = 0) -> np.ndarray:
     return arr
 
 
+class JetField:
+    """A scalar field over (jet point, control-derivative stack).
+
+    A field defines ``actual_order`` (the highest jet block it reads) and
+    ``value_uj(p, ujet)``, which evaluates it on a stack of shape (k+1, M)
+    holding the control and its first k time derivatives.  The rest of the
+    protocol comes from here: ``value`` accepts a bare control value,
+    ``read_depth`` follows ``reads`` (or ``actual_order`` when it is None),
+    and ``partial`` normalizes the control to a stack for ``partial_uj``,
+    which takes symmetric finite differences of ``value_uj``.
+    """
+
+    __slots__ = ()
+
+    # Depth of the control-derivative stack the field reads (0: value only).
+    u_depth = 0
+    # Optional per-variable read depths {i: max beta}; -1 marks "not read".
+    # None means "may read every variable up to actual_order".
+    reads = None
+    name = ""
+
+    def read_depth(self, j: int) -> int:
+        if self.reads is None:
+            return self.actual_order
+        return int(self.reads.get(j, -1))
+
+    def value(self, p: JetPoint, u) -> float:
+        return self.value_uj(p, _as_ujet(u, self.u_depth))
+
+    def partial(self, p: JetPoint, u, direction: Direction, step: float | None = None) -> float:
+        return self.partial_uj(p, _as_ujet(u, self.u_depth), direction, step)
+
+    def partial_uj(self, p: JetPoint, ujet: np.ndarray, direction: Direction,
+                   step: float | None = None) -> float:
+        return finite_diff_partial(self, p, ujet, direction, step)
+
+
 @dataclass(frozen=True)
-class ScalarJetField:
-    """A scalar field over (jet point, control value).
+class ScalarJetField(JetField):
+    """A field given by an evaluator of (JetPoint, control value).
 
     ``partials`` optionally maps coordinate directions to analytic partial
     evaluators with the same ``(JetPoint, u) -> float`` signature.  Keys are
@@ -112,38 +149,22 @@ class ScalarJetField:
     actual_order: int
     partials: Optional[Mapping] = None
     name: str = ""
-
-    # Depth of the control-derivative stack the field reads (0: value only).
     u_depth: int = 0
-
-    # Optional per-variable read depths {i: max beta}; -1 marks "not read".
-    # None means "may read every variable up to actual_order".
     reads: Optional[Mapping[int, int]] = None
-
-    def read_depth(self, j: int) -> int:
-        if self.reads is None:
-            return self.actual_order
-        return int(self.reads.get(j, -1))
-
-    def value(self, p: JetPoint, u) -> float:
-        return float(self.evaluator(p, _as_ujet(u)[0]))
 
     def value_uj(self, p: JetPoint, ujet: np.ndarray) -> float:
         return float(self.evaluator(p, ujet[0]))
 
-    def partial(self, p: JetPoint, u, direction: Direction, step: float | None = None) -> float:
+    def partial_uj(self, p: JetPoint, ujet: np.ndarray, direction: Direction,
+                   step: float | None = None) -> float:
         key = _canonical_direction(direction)
         if self.partials is not None:
             fn = self.partials.get(key)
-            if fn is None and isinstance(key, tuple) and key[0] == "u" and len(key) == 3 and key[2] == 0:
+            if fn is None and key[0] == "u" and key[2] == 0:
                 fn = self.partials.get(("u", key[1]))
             if fn is not None:
-                return float(fn(p, _as_ujet(u)[0]))
-        return finite_diff_partial(self, p, u, direction, step)
-
-    def partial_uj(self, p: JetPoint, ujet: np.ndarray, direction: Direction,
-                   step: float | None = None) -> float:
-        return self.partial(p, ujet[0], direction, step)
+                return float(fn(p, ujet[0]))
+        return finite_diff_partial(self, p, ujet, direction, step)
 
 
 def _canonical_direction(direction: Direction):
@@ -175,7 +196,7 @@ def finite_diff_partial(f, p: JetPoint, u, direction: Direction,
     of the control-derivative stack).
     """
     key = _canonical_direction(direction)
-    ujet = _as_ujet(u, getattr(f, "u_depth", 0))
+    ujet = _as_ujet(u, f.u_depth)
 
     if key == "t":
         h = _fd_step(p.t, step)
@@ -199,6 +220,18 @@ def finite_diff_partial(f, p: JetPoint, u, direction: Direction,
     return (f.value_uj(p, up) - f.value_uj(p, um)) / (2.0 * h)
 
 
+def _frozen_control_chain(f, p: JetPoint, ujet: np.ndarray) -> float:
+    """df/dt|_t + sum_{j, delta} (df/dq^j_(delta)) q^j_(delta+1): the chain
+    rule along the jet prolongation with the control stack held fixed."""
+    out = f.partial_uj(p, ujet, "t")
+    for j in range(p.dim):
+        for delta in range(f.read_depth(j) + 1):
+            df = f.partial_uj(p, ujet, ("q", j, delta))
+            if df != 0.0:
+                out += df * p.coord(j, delta + 1)
+    return out
+
+
 def total_derivative(f, p: JetPoint, u) -> float:
     """Total derivative of ``f`` at ``(p, u)`` with the control held fixed.
 
@@ -210,40 +243,31 @@ def total_derivative(f, p: JetPoint, u) -> float:
             f"total derivative of a field of actual order {f.actual_order} "
             f"needs a jet of order >= {f.actual_order + 1}, got {p.n}"
         )
-    ujet = _as_ujet(u, getattr(f, "u_depth", 0))
-    out = f.partial_uj(p, ujet, "t")
-    for j in range(p.dim):
-        depth = f.read_depth(j) if hasattr(f, "read_depth") else f.actual_order
-        for delta in range(depth + 1):
-            df = f.partial_uj(p, ujet, ("q", j, delta))
-            if df != 0.0:
-                out += df * p.coord(j, delta + 1)
-    return float(out)
+    return float(_frozen_control_chain(f, p, _as_ujet(u, f.u_depth)))
 
 
-class DerivedField:
+class DerivedField(JetField):
     """Total derivative of a field along curves with time-varying control.
 
     Evaluation consumes a control-derivative stack one row deeper than the
-    base field; nested application yields iterated total derivatives.
-    Partials of a derived field are taken by finite differences of its
-    evaluator (which is itself assembled from the base field's partials).
+    base field: the frozen-control chain rule of :func:`total_derivative`
+    plus the terms that the control derivatives contribute.  Nested
+    application yields iterated total derivatives.  Partials of a derived
+    field are finite differences of this evaluator (which is itself
+    assembled from the base field's partials).
     """
 
     __slots__ = ("base", "actual_order", "u_depth", "name")
 
-    def __init__(self, base) -> None:
+    def __init__(self, base: JetField) -> None:
         self.base = base
         self.actual_order = base.actual_order + 1
-        self.u_depth = getattr(base, "u_depth", 0) + 1
-        self.name = f"D({getattr(base, 'name', '') or 'f'})"
+        self.u_depth = base.u_depth + 1
+        self.name = f"D({base.name or 'f'})"
 
     def read_depth(self, j: int) -> int:
-        d = self.base.read_depth(j) if hasattr(self.base, "read_depth") else self.base.actual_order
+        d = self.base.read_depth(j)
         return d + 1 if d >= 0 else -1
-
-    def value(self, p: JetPoint, u) -> float:
-        return self.value_uj(p, _as_ujet(u, self.u_depth))
 
     def value_uj(self, p: JetPoint, ujet: np.ndarray) -> float:
         needed = max((self.read_depth(j) for j in range(p.dim)), default=self.actual_order)
@@ -252,47 +276,13 @@ class DerivedField:
                 f"{self.name} needs a jet of order >= {needed}, got {p.n}"
             )
         base = self.base
-        out = base.partial_uj(p, ujet, "t")
-        for j in range(p.dim):
-            depth = base.read_depth(j) if hasattr(base, "read_depth") else base.actual_order
-            for delta in range(depth + 1):
-                df = base.partial_uj(p, ujet, ("q", j, delta))
-                if df != 0.0:
-                    out += df * p.coord(j, delta + 1)
-        m = ujet.shape[1]
-        for k in range(getattr(base, "u_depth", 0) + 1):
-            for a in range(m):
+        out = _frozen_control_chain(base, p, ujet)
+        for k in range(base.u_depth + 1):
+            for a in range(ujet.shape[1]):
                 df = base.partial_uj(p, ujet, ("u", a, k))
                 if df != 0.0:
                     out += df * ujet[k + 1, a]
         return float(out)
-
-    def partial(self, p: JetPoint, u, direction: Direction, step: float | None = None) -> float:
-        return finite_diff_partial(self, p, u, direction, step)
-
-    def partial_uj(self, p: JetPoint, ujet: np.ndarray, direction: Direction,
-                   step: float | None = None) -> float:
-        key = _canonical_direction(direction)
-        ujet = _as_ujet(ujet, self.u_depth)
-
-        if key == "t":
-            h = _fd_step(p.t, step)
-            return (self.value_uj(p.with_time(p.t + h), ujet)
-                    - self.value_uj(p.with_time(p.t - h), ujet)) / (2.0 * h)
-        if key[0] == "q":
-            _, i, beta = key
-            x = p.coord(i, beta)
-            h = _fd_step(x, step)
-            return (self.value_uj(p.with_coord(i, beta, x + h), ujet)
-                    - self.value_uj(p.with_coord(i, beta, x - h), ujet)) / (2.0 * h)
-        _, a, k = key
-        x = float(ujet[k, a])
-        h = _fd_step(x, step)
-        up = ujet.copy()
-        um = ujet.copy()
-        up[k, a] = x + h
-        um[k, a] = x - h
-        return (self.value_uj(p, up) - self.value_uj(p, um)) / (2.0 * h)
 
 
 def iterated_total_derivative(f, count: int):
@@ -326,7 +316,7 @@ def audit_actual_order(f, p: JetPoint, u, rng, trials: int = 2,
     """
     if f.actual_order + 1 > p.n:
         return True
-    ujet = _as_ujet(u, getattr(f, "u_depth", 0))
+    ujet = _as_ujet(u, f.u_depth)
     ref = f.value_uj(p, ujet)
     for beta in range(f.actual_order + 1, p.n + 1):
         for i in range(p.dim):
@@ -336,11 +326,6 @@ def audit_actual_order(f, p: JetPoint, u, rng, trials: int = 2,
                 if abs(f.value_uj(q, ujet) - ref) > tol * (1.0 + abs(ref)):
                     return False
     return True
-
-
-def jet_of_trajectory(traj, t: float, order: int) -> JetPoint:
-    """Jet of a trajectory at time ``t``, reconstructed from its dynamics."""
-    return traj.jet(t, order)
 
 
 class AnalyticCurve:

@@ -106,7 +106,7 @@ def needle_variation(triple: DefiningTriple, gamma0: Trajectory,
     spec.validate(triple.horizon)
     u0 = gamma0.control
     smoothed = smooth_needle(needle_modification(u0, spec, eps), spec, eps)
-    sigma0 = _as_sigma_mapping(triple, gamma0.initial_state)
+    sigma0 = triple.dynamics.unpack_state(gamma0.initial_state)
     if spec.sigma_family is not None:
         anchored = triple.dynamics.pack_state(spec.sigma_family(eps, 0.0))
         if np.max(np.abs(anchored - gamma0.initial_state)) > 1e-10:
@@ -132,14 +132,6 @@ def needle_variation(triple: DefiningTriple, gamma0: Trajectory,
         traj = triple.controlled_curve(u, hom.sigma_path(float(s)), tol=tol)
         slices.append(SurfaceSlice(float(s), traj, ExtendedCurve(traj, triple)))
     return VariationSurface(triple, hom, slices)
-
-
-def _as_sigma_mapping(triple: DefiningTriple, state: np.ndarray) -> dict:
-    dyn = triple.dynamics
-    out = {}
-    for name, off, m in zip(dyn.names, dyn.offsets, dyn.orders):
-        out[name] = np.asarray(state[off:off + m], dtype=float).copy()
-    return out
 
 
 def _boundary_pairing(triple: DefiningTriple, surface: VariationSurface,
@@ -404,7 +396,7 @@ def adjoint_branch(triple: DefiningTriple, gamma0: Trajectory,
     for i in triple.state_vars:
         off, m = dyn.offsets[i], dyn.orders[i]
         y[off:off + m] = gamma0.initial_state[off:off + m]
-    sigma = _as_sigma_mapping(triple, y)
+    sigma = dyn.unpack_state(y)
     return triple.controlled_curve(gamma0.control, sigma, tol=tol)
 
 
@@ -547,7 +539,7 @@ def pmp_scan(triple: DefiningTriple, gamma0: Trajectory,
     if eps_sequence is None:
         eps_sequence = default_eps_sequence(eps0)
 
-    sigma0 = _as_sigma_mapping(triple, gamma0.initial_state)
+    sigma0 = triple.dynamics.unpack_state(gamma0.initial_state)
     base = SurfaceSlice(0.0, gamma0, ExtendedCurve(gamma0, triple))
 
     def spec_for(tau: float, omega: np.ndarray) -> NeedleSpec:

@@ -19,8 +19,10 @@ from .dynamics import NormalFormDynamics, Trajectory, control_measure_diff, inte
 from .errors import ConstraintViolation, InsufficientJetOrder
 from .jetspace import (
     DerivedField,
+    JetField,
     JetPoint,
     ScalarJetField,
+    _as_ujet,
     audit_actual_order,
     iterated_total_derivative,
 )
@@ -61,47 +63,28 @@ class ControlSet:
         return 0.5 * (self.lower + self.upper)
 
 
-class _PartialField:
+class _PartialField(JetField):
     """The partial of a field along one coordinate, as a field itself.
 
-    Evaluation delegates to the base field's (analytic or finite-difference)
-    partial, keeping the full control-derivative stack intact.
+    Its value is the base field's (analytic or finite-difference) partial,
+    taken on the full control-derivative stack; it reads what the base field
+    reads, and its own partials are finite differences of that value.
     """
 
     __slots__ = ("base", "direction", "actual_order", "u_depth", "name")
 
-    def __init__(self, base, direction, name: str = "") -> None:
+    def __init__(self, base: JetField, direction, name: str = "") -> None:
         self.base = base
         self.direction = direction
         self.actual_order = base.actual_order
-        self.u_depth = getattr(base, "u_depth", 0)
-        self.name = name or f"d({getattr(base, 'name', 'f')})/d{direction}"
+        self.u_depth = base.u_depth
+        self.name = name or f"d({base.name})/d{direction}"
 
     def read_depth(self, j: int) -> int:
-        return self.base.read_depth(j) if hasattr(self.base, "read_depth") \
-            else self.base.actual_order
+        return self.base.read_depth(j)
 
     def value_uj(self, p: JetPoint, ujet: np.ndarray) -> float:
         return self.base.partial_uj(p, ujet, self.direction)
-
-    def value(self, p: JetPoint, u) -> float:
-        from .jetspace import _as_ujet
-
-        return self.value_uj(p, _as_ujet(u, self.u_depth))
-
-    def partial_uj(self, p, ujet, direction, step=None):
-        from .jetspace import finite_diff_partial
-
-        return finite_diff_partial(self, p, ujet, direction, step)
-
-    def partial(self, p, u, direction, step=None):
-        from .jetspace import finite_diff_partial
-
-        return finite_diff_partial(self, p, u, direction, step)
-
-
-def _generic_partial_field(f, direction, name: str = ""):
-    return _PartialField(f, direction, name)
 
 
 @dataclass(frozen=True)
@@ -121,7 +104,7 @@ class ControlledLagrangian:
     def partial_field(self, i: int, delta: int):
         if self.momentum_fields is not None and (i, delta) in self.momentum_fields:
             return self.momentum_fields[(i, delta)]
-        return _generic_partial_field(self.field, ("q", i, delta))
+        return _PartialField(self.field, ("q", i, delta))
 
     def value(self, p: JetPoint, u) -> float:
         return self.field.value(p, u)
@@ -237,12 +220,9 @@ class DefiningTriple:
         return self.cost.value(traj.terminal_jet(max(self.cost.actual_order, 1)))
 
 
-def _field_depth(fld, dim: int) -> int:
-    if hasattr(fld, "read_depth"):
-        depths = [fld.read_depth(j) for j in range(dim)]
-        depths = [d for d in depths if d >= 0]
-        return max(depths) if depths else 0
-    return fld.actual_order
+def _field_depth(fld: JetField, dim: int) -> int:
+    depths = [d for d in (fld.read_depth(j) for j in range(dim)) if d >= 0]
+    return max(depths) if depths else 0
 
 
 def el_residual(triple: DefiningTriple, traj, u: ControlCurve, t: float) -> np.ndarray:
@@ -272,14 +252,8 @@ def el_residual(triple: DefiningTriple, traj, u: ControlCurve, t: float) -> np.n
         out[i] = f0.value_uj(jet, ujet)
         for beta in range(1, r + 1):
             fb = iterated_total_derivative(L.partial_field(i, beta), beta)
-            out[i] += (-1) ** beta * fb.value_uj(jet, _pad(ujet, fb.u_depth))
+            out[i] += (-1) ** beta * fb.value_uj(jet, _as_ujet(ujet, fb.u_depth))
     return out
-
-
-def _pad(ujet: np.ndarray, depth: int) -> np.ndarray:
-    if ujet.shape[0] >= depth + 1:
-        return ujet
-    return np.vstack([ujet, np.zeros((depth + 1 - ujet.shape[0], ujet.shape[1]))])
 
 
 def momentum_sums(fields_for, jet: JetPoint, ujet: np.ndarray, dim: int, r: int) -> np.ndarray:
@@ -298,7 +272,7 @@ def momentum_sums(fields_for, jet: JetPoint, ujet: np.ndarray, dim: int, r: int)
                 fld = fields_for(i, delta)
                 if eps:
                     fld = iterated_total_derivative(fld, eps)
-                acc += (-1) ** eps * fld.value_uj(jet, _pad(ujet, getattr(fld, "u_depth", 0)))
+                acc += (-1) ** eps * fld.value_uj(jet, _as_ujet(ujet, fld.u_depth))
             out[i, beta] = acc
     return out
 
@@ -315,7 +289,7 @@ def full_momenta(triple: DefiningTriple, jet: JetPoint, ujet: np.ndarray) -> np.
     rate = triple.cost.rate_field()
 
     def cost_part(i, delta):
-        return _generic_partial_field(rate, ("q", i, delta))
+        return _PartialField(rate, ("q", i, delta))
 
     base = momentum_sums(L.partial_field, jet, ujet, L.state_dim, L.actual_order)
     extra = momentum_sums(cost_part, jet, ujet, L.state_dim, L.actual_order)

@@ -20,7 +20,7 @@ import numpy as np
 from .controls import ConstantControl, ControlCurve
 from .dynamics import ChainBlock, NormalFormDynamics
 from .errors import BadParams, NoClosedForm
-from .jetspace import ScalarJetField
+from .jetspace import JetField, ScalarJetField, iterated_total_derivative
 from .problem import (
     ControlSet,
     ControlledLagrangian,
@@ -307,13 +307,10 @@ def mth_order(a: Sequence[float], T: float = 1.0) -> DefiningTriple:
     )
 
 
-def _adjoint_terminal_chain(a: np.ndarray, T: float) -> np.ndarray:
-    """Initial values (at t = 0) of the adjoint chain that meets the
-    annihilating terminal conditions p^(k)(T) = 0 (k < m-1),
-    p^(m-1)(T) = (-1)^(m-1)/a_m."""
+def _adjoint_chain_rhs(a: np.ndarray):
+    """First-order form of the adjoint equation sum_l (-1)^l a_l p^(l) = 0,
+    on the chain y = (p, p', ..., p^(m-1))."""
     m = a.size - 1
-    term = np.zeros(m)
-    term[m - 1] = (-1.0) ** (m - 1) / a[m]
     sgn = (-1.0) ** m
 
     def rhs(t, y):
@@ -322,13 +319,25 @@ def _adjoint_terminal_chain(a: np.ndarray, T: float) -> np.ndarray:
         out[-1] = -sum(((-1.0) ** b) * a[b] * y[b] for b in range(m)) / (sgn * a[m])
         return out
 
+    return rhs
+
+
+def _adjoint_terminal_chain(a: np.ndarray, T: float) -> np.ndarray:
+    """Initial values (at t = 0) of the adjoint chain that meets the
+    annihilating terminal conditions p^(k)(T) = 0 (k < m-1),
+    p^(m-1)(T) = (-1)^(m-1)/a_m."""
+    m = a.size - 1
+    term = np.zeros(m)
+    term[m - 1] = (-1.0) ** (m - 1) / a[m]
+
     if m == 1:
         # first-order adjoint is autonomous in closed form only when a0 = 0
         if a[0] == 0.0:
             return term.copy()
     from scipy.integrate import solve_ivp
 
-    sol = solve_ivp(rhs, (T, 0.0), term, method="DOP853", rtol=1e-12, atol=1e-14)
+    sol = solve_ivp(_adjoint_chain_rhs(a), (T, 0.0), term, method="DOP853",
+                    rtol=1e-12, atol=1e-14)
     return sol.y[:, -1]
 
 
@@ -392,7 +401,7 @@ def third_order(T: float = 1.0,
         top_p = _zero_field("f_p")
         sigma_p = np.array([T ** 2 / 2.0, -T, 1.0])
     else:
-        top_p = _third_order_adjoint_top(f, X, P)
+        top_p = _LeibnizAdjointTop(f, X, P)
         sigma_p = np.zeros(3)
 
     dyn = NormalFormDynamics([ChainBlock("x", 3, top_x), ChainBlock("p", 3, top_p)])
@@ -415,7 +424,7 @@ def third_order(T: float = 1.0,
     )
 
 
-class _LeibnizAdjointTop:
+class _LeibnizAdjointTop(JetField):
     """The auxiliary equation for x''' = f, expanded once by Leibniz:
 
         p''' = - sum_b (-1)^b (d/dt)^b (p df/dx_(b))
@@ -425,11 +434,9 @@ class _LeibnizAdjointTop:
     pass through nested total derivatives.
     """
 
+    name = "f_p"
+
     def __init__(self, f: ScalarJetField, X: int, P: int) -> None:
-        from math import comb
-
-        from .jetspace import iterated_total_derivative
-
         reads_x = max(f.read_depth(X), 0)
         self._terms = []   # (sign * C(b, k), adjoint derivative k, field)
         for b in range(3):
@@ -442,41 +449,17 @@ class _LeibnizAdjointTop:
             )
             for k in range(b + 1):
                 fld = iterated_total_derivative(part, b - k)
-                self._terms.append((-((-1.0) ** b) * comb(b, k), k, fld))
+                self._terms.append((-((-1.0) ** b) * math.comb(b, k), k, fld))
         self.P = P
         self.actual_order = max(f.actual_order, 0) + 2
         self.u_depth = f.u_depth + 2
         self.reads = {X: reads_x + 2, P: 2}
-        self.partials = None
-        self.name = "f_p"
-
-    def read_depth(self, j):
-        return self.reads.get(j, -1)
 
     def value_uj(self, p, ujet):
         out = 0.0
         for coef, k, fld in self._terms:
             out += coef * p.coord(self.P, k) * fld.value_uj(p, ujet)
         return out
-
-    def value(self, p, u):
-        from .jetspace import _as_ujet
-
-        return self.value_uj(p, _as_ujet(u, self.u_depth))
-
-    def partial_uj(self, p, ujet, direction, step=None):
-        from .jetspace import finite_diff_partial
-
-        return finite_diff_partial(self, p, ujet, direction, step)
-
-    def partial(self, p, u, direction, step=None):
-        from .jetspace import finite_diff_partial
-
-        return finite_diff_partial(self, p, u, direction, step)
-
-
-def _third_order_adjoint_top(f: ScalarJetField, X: int, P: int):
-    return _LeibnizAdjointTop(f, X, P)
 
 
 # -- dispatch and references ---------------------------------------------------

@@ -11,8 +11,8 @@ import pytest
 
 from hopmp.auxiliary import (
     boundary_matrix,
+    ExtendedCurve,
     bvp_residuals,
-    extend,
     ode_identity_residuals,
     pc_lift_integral,
     solve_h,
@@ -227,7 +227,7 @@ def test_criterion_07_poincare_cartan_lift_identity():
         u = ConstantControl([0.7], triple.horizon)
         traj = triple.controlled_curve(u, triple.initial_data.make(**params),
                                        tol=(1e-10, 1e-12))
-        ext = extend(traj, triple)
+        ext = ExtendedCurve(traj, triple)
         lift = pc_lift_integral(ext, n_nodes=401)
         cost = triple.terminal_cost(traj)
         worst_lift = max(worst_lift, abs(lift - cost))

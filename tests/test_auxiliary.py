@@ -6,14 +6,12 @@ import pytest
 
 from conftest import CurveWithControl
 from hopmp.auxiliary import (
+    ExtendedCurve,
     HCoefficients,
     boundary_matrix,
     bvp_residuals,
-    eval_h,
-    extend,
     h_quadratic_terms,
     lift_tangent,
-    mu_of,
     ode_identity_residuals,
     pc_form_pairing,
     pc_lift_integral,
@@ -68,7 +66,7 @@ def test_eval_h_zero_prime_family():
     coeffs = HCoefficients(T=1.0, hyp=np.zeros((1, 1, 2)),
                            prime=np.zeros((1, 1, 4)), second=np.zeros((1, 1, 4)))
     for d in range(4):
-        assert eval_h(coeffs, 0.5, d, "hp")[0, 0] == 0.0
+        assert coeffs.eval("hp", 0.5, d)[0, 0] == 0.0
 
 
 def test_eval_h_quartic_identity_generic_coefficients():
@@ -150,18 +148,18 @@ def test_mu_zero_when_everything_vanishes():
     u = ConstantControl([0.0], 1.0)
     sigma = {"x": [0.0, 0.0], "p": [0.0, 0.0]}
     traj = triple.controlled_curve(u, sigma)
-    ext = extend(traj, triple)
+    ext = ExtendedCurve(traj, triple)
     assert np.allclose(ext.h_coeffs.hyp, 0.0, atol=1e-13)
     for t in (0.0, 0.5, 1.0):
-        assert mu_of(ext, t) == pytest.approx(0.0, abs=1e-12)
+        assert ext.mu(t) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mu_zero_at_origin_always():
     triple = pendulum_r2(T=PI / 2)
     u = ConstantControl([0.6], triple.horizon)
     traj = triple.controlled_curve(u, triple.initial_data.make(v=-0.5))
-    ext = extend(traj, triple)
-    assert mu_of(ext, 0.0) == 0.0
+    ext = ExtendedCurve(traj, triple)
+    assert ext.mu(0.0) == 0.0
 
 
 def test_mu_against_refined_gauss_oracle():
@@ -170,7 +168,7 @@ def test_mu_against_refined_gauss_oracle():
     u = ConstantControl([1.0], triple.horizon)
     traj = triple.controlled_curve(u, triple.initial_data.make(v=1.0),
                                    tol=(1e-10, 1e-12))
-    ext = extend(traj, triple)
+    ext = ExtendedCurve(traj, triple)
 
     nodes, weights = np.polynomial.legendre.leggauss(7)
     total = 0.0
@@ -181,7 +179,7 @@ def test_mu_against_refined_gauss_oracle():
             mid = 0.5 * (c + d)
             total += half * sum(w * ext.ltilde(mid + half * x)
                                 for x, w in zip(nodes, weights))
-    assert mu_of(ext, triple.horizon) == pytest.approx(-total, abs=1e-7)
+    assert ext.mu(triple.horizon) == pytest.approx(-total, abs=1e-7)
 
 
 def test_pc_pairing_pure_dt_tangent_returns_lhat():
@@ -218,7 +216,7 @@ def test_pc_pairing_lift_tangent_gives_rate_of_cost():
     u = ConstantControl([1.0], triple.horizon)
     traj = triple.controlled_curve(u, triple.initial_data.make(v=1.0),
                                    tol=(1e-10, 1e-12))
-    ext = extend(traj, triple)
+    ext = ExtendedCurve(traj, triple)
     for t in (0.2, 0.8, 1.3):
         pt = ext.ext_point(t)
         pair = pc_form_pairing(triple, pt, lift_tangent(pt))
@@ -235,7 +233,7 @@ def test_pc_lift_integral_equals_terminal_cost(builder, kwargs):
     u = ConstantControl([0.8], triple.horizon)
     traj = triple.controlled_curve(u, triple.initial_data.make(v=0.6),
                                    tol=(1e-10, 1e-12))
-    ext = extend(traj, triple)
+    ext = ExtendedCurve(traj, triple)
     value = pc_lift_integral(ext, n_nodes=401)
     cost = triple.terminal_cost(traj)
     assert value == pytest.approx(cost, abs=1e-6)

@@ -176,15 +176,13 @@ def test_lipschitz_probe_report_deterministic():
 
 
 def test_jet_of_trajectory_zero_case():
-    from hopmp.jetspace import jet_of_trajectory
-
     def f(p, u):
         return np.array([0.0])
 
     dyn = reduce_to_first_order(f, order=2, state_dim=1, names=["x"])
     traj = integrate(dyn, ConstantControl([0.0], 1.0), np.zeros(2), 1.0)
     for t in (0.0, 0.5, 1.0):
-        j = jet_of_trajectory(traj, t, 3)
+        j = traj.jet(t, 3)
         assert np.all(j.blocks == 0.0)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hopmp.auxiliary import extend
+from hopmp.auxiliary import ExtendedCurve
 from hopmp.controls import ConstantControl
 from hopmp.homotopy import (
     ControlHomotopy,
@@ -55,7 +55,7 @@ def test_mu_rate_is_minus_extended_lagrangian():
     u = ConstantControl([0.5], triple.horizon)
     traj = triple.controlled_curve(u, triple.initial_data.make(v=0.7),
                                    tol=(1e-11, 1e-13))
-    ext = extend(traj, triple)
+    ext = ExtendedCurve(traj, triple)
     step = 1e-6
     for t in (0.4, 0.9, 1.3):
         fd = (ext.mu(t + step) - ext.mu(t - step)) / (2 * step)

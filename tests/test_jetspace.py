@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from hopmp.dynamics import ChainBlock, NormalFormDynamics
 from hopmp.errors import InsufficientJetOrder
 from hopmp.jetspace import (
     AnalyticCurve,
+    DerivedField,
+    JetField,
     JetPoint,
     ScalarJetField,
     audit_actual_order,
@@ -14,6 +17,8 @@ from hopmp.jetspace import (
     iterated_total_derivative,
     total_derivative,
 )
+from hopmp.problem import _PartialField
+from hopmp.problems import _LeibnizAdjointTop
 
 
 def make_point(t=0.5, blocks=None, dim=2, order=4):
@@ -150,3 +155,32 @@ def test_analytic_curve_jets():
     assert j.coord(0, 0) == pytest.approx(1.0)
     assert j.coord(0, 1) == pytest.approx(0.0, abs=1e-15)
     assert j.coord(0, 2) == pytest.approx(-1.0)
+
+
+class _ScaledSquare(JetField):
+    """u * (q^0)^2, written against the bare field protocol."""
+
+    actual_order = 0
+    reads = {0: 0}
+
+    def value_uj(self, pt, ujet):
+        return ujet[0, 0] * pt.coord(0, 0) ** 2
+
+
+def test_bare_jet_field_drives_jets_and_total_derivative():
+    # x'' = u x^2: x''' = 2 u x x' + u' x^2 along the flow
+    top = _ScaledSquare()
+    dyn = NormalFormDynamics([ChainBlock("x", 2, top)])
+    x, xd, u, ud = 0.7, -1.3, 0.4, 2.5
+    jet = dyn.jets_at(0.2, np.array([x, xd]), np.array([[u], [ud]]), 3)
+    expected = [x, xd, u * x ** 2, 2 * u * x * xd + ud * x ** 2]
+    assert jet.blocks[:, 0] == pytest.approx(expected, rel=1e-8)
+
+    p = JetPoint(0.2, [[x], [xd]])
+    assert top.value(p, [u]) == u * x ** 2
+    assert top.partial(p, [u], ("q", 0, 0)) == pytest.approx(2 * u * x, rel=1e-8)
+    assert total_derivative(top, p, [u]) == pytest.approx(2 * u * x * xd, rel=1e-8)
+
+    # the derived and partial fields inherit the protocol instead of copying it
+    for cls in (DerivedField, _PartialField, _LeibnizAdjointTop):
+        assert not {"value", "partial", "partial_uj"} & set(vars(cls)), cls
