@@ -19,7 +19,6 @@ from .problem import (  # noqa: F401
     CostFunction,
     DefiningTriple,
     InitialData,
-    control_distance,
     el_residual,
     pontryagin_p,
     validate_triple,

@@ -117,15 +117,11 @@ class HCoefficients:
     def eval(self, which: str, t, deriv: int = 0):
         return {"h": self.h, "hp": self.hp, "hpp": self.hpp}[which](t, deriv)
 
-    def scaled(self, factor: float) -> "HCoefficients":
-        return HCoefficients(self.T, factor * self.hyp, factor * self.prime,
-                             factor * self.second)
-
-    def diff(self, other: "HCoefficients", scale: float) -> "HCoefficients":
-        """(self - other) / scale, used for s-derivatives across slices."""
-        return HCoefficients(self.T, (self.hyp - other.hyp) / scale,
-                             (self.prime - other.prime) / scale,
-                             (self.second - other.second) / scale)
+    def rows(self, t, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(h, h', h'') at time(s) t, each with its derivatives 0..count-1
+        stacked on a new last axis."""
+        return tuple(np.stack([fn(t, d) for d in range(count)], axis=-1)
+                     for fn in (self.h, self.hp, self.hpp))
 
 
 def _boundary_jet_depth(triple: DefiningTriple) -> int:
@@ -215,19 +211,19 @@ def ode_identity_residuals(coeffs: HCoefficients, ts) -> dict:
             "h''(4)-k4 h''": float(r_s / scale)}
 
 
-def h_quadratic_terms(coeffs: HCoefficients, t) -> np.ndarray:
-    """The auxiliary part of Ltilde at time(s) t:
+def h_quadratic_terms(h: np.ndarray, hp: np.ndarray, hpp: np.ndarray,
+                      T: float) -> np.ndarray:
+    """The auxiliary part of Ltilde:
     (1/2) sum (hdot^2 - h'dd^2 - h''dd^2) + sum ((1/2) h^2 + c4 (h'^2 + h''^2)),
-    with c4 = pi^4 / (32 T^4)."""
-    c4 = math.pi ** 4 / (32.0 * coeffs.T ** 4)
-    hd = coeffs.h(t, 1)
-    hp2 = coeffs.hp(t, 2)
-    hpp2 = coeffs.hpp(t, 2)
-    h0 = coeffs.h(t, 0)
-    hp0 = coeffs.hp(t, 0)
-    hpp0 = coeffs.hpp(t, 0)
-    quad = 0.5 * (hd ** 2 - hp2 ** 2 - hpp2 ** 2) + 0.5 * h0 ** 2 \
-        + c4 * (hp0 ** 2 + hpp0 ** 2)
+    with c4 = pi^4 / (32 T^4), summed over (i, beta).
+
+    ``h``, ``hp`` and ``hpp`` have shape (N, r, ..., rows >= 3): derivative
+    orders on the last axis, as :meth:`HCoefficients.rows` and
+    :class:`ExtendedJetPoint` hold them, with any time axes in between kept.
+    """
+    c4 = math.pi ** 4 / (32.0 * T ** 4)
+    quad = 0.5 * (h[..., 1] ** 2 - hp[..., 2] ** 2 - hpp[..., 2] ** 2) \
+        + 0.5 * h[..., 0] ** 2 + c4 * (hp[..., 0] ** 2 + hpp[..., 0] ** 2)
     return np.sum(quad, axis=(0, 1))
 
 
@@ -254,12 +250,10 @@ class ExtendedCurve:
     one instance for the reference curve pay for each at most once.
     """
 
-    def __init__(self, base: Trajectory, triple: DefiningTriple,
-                 h_coeffs: Optional[HCoefficients] = None) -> None:
+    def __init__(self, base: Trajectory, triple: DefiningTriple) -> None:
         self.base = base
         self.triple = triple
-        self._h_coeffs = h_coeffs
-        self.lam = 1.0
+        self._h_coeffs: Optional[HCoefficients] = None
         self._mu_nodes: Optional[np.ndarray] = None
         self._mu_cum: Optional[np.ndarray] = None
         self._lagrangian_integral: Optional[float] = None
@@ -280,7 +274,8 @@ class ExtendedCurve:
         return self.triple.lagrangian.value(jet, u)
 
     def ltilde(self, t: float) -> float:
-        return self.lagrangian(t) + float(h_quadratic_terms(self.h_coeffs, t))
+        coeffs = self.h_coeffs
+        return self.lagrangian(t) + float(h_quadratic_terms(*coeffs.rows(t, 3), coeffs.T))
 
     # -- Gauss-Legendre over the integrator mesh -------------------------------
 
@@ -332,25 +327,21 @@ class ExtendedCurve:
         depth = max(2 * r, _boundary_jet_depth(self.triple) + 1)
         jet = self.base.jet(t, depth)
         ujet = self.base.control.jet(self.base.control.clamp(t), r + 1)
-        h = np.stack([self.h_coeffs.h(t, d) for d in range(4)], axis=-1)
-        hp = np.stack([self.h_coeffs.hp(t, d) for d in range(4)], axis=-1)
-        hpp = np.stack([self.h_coeffs.hpp(t, d) for d in range(4)], axis=-1)
+        h, hp, hpp = self.h_coeffs.rows(t, 4)
         return ExtendedJetPoint(jet=jet, ujet=ujet, h=h, hp=hp, hpp=hpp,
-                                lam=1.0, mu_value=self.mu(t),
-                                mu_rate=self.mu_rate(t))
+                                mu_value=self.mu(t), mu_rate=self.mu_rate(t))
 
 
 @dataclass
 class ExtendedJetPoint:
     """A jet of the extended curve: base jets, control stack, auxiliary
-    function values/derivatives (rows 0..3), multiplier and mu data."""
+    function values/derivatives (rows 0..3) and mu data."""
 
     jet: JetPoint
     ujet: np.ndarray
     h: np.ndarray    # (N, r, 4)
     hp: np.ndarray   # (N, r, 4)
     hpp: np.ndarray  # (N, r, 4)
-    lam: float
     mu_value: float
     mu_rate: float
 
@@ -405,7 +396,7 @@ def pc_form_pairing(triple: DefiningTriple, pt: ExtendedJetPoint,
     The form is L-hat dt, plus the momentum sums of L + dC/dt paired with
     the base contact forms, plus the auxiliary contact terms
     h_(1) w_(0) - h'_(2) w'_(1) - h''_(2) w''_(1) + h'_(3) w'_(0)
-    + h''_(3) w''_(0), plus lam times the mu contact form.
+    + h''_(3) w''_(0), plus the mu contact form.
     """
     L = triple.lagrangian
     r = L.actual_order
@@ -415,9 +406,9 @@ def pc_form_pairing(triple: DefiningTriple, pt: ExtendedJetPoint,
         raise InsufficientJetOrder(f"extended jet order must be >= {2 * r}")
 
     u = pt.ujet[0]
-    ltil = L.value(jet, u) + h_quadratic_terms_from_point(pt, triple.horizon)
-    dcdt = triple.cost.rate_field().value_uj(jet, np.zeros((2, 1)))
-    lhat = pt.lam * (pt.mu_rate + ltil) + dcdt
+    ltil = L.value(jet, u) + float(h_quadratic_terms(pt.h, pt.hp, pt.hpp, triple.horizon))
+    dcdt = triple.cost.rate_field().value(jet, np.zeros(1))
+    lhat = pt.mu_rate + ltil + dcdt
 
     out = lhat * tangent.dt
 
@@ -436,25 +427,15 @@ def pc_form_pairing(triple: DefiningTriple, pt: ExtendedJetPoint,
             w_s1 = tangent.dhpp[i, b, 1] - pt.hpp[i, b, 2] * tangent.dt
             w_p0 = tangent.dhp[i, b, 0] - pt.hp[i, b, 1] * tangent.dt
             w_s0 = tangent.dhpp[i, b, 0] - pt.hpp[i, b, 1] * tangent.dt
-            out += pt.lam * (
+            out += (
                 pt.h[i, b, 1] * w_h0
                 - pt.hp[i, b, 2] * w_p1 - pt.hpp[i, b, 2] * w_s1
                 + pt.hp[i, b, 3] * w_p0 + pt.hpp[i, b, 3] * w_s0
             )
 
     # mu contact pairing
-    out += pt.lam * (tangent.dmu0 - pt.mu_rate * tangent.dt)
+    out += tangent.dmu0 - pt.mu_rate * tangent.dt
     return float(out)
-
-
-def h_quadratic_terms_from_point(pt: ExtendedJetPoint, T: float) -> float:
-    """Same auxiliary Ltilde part as :func:`h_quadratic_terms`, read off the
-    stored derivative rows of an extended jet point."""
-    c4 = math.pi ** 4 / (32.0 * T ** 4)
-    quad = (0.5 * (pt.h[..., 1] ** 2 - pt.hp[..., 2] ** 2 - pt.hpp[..., 2] ** 2)
-            + 0.5 * pt.h[..., 0] ** 2
-            + c4 * (pt.hp[..., 0] ** 2 + pt.hpp[..., 0] ** 2))
-    return float(np.sum(quad))
 
 
 def pc_lift_integral(ext: ExtendedCurve, n_nodes: int = 401) -> float:

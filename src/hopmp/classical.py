@@ -251,17 +251,25 @@ class ViolationReport:
         return sorted(self.violations, key=lambda v: -v.margin)
 
 
+def _state_and_adjoint(cp: ClassicalProblem, u: ControlCurve,
+                       tol) -> tuple[Trajectory, AdjointTrajectory]:
+    """The state under ``u`` from x0 and the adjoint closed by
+    p(T) = -grad C(x(T))."""
+    dyn = cp.state_dynamics()
+    x0 = {f"x{i+1}": [float(np.asarray(cp.x0).ravel()[i])] for i in range(cp.dim)}
+    x_traj = integrate(dyn, u, dyn.pack_state(x0), cp.horizon, tol=tol)
+    xT = x_traj.state(cp.horizon)
+    p_traj = adjoint_integrate(cp, x_traj, u, -np.asarray(cp.cost_grad(xT)), tol=tol)
+    return x_traj, p_traj
+
+
 def classical_pmp_check(cp: ClassicalProblem, u0: ControlCurve,
                         tau_grid, omega_grid,
                         tol_scale: float = 1e-6,
                         tol=(1e-10, 1e-12)) -> ViolationReport:
     """Report every (tau, omega) with H(omega) > H(u0(tau)) + tolerance,
     with the adjoint closed by p(T) = -grad C(x(T))."""
-    dyn = cp.state_dynamics()
-    x0 = {f"x{i+1}": [float(np.asarray(cp.x0).ravel()[i])] for i in range(cp.dim)}
-    x_traj = integrate(dyn, u0, dyn.pack_state(x0), cp.horizon, tol=tol)
-    xT = x_traj.state(cp.horizon)
-    p_traj = adjoint_integrate(cp, x_traj, u0, -np.asarray(cp.cost_grad(xT)), tol=tol)
+    x_traj, p_traj = _state_and_adjoint(cp, u0, tol)
 
     report = ViolationReport()
     omegas = np.atleast_2d(np.asarray(omega_grid, dtype=float).reshape(len(omega_grid), -1))
@@ -287,15 +295,14 @@ def mth_order_bang_bang(a: Sequence[float], T: float, tol: float = 1e-10,
     switch times are located by bisection on its dense output.
     """
     from .needle import transversality_synthesize
-    from .problems import _adjoint_chain_rhs, mth_order
+    from .problems import mth_order, solve_adjoint_chain
 
     a = np.asarray(a, dtype=float)
     triple = mth_order(a, T)
     conds = transversality_synthesize(triple)
     term = conds.terminal_values[triple.dynamics.names[1]]
 
-    sol = solve_ivp(_adjoint_chain_rhs(a), (T, 0.0), term, method="DOP853",
-                    dense_output=True, rtol=1e-12, atol=1e-14)
+    sol = solve_adjoint_chain(a, T, term)
     if not sol.success:
         raise DegenerateAdjoint(sol.message)
     adjoint = AdjointTrajectory(sol.sol, T)
@@ -391,13 +398,7 @@ def classical_chain_oracle(triple, gamma0, tau_grid, omega_grid) -> np.ndarray:
     """Argmax table of the chain-reduction Hamiltonian along gamma0's state,
     one control row per probe time."""
     cp = chain_reduction_problem(triple, gamma0)
-    dyn = cp.state_dynamics()
-    x0 = {f"x{i+1}": [cp.x0[i]] for i in range(cp.dim)}
-    x_traj = integrate(dyn, gamma0.control, dyn.pack_state(x0), cp.horizon,
-                       tol=(1e-10, 1e-12))
-    xT = x_traj.state(cp.horizon)
-    p_traj = adjoint_integrate(cp, x_traj, gamma0.control,
-                               -np.asarray(cp.cost_grad(xT)))
+    x_traj, p_traj = _state_and_adjoint(cp, gamma0.control, (1e-10, 1e-12))
     omegas = np.atleast_2d(np.asarray(omega_grid, dtype=float))
     out = np.empty((len(np.atleast_1d(tau_grid)), omegas.shape[1]))
     for row, tau in enumerate(np.atleast_1d(tau_grid)):

@@ -29,14 +29,13 @@ from .controls import ConstantControl
 from .dynamics import lipschitz_probe
 from .errors import ConfigError, HopmpError, NoClosedForm
 from .homotopy import (
-    ControlHomotopy,
+    blend_homotopy,
     build_surface,
     conservation_residual,
     homotopy_lhs,
     homotopy_rhs,
     minimal_labour_W,
     select_beta_range,
-    uniform_s_grid,
     vertical_pairing,
     mu_prime_gap_direct,
 )
@@ -160,42 +159,26 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _build_problem(cfg: RunConfig):
-    params = {"T": cfg.T}
-    if cfg.problem_id in ("pendulum-r2", "pendulum-direct", "pendulum-classical"):
-        params["v_max"] = cfg.v_max
+def _problem_params(cfg: RunConfig) -> dict:
+    """The keyword arguments of the configured problem's builder."""
     if cfg.problem_id == "mth-order":
-        params = {"a": cfg.a or [1.0, 0.0, 1.0], "T": cfg.T}
-    triple = build(cfg.problem_id, **params)
-    if cfg.jet_order is not None:
-        triple.jet_order = cfg.jet_order
-    return triple, params
+        return {"a": cfg.a or [1.0, 0.0, 1.0], "T": cfg.T}
+    if cfg.problem_id in ("pendulum-r2", "pendulum-direct", "pendulum-classical"):
+        return {"T": cfg.T, "v_max": cfg.v_max}
+    return {"T": cfg.T}
 
 
-def _reference_pair(cfg: RunConfig, triple):
+def _reference_pair(cfg: RunConfig, triple, params: dict):
     """Reference control and initial data: the closed-form optimum when one
     exists, the box midpoint otherwise; the config may override u0."""
-    if cfg.u0 is not None:
-        u = ConstantControl([cfg.u0], triple.horizon)
-        try:
-            _, sigma, _ = optimal_reference(cfg.problem_id, T=cfg.T,
-                                            v_max=cfg.v_max, a=cfg.a) \
-                if cfg.problem_id == "mth-order" else \
-                optimal_reference(cfg.problem_id, T=cfg.T, v_max=cfg.v_max)
-        except (NoClosedForm, TypeError):
-            sigma = triple.initial_data.make()
-        return u, sigma, None
     try:
-        if cfg.problem_id == "mth-order":
-            u, sigma, cost = optimal_reference(cfg.problem_id, a=cfg.a or [1, 0, 1],
-                                               T=cfg.T)
-        else:
-            u, sigma, cost = optimal_reference(cfg.problem_id, T=cfg.T,
-                                               v_max=cfg.v_max)
-        return u, sigma, cost
+        u, sigma, cost = optimal_reference(cfg.problem_id, **params)
     except NoClosedForm:
-        return (ConstantControl(triple.controls.midpoint(), triple.horizon),
-                triple.initial_data.make(), None)
+        u = ConstantControl(triple.controls.midpoint(), triple.horizon)
+        sigma, cost = triple.initial_data.make(), None
+    if cfg.u0 is not None:
+        return ConstantControl([cfg.u0], triple.horizon), sigma, None
+    return u, sigma, cost
 
 
 def _tau_range(cfg: RunConfig, triple):
@@ -226,16 +209,8 @@ def _suite_homotopy(cfg, triple, gamma0) -> SuiteResult:
     u_mean = u0.value(0.5 * triple.horizon)
     corner = np.where(u_mean >= mid, triple.controls.lower, triple.controls.upper)
     top = ConstantControl(corner, triple.horizon)
-    from .controls import BlendControl
-
     sigma0 = triple.dynamics.unpack_state(gamma0.initial_state)
-    hom = ControlHomotopy(
-        slice_curve=lambda s: u0 if s == 0.0 else BlendControl(u0, top, s),
-        sigma_path=lambda s: sigma0,
-        s_grid=uniform_s_grid(cfg.s_nodes),
-        horizon=triple.horizon,
-        du_ds=lambda t, s: top.value(t) - u0.value(u0.clamp(t)),
-    )
+    hom = blend_homotopy(u0, top, lambda s: sigma0, cfg.s_nodes)
     surface = build_surface(triple, hom, tol=cfg.tol)
 
     selection = select_beta_range(surface, t_nodes=max(100, cfg.t_nodes // 2))
@@ -476,8 +451,11 @@ def run(cfg: RunConfig) -> int:
 
     exit_code = 0
     try:
-        triple, params = _build_problem(cfg)
-        u0, sigma0, ref_cost = _reference_pair(cfg, triple)
+        params = _problem_params(cfg)
+        triple = build(cfg.problem_id, **params)
+        if cfg.jet_order is not None:
+            triple.jet_order = cfg.jet_order
+        u0, sigma0, ref_cost = _reference_pair(cfg, triple, params)
         gamma0 = triple.controlled_curve(u0, sigma0, tol=cfg.tol)
         if ref_cost is not None:
             achieved = triple.terminal_cost(gamma0)

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .controls import ControlCurve, HarmonicControl, NeedleOverlayControl
-from .errors import ConstraintViolation, OrderUnavailable, StepSizeUnderflow, TimeOutOfRange
-from .jetspace import JetField, JetPoint, ScalarJetField, _as_ujet, iterated_total_derivative
+from .errors import OrderUnavailable, StepSizeUnderflow, TimeOutOfRange
+from .jetspace import JetField, JetPoint, ScalarJetField, iterated_total_derivative
 
 # Jet blocks above a variable's chain come from nested total derivatives of
 # its top field; each nesting multiplies the finite-difference work, so deep
@@ -141,7 +141,7 @@ class NormalFormDynamics:
             for delta in range(dj + 1):
                 self._fill(j, delta, t, memo, ujet, filling)
         pt = self._materialize(t, memo, depth)
-        val = float(fld.value_uj(pt, _as_ujet(ujet, fld.u_depth)))
+        val = float(fld.value(pt, ujet))
         filling.discard(key)
         memo[key] = val
         return val
@@ -245,19 +245,28 @@ class Trajectory:
         return self.jet(self.horizon, order)
 
 
+def segment_rhs(dynamics: NormalFormDynamics, control: ControlCurve,
+                a: float, b: float) -> Callable:
+    """dy/dt on the segment [a, b) between two control breakpoints, in
+    either direction of integration: the control is sampled inside the
+    half-open segment, so right-continuity picks the piece active on it."""
+
+    def rhs(t, y):
+        tt = min(max(t, a), np.nextafter(b, a))
+        return dynamics.rhs(t, y, control.jet(tt, dynamics.u_depth))
+
+    return rhs
+
+
 def integrate(dynamics: NormalFormDynamics, control: ControlCurve, sigma,
-              horizon: float, tol: tuple[float, float] = (1e-8, 1e-10),
-              method: str = "RK45", constraint: Optional[Callable] = None,
-              max_step: float | None = None) -> Trajectory:
-    """Adaptive Runge-Kutta integration with dense output.
+              horizon: float, tol: tuple[float, float] = (1e-8, 1e-10)) -> Trajectory:
+    """Adaptive Runge-Kutta (RK45) integration with dense output.
 
     Control breakpoints become integration breakpoints, so the mesh contains
     every discontinuity exactly.  ``tol = (rtol, atol)``.
     """
     rtol, atol = tol
     y0 = dynamics.pack_state(sigma)
-    if constraint is not None and not constraint(y0):
-        raise ConstraintViolation("initial data rejected by the admissibility constraint")
 
     cuts = [0.0] + [float(b) for b in control.breakpoints if 0.0 < b < horizon] + [float(horizon)]
     cuts = sorted(set(cuts))
@@ -268,14 +277,8 @@ def integrate(dynamics: NormalFormDynamics, control: ControlCurve, sigma,
 
     y = y0.copy()
     for a, b in zip(cuts[:-1], cuts[1:]):
-        # sample u inside the open segment; right-continuity picks the active piece
-        def rhs(t, yv, _a=a, _b=b):
-            tt = min(max(t, _a), np.nextafter(_b, _a))
-            ujet = control.jet(tt, dynamics.u_depth)
-            return dynamics.rhs(t, yv, ujet)
-
-        sol = solve_ivp(rhs, (a, b), y, method=method, dense_output=True,
-                        rtol=rtol, atol=atol, max_step=max_step or np.inf)
+        sol = solve_ivp(segment_rhs(dynamics, control, a, b), (a, b), y,
+                        method="RK45", dense_output=True, rtol=rtol, atol=atol)
         if not sol.success:
             raise StepSizeUnderflow(f"integration failed on [{a}, {b}]: {sol.message}")
         seg_bounds.append((a, b))
@@ -315,9 +318,11 @@ def _random_smooth_control(rng, box_lower, box_upper, horizon: float) -> Control
     return HarmonicControl(mid, amp, om, ph, horizon)
 
 
-def lipschitz_probe(triple, n_pairs: int, seed: int,
-                    needle_width_range: tuple[float, float] = (0.01, 0.2),
-                    grid: int = 201, clamp_radius: float | None = None) -> LipschitzReport:
+# Range of the needle widths the probe draws; the report note prints it.
+_NEEDLE_WIDTHS = (0.01, 0.2)
+
+
+def lipschitz_probe(triple, n_pairs: int, seed: int, grid: int = 201) -> LipschitzReport:
     """Empirical boundedness probe for the control-to-trajectory map.
 
     Draws ``n_pairs`` random pairs (U, U'): a random sine control in the box,
@@ -340,7 +345,7 @@ def lipschitz_probe(triple, n_pairs: int, seed: int,
     for _ in range(n_pairs):
         u = _random_smooth_control(rng, lo, hi, T)
         tau = rng.uniform(0.25 * T, 0.85 * T)
-        eps = rng.uniform(*needle_width_range)
+        eps = rng.uniform(*_NEEDLE_WIDTHS)
         omega = rng.uniform(lo, hi)
         u2 = NeedleOverlayControl(u, tau, omega, eps)
 
@@ -357,7 +362,7 @@ def lipschitz_probe(triple, n_pairs: int, seed: int,
             j1 = t1.jet(t, jet_depth)
             j2 = t2.jet(t, jet_depth)
             diff = max(diff, float(np.max(np.abs(j1.blocks - j2.blocks))))
-        du = control_measure_diff(u, u2, T)
+        du = control_measure_diff(u, u2)
         rho = float(np.linalg.norm(y1 - y2))
         den = du + rho
         if den < 1e-14:
@@ -368,7 +373,7 @@ def lipschitz_probe(triple, n_pairs: int, seed: int,
     ratios = np.asarray(ratios)
     note = ("rho: Euclidean metric on initial state coordinates; "
             "top jet blocks are control-driven, so ratios are reported for "
-            f"needle widths in {needle_width_range}")
+            f"needle widths in {_NEEDLE_WIDTHS}")
     return LipschitzReport(
         ratios=ratios,
         max_ratio=float(ratios.max()) if ratios.size else float("nan"),
@@ -379,12 +384,17 @@ def lipschitz_probe(triple, n_pairs: int, seed: int,
     )
 
 
-def control_measure_diff(u1: ControlCurve, u2: ControlCurve, horizon: float,
-                         grid: int | None = None, threshold: float = 1e-12) -> float:
-    """Lebesgue measure of {t : u1(t) != u2(t)}, estimated on a uniform grid:
-    the share of ``grid`` (default 4001) nodes where some component differs by
-    more than ``threshold``, each curve evaluated by one ``values`` call."""
-    n = grid or 4001
-    ts = np.linspace(0.0, horizon, n)
+_MEASURE_NODES = 4001
+
+
+def control_measure_diff(u1: ControlCurve, u2: ControlCurve) -> float:
+    """Lebesgue measure of {t : u1(t) != u2(t)} on the curves' shared
+    horizon, estimated on a uniform grid: the share of 4001 nodes where some
+    component differs by more than 1e-12, each curve evaluated by one
+    ``values`` call."""
+    if abs(u1.horizon - u2.horizon) > 1e-12:
+        raise ValueError("control curves must share the horizon")
+    horizon = u1.horizon
+    ts = np.linspace(0.0, horizon, _MEASURE_NODES)
     gap = np.max(np.abs(u1.values(ts) - u2.values(ts)), axis=1)
-    return horizon * np.count_nonzero(gap > threshold) / n
+    return horizon * np.count_nonzero(gap > 1e-12) / _MEASURE_NODES

@@ -31,7 +31,7 @@ from .auxiliary import (
     h_quadratic_terms,
     pc_form_pairing,
 )
-from .controls import ControlCurve
+from .controls import BlendControl, ControlCurve
 from .dynamics import Trajectory
 from .problem import DefiningTriple
 
@@ -74,6 +74,26 @@ def uniform_s_grid(intervals: int) -> np.ndarray:
     if intervals % 2:
         raise ValueError("use an even number of s-intervals (Simpson)")
     return np.linspace(0.0, 1.0, intervals + 1)
+
+
+def blend_homotopy(u0: ControlCurve, u1: ControlCurve,
+                   sigma_path: Callable[[float], Mapping],
+                   s_intervals: int) -> ControlHomotopy:
+    """The interpolating family u(., s) = (1-s) u0 + s u1, which is u0 itself
+    at s = 0, with its analytic s-derivative u1 - u0 (sampled at the
+    right-continuous time)."""
+
+    def du_ds(t, s):
+        tt = u0.clamp(t)
+        return u1.value(tt) - u0.value(tt)
+
+    return ControlHomotopy(
+        slice_curve=lambda s: u0 if s == 0.0 else BlendControl(u0, u1, s),
+        sigma_path=sigma_path,
+        s_grid=uniform_s_grid(s_intervals),
+        horizon=u0.horizon,
+        du_ds=du_ds,
+    )
 
 
 @dataclass
@@ -232,7 +252,7 @@ def _mixed_mu_integrand(surface: VariationSurface, ts: np.ndarray,
 
     for k in range(ns):
         coeffs = surface.coeffs(k)
-        quad = h_quadratic_terms(coeffs, ts)
+        quad = h_quadratic_terms(*coeffs.rows(ts, 3), coeffs.T)
         for j in range(nt):
             jet = JetPoint(ts[j], q[k, j])
             ltil[k, j] = triple.lagrangian.value(jet, u[k, j]) + float(quad[j])
@@ -429,9 +449,7 @@ def jacobi_tangent(surface: VariationSurface, t: float, k: int) -> ExtendedTange
 
     Yq = surface.jacobi_q(np.array([t]), order)[k, 0]   # (order+1, N)
     dcoeffs = surface.coeff_derivatives()[k]
-    dh = np.stack([dcoeffs.h(t, d) for d in range(3)], axis=-1)
-    dhp = np.stack([dcoeffs.hp(t, d) for d in range(3)], axis=-1)
-    dhpp = np.stack([dcoeffs.hpp(t, d) for d in range(3)], axis=-1)
+    dh, dhp, dhpp = dcoeffs.rows(t, 3)
     dmu0 = float(surface.s_derivative(surface.mu_values(t))[k])
     du = surface.jacobi_u(np.array([t]))[k, 0]
     return ExtendedTangent(dt=0.0, dq=Yq, dh=dh, dhp=dhp, dhpp=dhpp,

@@ -76,13 +76,6 @@ class JetPoint:
     def with_time(self, t: float) -> "JetPoint":
         return JetPoint(t, self.blocks)
 
-    def truncated(self, order: int) -> "JetPoint":
-        if order > self.n:
-            raise InsufficientJetOrder(
-                f"jet of order {self.n} cannot be truncated to order {order}"
-            )
-        return JetPoint(self.t, self.blocks[: order + 1])
-
     def __repr__(self) -> str:
         return f"JetPoint(t={self.t!r}, n={self.n}, dim={self.dim})"
 
@@ -257,23 +250,25 @@ class DerivedField(JetField):
     assembled from the base field's partials).
     """
 
-    __slots__ = ("base", "actual_order", "u_depth", "name")
+    __slots__ = ("base", "actual_order", "u_depth", "name", "reads", "_needed")
 
     def __init__(self, base: JetField) -> None:
         self.base = base
         self.actual_order = base.actual_order + 1
         self.u_depth = base.u_depth + 1
         self.name = f"D({base.name or 'f'})"
-
-    def read_depth(self, j: int) -> int:
-        d = self.base.read_depth(j)
-        return d + 1 if d >= 0 else -1
+        # each read variable is read one block deeper than by the base
+        if base.reads is None:
+            self.reads = None
+            self._needed = self.actual_order
+        else:
+            self.reads = {j: d + 1 for j, d in base.reads.items() if d >= 0}
+            self._needed = max(self.reads.values(), default=-1)
 
     def value_uj(self, p: JetPoint, ujet: np.ndarray) -> float:
-        needed = max((self.read_depth(j) for j in range(p.dim)), default=self.actual_order)
-        if p.n < needed:
+        if p.n < self._needed:
             raise InsufficientJetOrder(
-                f"{self.name} needs a jet of order >= {needed}, got {p.n}"
+                f"{self.name} needs a jet of order >= {self._needed}, got {p.n}"
             )
         base = self.base
         out = _frozen_control_chain(base, p, ujet)

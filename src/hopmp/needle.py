@@ -19,20 +19,10 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 from scipy.integrate import simpson
 
-from .controls import (
-    BlendControl,
-    ControlCurve,
-    NeedleOverlayControl,
-    SmoothedNeedleControl,
-)
-from .dynamics import Trajectory
+from .controls import ControlCurve, NeedleOverlayControl, SmoothedNeedleControl
+from .dynamics import Trajectory, segment_rhs
 from .errors import BadParams, NonSolvableForm
-from .homotopy import (
-    ControlHomotopy,
-    SurfaceSlice,
-    VariationSurface,
-    uniform_s_grid,
-)
+from .homotopy import SurfaceSlice, VariationSurface, blend_homotopy, homotopy_lhs
 from .auxiliary import ExtendedCurve
 from .jetspace import JetPoint
 from .problem import DefiningTriple, lagrangian_momenta, pontryagin_p
@@ -112,17 +102,8 @@ def needle_variation(triple: DefiningTriple, gamma0: Trajectory,
         if np.max(np.abs(anchored - gamma0.initial_state)) > 1e-10:
             raise BadParams("sigma family must anchor the base data at s = 0")
 
-    def du_ds(t, s):
-        tt = u0.clamp(t)
-        return smoothed.value(tt) - u0.value(tt)
-
-    hom = ControlHomotopy(
-        slice_curve=lambda s: u0 if s == 0.0 else BlendControl(u0, smoothed, s),
-        sigma_path=lambda s: spec.sigma(eps, s, sigma0),
-        s_grid=uniform_s_grid(s_intervals),
-        horizon=triple.horizon,
-        du_ds=du_ds,
-    )
+    hom = blend_homotopy(u0, smoothed, lambda s: spec.sigma(eps, s, sigma0),
+                         s_intervals)
     slices = []
     for s in hom.s_grid:
         if s == 0.0 and base is not None:
@@ -155,16 +136,11 @@ def mu_prime_gap_closed(triple: DefiningTriple, surface: VariationSurface) -> fl
 
     The Lagrangian integrals are read from the end slices' extended curves,
     which cache them."""
-    T = triple.horizon
-    order = max(1, triple.cost.actual_order)
-    first, last = surface.slices[0], surface.slices[-1]
-    c1 = triple.cost.value(last.traj.terminal_jet(order))
-    c0 = triple.cost.value(first.traj.terminal_jet(order))
-    int_L1 = last.ext.lagrangian_integral()
-    int_L0 = first.ext.lagrangian_integral()
-    bT = _boundary_pairing(triple, surface, T)
+    int_L1 = surface.slices[-1].ext.lagrangian_integral()
+    int_L0 = surface.slices[0].ext.lagrangian_integral()
+    bT = _boundary_pairing(triple, surface, triple.horizon)
     b0 = _boundary_pairing(triple, surface, 0.0)
-    return (c1 - c0) - int_L1 + int_L0 + bT - b0
+    return homotopy_lhs(surface) - int_L1 + int_L0 + bT - b0
 
 
 @dataclass
@@ -229,8 +205,19 @@ def corrective_term(triple: DefiningTriple, gamma0: Trajectory,
     )
 
 
-def goodn_check(triple: DefiningTriple, surface: VariationSurface,
-                tol_scale: float = 1e-6) -> tuple[bool, float]:
+def _goodn_floor(base: ExtendedCurve) -> float:
+    """The boundary residuals pass the sign test down to this value:
+    -1e-6 (1 + |integral of L along the base curve|)."""
+    return -1e-6 * (1.0 + abs(base.lagrangian_integral()))
+
+
+def _pointwise_tolerance(p_uo: float) -> float:
+    """Slack of the pointwise inequality P(omega) - P(u_o) <= 0."""
+    return 1e-6 * (1.0 + abs(p_uo))
+
+
+def goodn_check(triple: DefiningTriple,
+                surface: VariationSurface) -> tuple[bool, float]:
     """Sign test on the boundary expression characterizing needle variations
     whose corrective term can be dropped.
 
@@ -238,8 +225,7 @@ def goodn_check(triple: DefiningTriple, surface: VariationSurface,
     when it is nonnegative up to tolerance.
     """
     residual = -mu_prime_gap_closed(triple, surface)
-    scale = 1.0 + abs(surface.slices[0].ext.lagrangian_integral())
-    return residual >= -tol_scale * scale, residual
+    return residual >= _goodn_floor(surface.slices[0].ext), residual
 
 
 # -- transversality synthesis ---------------------------------------------------
@@ -254,16 +240,9 @@ class TransversalityConditions:
     paper_sign_note: Optional[str] = None
     oracle_agreement: Optional[bool] = None
 
-    def as_vector(self, triple: DefiningTriple) -> np.ndarray:
-        out = []
-        for idx in triple.adjoint_vars:
-            out.extend(self.terminal_values[triple.dynamics.names[idx]])
-        return np.asarray(out, dtype=float)
-
 
 def transversality_synthesize(triple: DefiningTriple,
                               jet_T: Optional[JetPoint] = None,
-                              u_T: Optional[np.ndarray] = None,
                               validate_with: Optional[Trajectory] = None,
                               tau_grid: Optional[np.ndarray] = None
                               ) -> TransversalityConditions:
@@ -273,7 +252,8 @@ def transversality_synthesize(triple: DefiningTriple,
     next adjoint derivative, probed numerically and solved as a linear
     system across adjoint variables.  Raises NonSolvableForm when a level's
     coefficient matrix is singular (the Lagrangian is not affine in the
-    adjoint block in the required way).
+    adjoint block in the required way).  The control is held at the box
+    midpoint.
     """
     L = triple.lagrangian
     r = L.actual_order
@@ -287,10 +267,8 @@ def transversality_synthesize(triple: DefiningTriple,
     if jet_T is None:
         blocks = np.zeros((2 * r, N))
         jet_T = JetPoint(T, blocks)
-    if u_T is None:
-        u_T = triple.controls.midpoint()
     ujet = np.zeros((r + 2, triple.controls.dim))
-    ujet[0] = np.atleast_1d(u_T)
+    ujet[0] = triple.controls.midpoint()
 
     work = np.array(jet_T.blocks, dtype=float)
     if work.shape[0] < 2 * r:
@@ -386,11 +364,8 @@ def adjoint_branch(triple: DefiningTriple, gamma0: Trajectory,
     cuts = sorted({0.0, T, *[float(b) for b in gamma0.control.breakpoints]})
     y = yT.copy()
     for b, a in zip(cuts[::-1][:-1], cuts[::-1][1:]):
-        def rhs(t, yv, _a=a, _b=b):
-            tt = min(max(t, _a), np.nextafter(_b, _a))
-            return dyn.rhs(t, yv, gamma0.control.jet(tt, dyn.u_depth))
-
-        sol = solve_ivp(rhs, (b, a), y, method="RK45", rtol=tol[0], atol=tol[1])
+        sol = solve_ivp(segment_rhs(dyn, gamma0.control, a, b), (b, a), y,
+                        method="RK45", rtol=tol[0], atol=tol[1])
         y = sol.y[:, -1]
     # the state block reproduces gamma0 by uniqueness; reuse its exact data
     for i in triple.state_vars:
@@ -472,11 +447,10 @@ def gpmp_verdict(triple: DefiningTriple, gamma0: Trajectory, spec: NeedleSpec,
         base = SurfaceSlice(0.0, gamma0, ExtendedCurve(gamma0, triple))
     est = corrective_term(triple, gamma0, spec, eps_sequence,
                           s_intervals=s_intervals, tol=tol, base=base)
-    scale = 1.0 + abs(base.ext.lagrangian_integral())
-    goodn_all = bool(np.all(est.goodn_residuals >= -1e-6 * scale))
+    goodn_all = bool(np.all(est.goodn_residuals >= _goodn_floor(base.ext)))
     corrective_used = 0.0 if goodn_all else est.liminf_proxy
 
-    tolerance = 1e-6 * (1.0 + abs(p_uo))
+    tolerance = _pointwise_tolerance(p_uo)
     margin = p_omega - corrective_used - p_uo
     return PMPVerdict(
         tau=spec.tau, omega=spec.omega, p_at_omega=p_omega, p_at_uo=p_uo,
@@ -532,6 +506,8 @@ def pmp_scan(triple: DefiningTriple, gamma0: Trajectory,
     extended curve, so gamma0's Lagrangian integral is computed once per
     scan.  The other slices are integrated afresh for each needle and width.
     """
+    if certification not in ("subgrid", "full"):
+        raise BadParams(f"certification must be 'subgrid' or 'full', got {certification!r}")
     taus = np.atleast_1d(np.asarray(tau_grid, dtype=float))
     omegas = np.atleast_2d(np.asarray(omega_grid, dtype=float).reshape(len(omega_grid), -1))
     if taus.size == 0 or omegas.size == 0:
@@ -575,7 +551,7 @@ def pmp_scan(triple: DefiningTriple, gamma0: Trajectory,
             jet = gamma0.jet(float(tau), r)
             P = pontryagin_p(triple, jet)
             p_uo = P(gamma0.control.value(float(tau)))
-            tolerance = 1e-6 * (1.0 + abs(p_uo))
+            tolerance = _pointwise_tolerance(p_uo)
             for w in omegas:
                 margin = P(w) - p_uo   # corrective dropped under the certificate
                 if margin > tolerance:

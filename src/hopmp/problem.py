@@ -15,14 +15,13 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .controls import ControlCurve
-from .dynamics import NormalFormDynamics, Trajectory, control_measure_diff, integrate
+from .dynamics import NormalFormDynamics, Trajectory, integrate
 from .errors import ConstraintViolation, InsufficientJetOrder
 from .jetspace import (
     DerivedField,
     JetField,
     JetPoint,
     ScalarJetField,
-    _as_ujet,
     audit_actual_order,
     iterated_total_derivative,
 )
@@ -71,7 +70,7 @@ class _PartialField(JetField):
     reads, and its own partials are finite differences of that value.
     """
 
-    __slots__ = ("base", "direction", "actual_order", "u_depth", "name")
+    __slots__ = ("base", "direction", "actual_order", "u_depth", "name", "reads")
 
     def __init__(self, base: JetField, direction, name: str = "") -> None:
         self.base = base
@@ -79,9 +78,7 @@ class _PartialField(JetField):
         self.actual_order = base.actual_order
         self.u_depth = base.u_depth
         self.name = name or f"d({base.name})/d{direction}"
-
-    def read_depth(self, j: int) -> int:
-        return self.base.read_depth(j)
+        self.reads = base.reads
 
     def value_uj(self, p: JetPoint, ujet: np.ndarray) -> float:
         return self.base.partial_uj(p, ujet, self.direction)
@@ -198,23 +195,19 @@ class DefiningTriple:
     state_vars: tuple[int, ...] = ()
     adjoint_vars: tuple[int, ...] = ()
 
-    def var_index(self, name: str) -> int:
-        return self.dynamics.names.index(name)
-
     @property
     def order(self) -> int:
         return self.lagrangian.actual_order
 
     def controlled_curve(self, u: ControlCurve, sigma=None,
-                         tol: tuple[float, float] = (1e-8, 1e-10),
-                         method: str = "RK45") -> Trajectory:
+                         tol: tuple[float, float] = (1e-8, 1e-10)) -> Trajectory:
         """Integrate the unique solution for (u, sigma)."""
         if sigma is None:
             sigma = self.initial_data.make()
         y0 = self.dynamics.pack_state(sigma)
         if not self.initial_data.admissible(y0):
             raise ConstraintViolation("sigma rejected by the initial-data constraint")
-        return integrate(self.dynamics, u, y0, self.horizon, tol=tol, method=method)
+        return integrate(self.dynamics, u, y0, self.horizon, tol=tol)
 
     def terminal_cost(self, traj: Trajectory) -> float:
         return self.cost.value(traj.terminal_jet(max(self.cost.actual_order, 1)))
@@ -249,10 +242,10 @@ def el_residual(triple: DefiningTriple, traj, u: ControlCurve, t: float) -> np.n
     out = np.zeros(N)
     for i in range(N):
         f0 = L.partial_field(i, 0)
-        out[i] = f0.value_uj(jet, ujet)
+        out[i] = f0.value(jet, ujet)
         for beta in range(1, r + 1):
             fb = iterated_total_derivative(L.partial_field(i, beta), beta)
-            out[i] += (-1) ** beta * fb.value_uj(jet, _as_ujet(ujet, fb.u_depth))
+            out[i] += (-1) ** beta * fb.value(jet, ujet)
     return out
 
 
@@ -272,7 +265,7 @@ def momentum_sums(fields_for, jet: JetPoint, ujet: np.ndarray, dim: int, r: int)
                 fld = fields_for(i, delta)
                 if eps:
                     fld = iterated_total_derivative(fld, eps)
-                acc += (-1) ** eps * fld.value_uj(jet, _as_ujet(ujet, fld.u_depth))
+                acc += (-1) ** eps * fld.value(jet, ujet)
             out[i, beta] = acc
     return out
 
@@ -319,14 +312,6 @@ def pontryagin_p(triple: DefiningTriple, jet: JetPoint) -> PontryaginFunction:
     if jet.n < triple.lagrangian.actual_order:
         raise InsufficientJetOrder("jet too shallow for the Lagrangian")
     return PontryaginFunction(triple.lagrangian, jet)
-
-
-def control_distance(u1: ControlCurve, u2: ControlCurve,
-                     grid: int | None = None) -> float:
-    """Measure of the set where two control curves differ (grid estimate)."""
-    if abs(u1.horizon - u2.horizon) > 1e-12:
-        raise ValueError("control curves must share the horizon")
-    return control_measure_diff(u1, u2, u1.horizon, grid=grid)
 
 
 @dataclass

@@ -60,6 +60,15 @@ def _gated_cost(T: float, var: int = 0, scale: float = -1.0) -> CostFunction:
     return CostFunction(field=fld, actual_order=0)
 
 
+def _pendulum_top_x() -> ScalarJetField:
+    """The pendulum's top equation xdd = u - x, shared by the second-order
+    formulations."""
+    return ScalarJetField(lambda p, u: u[0] - p.coord(0, 0), actual_order=0,
+                          partials={("q", 0, 0): lambda p, u: -1.0,
+                                    ("u", 0): lambda p, u: 1.0},
+                          name="f_x", reads={0: 0})
+
+
 # -- pendulum, second-order formulation (one auxiliary variable) -------------
 
 
@@ -95,10 +104,7 @@ def pendulum_r2(T: float = math.pi / 2, v_max: float = 1.0) -> DefiningTriple:
                          (P, 1): _zero_field(), (P, 2): _zero_field()},
     )
 
-    top_x = ScalarJetField(lambda p, u: u[0] - p.coord(X, 0), actual_order=0,
-                           partials={("q", X, 0): lambda p, u: -1.0,
-                                     ("u", 0): lambda p, u: 1.0},
-                           name="f_x", reads={X: 0})
+    top_x = _pendulum_top_x()
     top_p = ScalarJetField(lambda p, u: -p.coord(P, 0), actual_order=0,
                            partials={("q", P, 0): lambda p, u: -1.0},
                            name="f_p", reads={P: 0})
@@ -159,15 +165,10 @@ def pendulum_direct(T: float = math.pi / 2, v_max: float = 1.0) -> DefiningTripl
     lag = ControlledLagrangian(field=L, actual_order=1, state_dim=1,
                                momentum_fields={(X, 1): x1_field})
 
-    top_x = ScalarJetField(lambda p, u: u[0] - p.coord(X, 0), actual_order=0,
-                           partials={("q", X, 0): lambda p, u: -1.0,
-                                     ("u", 0): lambda p, u: 1.0},
-                           name="f_x", reads={X: 0})
-
     def rhs(t, y, u):
         return np.array([y[1], u[0] - y[0]])
 
-    dyn = NormalFormDynamics([ChainBlock("x", 2, top_x)], rhs_override=rhs)
+    dyn = NormalFormDynamics([ChainBlock("x", 2, _pendulum_top_x())], rhs_override=rhs)
     init = InitialData(
         base={"x": [0.0, 0.0]},
         free=[FreeParam("v", "x", 1, -v_max, v_max)],
@@ -307,9 +308,12 @@ def mth_order(a: Sequence[float], T: float = 1.0) -> DefiningTriple:
     )
 
 
-def _adjoint_chain_rhs(a: np.ndarray):
-    """First-order form of the adjoint equation sum_l (-1)^l a_l p^(l) = 0,
-    on the chain y = (p, p', ..., p^(m-1))."""
+def solve_adjoint_chain(a: np.ndarray, T: float, terminal: np.ndarray):
+    """Integrate the adjoint equation sum_l (-1)^l a_l p^(l) = 0, in first-order
+    form on the chain y = (p, p', ..., p^(m-1)), backward from y(T) =
+    ``terminal`` to t = 0; returns the ``solve_ivp`` result with dense output."""
+    from scipy.integrate import solve_ivp
+
     m = a.size - 1
     sgn = (-1.0) ** m
 
@@ -319,7 +323,8 @@ def _adjoint_chain_rhs(a: np.ndarray):
         out[-1] = -sum(((-1.0) ** b) * a[b] * y[b] for b in range(m)) / (sgn * a[m])
         return out
 
-    return rhs
+    return solve_ivp(rhs, (T, 0.0), terminal, method="DOP853", dense_output=True,
+                     rtol=1e-12, atol=1e-14)
 
 
 def _adjoint_terminal_chain(a: np.ndarray, T: float) -> np.ndarray:
@@ -334,11 +339,7 @@ def _adjoint_terminal_chain(a: np.ndarray, T: float) -> np.ndarray:
         # first-order adjoint is autonomous in closed form only when a0 = 0
         if a[0] == 0.0:
             return term.copy()
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(_adjoint_chain_rhs(a), (T, 0.0), term, method="DOP853",
-                    rtol=1e-12, atol=1e-14)
-    return sol.y[:, -1]
+    return solve_adjoint_chain(a, T, term).y[:, -1]
 
 
 # -- third-order problem x''' = f ---------------------------------------------

@@ -196,15 +196,12 @@ def test_pc_pairing_pure_dt_tangent_returns_lhat():
     hpp[..., 0] = rng.normal(size=(2, 2))
     u = np.array([0.3])
     pt = ExtendedJetPoint(jet=jet, ujet=np.array([[0.3], [0.0], [0.0], [0.0]]),
-                          h=h, hp=hp, hpp=hpp, lam=1.0, mu_value=0.2,
-                          mu_rate=0.0)
+                          h=h, hp=hp, hpp=hpp, mu_value=0.2, mu_rate=0.0)
     tangent = ExtendedTangent.zero(2, 2, rows=jet.n + 1)
     tangent.dt = 1.0
 
-    from hopmp.auxiliary import h_quadratic_terms_from_point
-
     L_val = triple.lagrangian.value(jet, u)
-    ltil = L_val + h_quadratic_terms_from_point(pt, triple.horizon)
+    ltil = L_val + float(h_quadratic_terms(pt.h, pt.hp, pt.hpp, triple.horizon))
     dcdt = triple.cost.rate_field().value_uj(jet, np.zeros((2, 1)))
     assert pc_form_pairing(triple, pt, tangent) == pytest.approx(ltil + dcdt,
                                                                  rel=1e-10)

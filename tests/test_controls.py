@@ -113,6 +113,6 @@ def test_control_measure_diff_makes_no_scalar_calls(monkeypatch):
         for name in ("value", "jet"):
             if name in cls.__dict__:
                 monkeypatch.setattr(cls, name, counting(cls.__dict__[name]))
-    d = control_measure_diff(u, u2, T)
+    d = control_measure_diff(u, u2)
     assert calls["n"] == 0
     assert abs(d - 0.1) <= 2 * T / 4001

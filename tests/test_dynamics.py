@@ -136,11 +136,13 @@ def test_control_measure_diff_needle():
     T = 1.0
     u1 = ConstantControl([1.0], T)
     u2 = NeedleOverlayControl(u1, tau=0.5, omega=[-1.0], eps=0.1)
-    d = control_measure_diff(u1, u2, T)
+    d = control_measure_diff(u1, u2)
     assert d == pytest.approx(0.1, abs=2 * T / 4000)
-    assert control_measure_diff(u1, u1, T) == 0.0
+    assert control_measure_diff(u1, u1) == 0.0
     u3 = ConstantControl([0.0], T)
-    assert control_measure_diff(u1, u3, T) == pytest.approx(T)
+    assert control_measure_diff(u1, u3) == pytest.approx(T)
+    with pytest.raises(ValueError):
+        control_measure_diff(ConstantControl([1.0], 1.0), ConstantControl([1.0], 2.0))
 
 
 def test_right_continuity_of_needle_overlay():

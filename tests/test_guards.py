@@ -115,13 +115,13 @@ def test_nonuniform_s_grid_rejected():
 def test_two_dimensional_control_machinery():
     from hopmp.controls import BlendControl, NeedleOverlayControl
     from hopmp.jetspace import ScalarJetField, total_derivative, JetPoint
-    from hopmp.problem import control_distance
+    from hopmp.dynamics import control_measure_diff
 
     u1 = ConstantControl([0.5, -0.5], 1.0)
     u2 = NeedleOverlayControl(u1, tau=0.5, omega=[1.0, 0.0], eps=0.1)
     blend = BlendControl(u1, u2, 0.5)
     assert np.allclose(blend.value(0.45), [0.75, -0.25])
-    assert control_distance(u1, u2) == pytest.approx(0.1, abs=1e-3)
+    assert control_measure_diff(u1, u2) == pytest.approx(0.1, abs=1e-3)
 
     f = ScalarJetField(
         lambda p, u: u[0] * p.coord(0, 0) + u[1] ** 2, actual_order=0,

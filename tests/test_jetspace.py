@@ -184,3 +184,6 @@ def test_bare_jet_field_drives_jets_and_total_derivative():
     # the derived and partial fields inherit the protocol instead of copying it
     for cls in (DerivedField, _PartialField, _LeibnizAdjointTop):
         assert not {"value", "partial", "partial_uj"} & set(vars(cls)), cls
+    # their read depths are fixed at construction, in ``reads``
+    for cls in (DerivedField, _PartialField):
+        assert "read_depth" not in vars(cls), cls

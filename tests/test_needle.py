@@ -20,7 +20,7 @@ from hopmp.needle import (
     smooth_needle,
     transversality_synthesize,
 )
-from hopmp.problem import control_distance
+from hopmp.dynamics import control_measure_diff
 from hopmp.problems import pendulum_classical, pendulum_r2, third_order
 from hopmp.needle import adjoint_branch
 
@@ -55,14 +55,14 @@ def test_needle_modification_values(triple):
     assert nd.value(0.49999)[0] == -1.0
     assert nd.value(0.5)[0] == 1.0
     assert nd.value(0.2)[0] == 1.0
-    assert control_distance(u0, nd) == pytest.approx(0.1, abs=1e-3)
+    assert control_measure_diff(u0, nd) == pytest.approx(0.1, abs=1e-3)
 
 
 def test_needle_modification_noop_when_omega_matches(triple):
     u0 = ConstantControl([1.0], triple.horizon)
     spec = NeedleSpec(tau=0.5, omega=[1.0], eps0=0.1)
     nd = needle_modification(u0, spec, 0.1)
-    assert control_distance(u0, nd) == 0.0
+    assert control_measure_diff(u0, nd) == 0.0
 
 
 def test_smooth_needle_ramp_endpoints(triple):
@@ -78,7 +78,7 @@ def test_smooth_needle_ramp_endpoints(triple):
     ts = np.linspace(0, float(triple.horizon) * 0.999, 2001)
     vals = np.array([sm.value(t)[0] for t in ts])
     assert vals.min() >= -1.0 - 1e-12 and vals.max() <= 1.0 + 1e-12
-    d = control_distance(u0, sm)
+    d = control_measure_diff(u0, sm)
     assert 0.1 - 1e-3 <= d <= 0.1 + 3 * w + 1e-3
 
 
@@ -316,6 +316,18 @@ def test_pmp_scan_bad_control_margins(triple):
     for tau in taus:
         assert seen[float(tau)] == pytest.approx(2 * math.sin(PI / 2 - tau),
                                                  abs=1e-6)
+
+
+def test_pmp_scan_rejects_unknown_certification(triple, gamma_opt, monkeypatch):
+    import hopmp.needle as needle
+
+    def no_verdicts(*args, **kwargs):
+        raise AssertionError("a verdict ran before the bad option was rejected")
+
+    monkeypatch.setattr(needle, "gpmp_verdict", no_verdicts)
+    with pytest.raises(BadParams, match="certification"):
+        pmp_scan(triple, gamma_opt, [0.8], np.array([[1.0]]), eps0=0.05,
+                 certification="ful")
 
 
 def test_pmp_scan_single_point_satisfied(triple, gamma_opt):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from hopmp.controls import ConstantControl, NeedleOverlayControl
+from hopmp.dynamics import control_measure_diff
 from hopmp.errors import ConstraintViolation
 from hopmp.jetspace import AnalyticCurve, JetPoint, ScalarJetField
 from hopmp.problem import (
     ControlSet,
     ControlledLagrangian,
-    control_distance,
     el_residual,
     pontryagin_p,
     validate_triple,
@@ -159,11 +159,11 @@ def test_pontryagin_pendulum_closed_form():
 def test_control_distance_cases():
     T = PI / 2
     u1 = ConstantControl([1.0], T)
-    assert control_distance(u1, u1) == 0.0
+    assert control_measure_diff(u1, u1) == 0.0
     u2 = NeedleOverlayControl(u1, tau=0.5, omega=[-1.0], eps=0.1)
-    assert control_distance(u1, u2) == pytest.approx(0.1, abs=2 * T / 4000)
+    assert control_measure_diff(u1, u2) == pytest.approx(0.1, abs=2 * T / 4000)
     u3 = ConstantControl([0.0], T)
-    assert control_distance(u1, u3) == pytest.approx(T)
+    assert control_measure_diff(u1, u3) == pytest.approx(T)
 
 
 def test_initial_data_constraint():

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hopmp.classical import ClassicalProblem, embed_classical
 from hopmp.controls import ConstantControl
+from hopmp.dynamics import NormalFormDynamics
 from hopmp.errors import BadParams, NoClosedForm
-from hopmp.problem import el_residual, validate_triple
+from hopmp.problem import ControlSet, el_residual, validate_triple
 from hopmp.problems import (
     build,
     mth_order,
@@ -171,3 +174,41 @@ def test_optimize_free_param_recovers_vmax():
     v_best, cost_best = optimize_free_param(triple, u, "v")
     assert v_best == pytest.approx(1.0, abs=1e-8)
     assert cost_best == pytest.approx(-2.0, abs=1e-8)
+
+
+def _swinging_pendulum() -> ClassicalProblem:
+    """A nonlinear classical problem: x1' = x2, x2' = -sin x1 + u."""
+    return ClassicalProblem(
+        f=lambda t, x, u: np.array([x[1], -math.sin(x[0]) + u[0]]),
+        dfdx=lambda t, x, u: np.array([[0.0, 1.0], [-math.cos(x[0]), 0.0]]),
+        cost=lambda x: -x[0],
+        cost_grad=lambda x: np.array([-1.0, 0.0]),
+        x0=np.array([0.0, 0.0]),
+        controls=ControlSet([-1.0], [1.0]),
+        horizon=PI / 2,
+    )
+
+
+OVERRIDDEN_DYNAMICS = {
+    "pendulum_r2": lambda: pendulum_r2().dynamics,
+    "pendulum_direct": lambda: pendulum_direct().dynamics,
+    "embed_classical(pendulum)": lambda: pendulum_classical().dynamics,
+    "embed_classical(swinging)": lambda: embed_classical(_swinging_pendulum()).dynamics,
+    "ClassicalProblem.state_dynamics": lambda: _swinging_pendulum().state_dynamics(),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(OVERRIDDEN_DYNAMICS)),
+       t=st.floats(0.0, PI / 2),
+       y=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       u=st.floats(-1.0, 1.0))
+def test_rhs_override_matches_chain_fields(name, t, y, u):
+    # the hand-written right-hand side and the one assembled from the chain
+    # blocks' top fields are two definitions of the same dynamics
+    dyn = OVERRIDDEN_DYNAMICS[name]()
+    generic = NormalFormDynamics(dyn.blocks, u_depth=dyn.u_depth)
+    state = np.array(y[:dyn.state_dim])
+    fast = dyn.rhs(t, state, [u])
+    slow = generic.rhs(t, state, [u])
+    assert np.max(np.abs(fast - slow)) <= 1e-14 * max(1.0, np.max(np.abs(fast))), name
