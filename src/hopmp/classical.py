@@ -47,22 +47,18 @@ class ClassicalProblem:
         return np.atleast_1d(np.asarray(self.x0)).size
 
     def state_dynamics(self) -> NormalFormDynamics:
-        n = self.dim
-
-        def make_top(i):
-            return ScalarJetField(
-                lambda p, u, _i=i: float(np.atleast_1d(
-                    self.f(p.t, p.blocks[0], u))[_i]),
-                actual_order=0,
-                name=f"f{i}",
-                reads={j: 0 for j in range(n)},
-            )
-
         def rhs(t, y, u):
             return np.asarray(self.f(t, y, u), dtype=float)
 
-        blocks = [ChainBlock(f"x{i+1}", 1, make_top(i)) for i in range(n)]
+        blocks = [ChainBlock(f"x{i+1}", 1, _state_top(self, i)) for i in range(self.dim)]
         return NormalFormDynamics(blocks, rhs_override=rhs)
+
+
+def _state_top(cp: ClassicalProblem, i: int) -> ScalarJetField:
+    """The top field x^i' = f^i(t, x, u), with x the first ``cp.dim`` variables."""
+    n = cp.dim
+    return ScalarJetField(lambda p, u: np.atleast_1d(cp.f(p.t, p.blocks[0, :n], u))[i],
+                          actual_order=0, name=f"f{i+1}", reads={j: 0 for j in range(n)})
 
 
 def smoothness_probe(cp: ClassicalProblem, rng, trials: int = 12,
@@ -103,23 +99,22 @@ def embed_classical(cp: ClassicalProblem) -> DefiningTriple:
 
     def L_ev(pt: JetPoint, u):
         x, pp = split(pt)
-        fv = np.asarray(cp.f(pt.t, x[0], u), dtype=float)
-        return float(np.dot(pp[0], x[1] - fv))
+        return np.dot(pp[0], x[1] - np.asarray(cp.f(pt.t, x[0], u)))
 
     partials = {}
     for i in range(n):
         partials[("q", i, 1)] = (lambda pt, u, _i=i: pt.coord(n + _i, 0))
         partials[("q", n + i, 0)] = (
             lambda pt, u, _i=i: pt.coord(_i, 1)
-            - float(np.atleast_1d(cp.f(pt.t, pt.blocks[0, :n], u))[_i]))
+            - np.atleast_1d(cp.f(pt.t, pt.blocks[0, :n], u))[_i])
         partials[("q", i, 0)] = (
-            lambda pt, u, _i=i: -float(np.dot(
+            lambda pt, u, _i=i: -np.dot(
                 pt.blocks[0, n:],
-                np.atleast_2d(cp.dfdx(pt.t, pt.blocks[0, :n], u))[:, _i])))
+                np.atleast_2d(cp.dfdx(pt.t, pt.blocks[0, :n], u))[:, _i]))
     if cp.dfdu is not None:
         def du_partial(pt, u, a=0):
-            return -float(np.dot(pt.blocks[0, n:],
-                                 np.atleast_2d(cp.dfdu(pt.t, pt.blocks[0, :n], u))[:, a]))
+            return -np.dot(pt.blocks[0, n:],
+                           np.atleast_2d(cp.dfdu(pt.t, pt.blocks[0, :n], u))[:, a])
         for a in range(cp.controls.dim):
             partials[("u", a)] = (lambda pt, u, _a=a: du_partial(pt, u, _a))
 
@@ -127,41 +122,27 @@ def embed_classical(cp: ClassicalProblem) -> DefiningTriple:
     reads.update({n + i: 0 for i in range(n)})
     L = ScalarJetField(L_ev, actual_order=1, partials=partials, name="L", reads=reads)
 
-    momenta = {}
-    for i in range(n):
-        momenta[(i, 1)] = ScalarJetField(
-            lambda pt, u, _i=i: pt.coord(n + _i, 0), actual_order=0,
-            partials={("q", n + i, 0): (lambda pt, u: 1.0)},
-            name=f"p{i+1}", reads={n + i: 0})
-        momenta[(n + i, 1)] = ScalarJetField(
-            lambda pt, u: 0.0, actual_order=0, partials={}, name="0", reads={})
-    lag = ControlledLagrangian(field=L, actual_order=1, state_dim=N,
-                               momentum_fields=momenta)
+    lag = ControlledLagrangian(field=L, actual_order=1, state_dim=N)
 
     def cost_ev(pt, u):
-        return (pt.t / T) * (float(cp.cost(pt.blocks[0, :n])) - c0)
+        return (pt.t / T) * (cp.cost(pt.blocks[0, :n]) - c0)
 
-    cost_partials = {"t": lambda pt, u: (float(cp.cost(pt.blocks[0, :n])) - c0) / T}
+    cost_partials = {}
     for i in range(n):
         cost_partials[("q", i, 0)] = (
             lambda pt, u, _i=i: (pt.t / T)
-            * float(np.atleast_1d(cp.cost_grad(pt.blocks[0, :n]))[_i]))
+            * np.atleast_1d(cp.cost_grad(pt.blocks[0, :n]))[_i])
     cost = CostFunction(
         field=ScalarJetField(cost_ev, actual_order=0, partials=cost_partials,
                              name="cost", reads={i: 0 for i in range(n)}),
         actual_order=0,
     )
 
-    def make_top_x(i):
-        return ScalarJetField(
-            lambda pt, u, _i=i: float(np.atleast_1d(cp.f(pt.t, pt.blocks[0, :n], u))[_i]),
-            actual_order=0, name=f"f{i+1}", reads={j: 0 for j in range(n)})
-
     def make_top_p(i):
         return ScalarJetField(
-            lambda pt, u, _i=i: -float(np.dot(
+            lambda pt, u, _i=i: -np.dot(
                 pt.blocks[0, n:],
-                np.atleast_2d(cp.dfdx(pt.t, pt.blocks[0, :n], u))[:, _i])),
+                np.atleast_2d(cp.dfdx(pt.t, pt.blocks[0, :n], u))[:, _i]),
             actual_order=0, name=f"g{i+1}", reads={j: 0 for j in range(2 * n)})
 
     def rhs(t, y, u):
@@ -169,7 +150,7 @@ def embed_classical(cp: ClassicalProblem) -> DefiningTriple:
         jac = np.atleast_2d(cp.dfdx(t, x, u))
         return np.concatenate([np.asarray(cp.f(t, x, u), dtype=float), -pp @ jac])
 
-    blocks = [ChainBlock(f"x{i+1}", 1, make_top_x(i)) for i in range(n)]
+    blocks = [ChainBlock(f"x{i+1}", 1, _state_top(cp, i)) for i in range(n)]
     blocks += [ChainBlock(f"p{i+1}", 1, make_top_p(i)) for i in range(n)]
     dyn = NormalFormDynamics(blocks, rhs_override=rhs)
 
@@ -246,9 +227,6 @@ class ViolationReport:
     @property
     def empty(self) -> bool:
         return not self.violations
-
-    def sorted(self):
-        return sorted(self.violations, key=lambda v: -v.margin)
 
 
 def _state_and_adjoint(cp: ClassicalProblem, u: ControlCurve,

@@ -19,9 +19,8 @@ from .controls import ControlCurve, HarmonicControl, NeedleOverlayControl
 from .errors import OrderUnavailable, StepSizeUnderflow, TimeOutOfRange
 from .jetspace import JetField, JetPoint, ScalarJetField, iterated_total_derivative
 
-# Jet blocks above a variable's chain come from nested total derivatives of
-# its top field; each nesting multiplies the finite-difference work, so deep
-# extensions are refused up front.
+# Jet blocks above a variable's chain come from total derivatives of its top
+# field; extensions deeper than this are refused up front.
 _MAX_DERIVED_EXTENSION = 8
 
 
@@ -91,10 +90,6 @@ class NormalFormDynamics:
     def _derived(self, i: int, ext: int):
         key = (i, ext)
         if key not in self._derived_cache:
-            if ext > _MAX_DERIVED_EXTENSION:
-                raise OrderUnavailable(
-                    f"jet extension {ext} beyond cap {_MAX_DERIVED_EXTENSION}"
-                )
             self._derived_cache[key] = iterated_total_derivative(self.blocks[i].top, ext)
         return self._derived_cache[key]
 
@@ -141,7 +136,7 @@ class NormalFormDynamics:
             for delta in range(dj + 1):
                 self._fill(j, delta, t, memo, ujet, filling)
         pt = self._materialize(t, memo, depth)
-        val = float(fld.value(pt, ujet))
+        val = fld.value(pt, ujet)
         filling.discard(key)
         memo[key] = val
         return val
@@ -190,7 +185,7 @@ def reduce_to_first_order(highest_order_rhs: Callable, order: int, state_dim: in
                 for key, fn in partials.items()
             }
         return ScalarJetField(
-            evaluator=lambda p, u, _i=i: float(np.atleast_1d(highest_order_rhs(p, u))[_i]),
+            evaluator=lambda p, u, _i=i: np.atleast_1d(highest_order_rhs(p, u))[_i],
             actual_order=order - 1,
             partials=comp_partials,
             name=f"f[{names[i]}]",

@@ -58,7 +58,6 @@ class ControlHomotopy:
     slice_curve: Callable[[float], ControlCurve]
     sigma_path: Callable[[float], Mapping]
     s_grid: np.ndarray
-    horizon: float
     du_ds: Optional[Callable[[float, float], np.ndarray]] = None
 
     def __post_init__(self):
@@ -91,7 +90,6 @@ def blend_homotopy(u0: ControlCurve, u1: ControlCurve,
         slice_curve=lambda s: u0 if s == 0.0 else BlendControl(u0, u1, s),
         sigma_path=sigma_path,
         s_grid=uniform_s_grid(s_intervals),
-        horizon=u0.horizon,
         du_ds=du_ds,
     )
 
@@ -211,14 +209,18 @@ class VariationSurface:
 
 
 def build_surface(triple: DefiningTriple, hom: ControlHomotopy,
-                  tol=(1e-8, 1e-10)) -> VariationSurface:
+                  tol=(1e-8, 1e-10),
+                  base: Optional[SurfaceSlice] = None) -> VariationSurface:
     """Integrate every slice of the homotopy and solve its auxiliary
-    boundary-value families."""
+    boundary-value families.  A ``base`` slice, already built for this
+    family's s = 0 curve, is used there instead of integrating it again."""
     slices = []
     for s in hom.s_grid:
+        if s == 0.0 and base is not None:
+            slices.append(base)
+            continue
         u = hom.slice_curve(float(s))
-        sigma = hom.sigma_path(float(s))
-        traj = triple.controlled_curve(u, sigma, tol=tol)
+        traj = triple.controlled_curve(u, hom.sigma_path(float(s)), tol=tol)
         slices.append(SurfaceSlice(float(s), traj, ExtendedCurve(traj, triple)))
     return VariationSurface(triple, hom, slices)
 

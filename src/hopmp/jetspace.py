@@ -8,14 +8,19 @@ prolongations,
 
     df/dt = df/dt|_t + sum_{j, delta <= r'} (df/dq^j_(delta)) q^j_(delta+1),
 
-with the control held fixed.  Along a curve whose control varies in time the
-chain picks up control-derivative terms; :func:`iterated_total_derivative`
-builds that version, threading a stack of control derivatives through nested
-applications.
+with the control held fixed; :func:`total_derivative` evaluates that chain
+rule and serves as the reference.  Along a curve whose control varies in
+time, :class:`DerivedField` takes the k-fold total derivative in one pass of
+truncated Taylor-series arithmetic (Griewank and Walther, *Evaluating
+Derivatives*, 2nd ed., 2008, ch. 13): the field is evaluated on the jet read
+as series in ``h`` along the curve at ``t + h``, with the control stack as
+series too, and the k-th derivative of the result at h = 0 is the answer.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -29,6 +34,97 @@ FD_BASE_STEP = float(np.cbrt(np.finfo(float).eps))
 Direction = object  # "t" | ("q", i, beta) | ("u", a) | ("u", a, k)
 
 
+class TaylorSeries:
+    """A truncated Taylor series in one variable h, stored as derivatives:
+    ``c[k]`` is the k-th derivative at h = 0, k <= K, and arithmetic is exact
+    modulo h^(K+1).
+
+    Entries are floats, or series in another variable when a derived field is
+    itself evaluated on series.  Sums, products, quotients and integer powers
+    accept series; ``float()`` of a series and numpy's elementary functions
+    on one raise.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: np.ndarray) -> None:
+        self.c = c
+
+    def __add__(self, other):
+        if isinstance(other, TaylorSeries):
+            return TaylorSeries(self.c + other.c)
+        if isinstance(other, np.ndarray):
+            return NotImplemented
+        c = self.c.copy()
+        c[0] = c[0] + other
+        return TaylorSeries(c)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TaylorSeries(-self.c)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, TaylorSeries):
+            # the Cauchy product of the Taylor coefficients c[k] / k!
+            w = _inverse_factorials(self.c.size)
+            return TaylorSeries(np.convolve(self.c * w, other.c * w)[:w.size] / w)
+        if isinstance(other, np.ndarray):
+            return NotImplemented
+        return TaylorSeries(self.c * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, TaylorSeries):
+            return self * other.reciprocal()
+        if isinstance(other, np.ndarray):
+            return NotImplemented
+        return TaylorSeries(self.c / other)
+
+    def __rtruediv__(self, other):
+        if isinstance(other, np.ndarray):
+            return NotImplemented
+        return self.reciprocal() * other
+
+    def __pow__(self, n):
+        if n != int(n):
+            raise ValueError(f"a series takes integer powers only, not {n}")
+        out = self if n else 1.0 + 0.0 * self
+        for _ in range(abs(int(n)) - 1):
+            out = out * self
+        return out if n >= 0 else out.reciprocal()
+
+    def reciprocal(self):
+        """1 / self, one degree at a time from (1/a)' = -(1/a)^2 a'."""
+        r = np.zeros_like(self.c)
+        r[0] = 1.0 / self.c[0]
+        slope = TaylorSeries(self.c[1:])
+        for k in range(1, r.size):
+            known = TaylorSeries(r[:-1])
+            r[k] = -(known * known * slope).c[k - 1]
+        return TaylorSeries(r)
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_factorials(n: int) -> np.ndarray:
+    """1/k! for k < n, read-only."""
+    w = 1.0 / np.array([float(math.factorial(k)) for k in range(n)])
+    w.flags.writeable = False
+    return w
+
+
+def _as_float(x):
+    """A Python float, unless ``x`` is a series."""
+    return x if isinstance(x, TaylorSeries) else float(x)
+
+
 class JetPoint:
     """Time plus derivative blocks of a curve up to some order.
 
@@ -38,14 +134,19 @@ class JetPoint:
         Time coordinate.
     blocks : array_like, shape (n+1, N)
         Row ``beta`` is the beta-th time derivative of the curve at ``t``.
+
+    The time and the blocks may also be :class:`TaylorSeries` (the series
+    view a :class:`DerivedField` evaluates its base on).
     """
 
     __slots__ = ("t", "blocks")
 
     def __init__(self, t: float, blocks) -> None:
-        arr = np.atleast_2d(np.asarray(blocks, dtype=float)).copy()
+        arr = np.array(blocks, ndmin=2)
+        if arr.dtype != object:
+            arr = arr.astype(float, copy=False)
         arr.flags.writeable = False
-        object.__setattr__(self, "t", float(t))
+        object.__setattr__(self, "t", _as_float(t))
         object.__setattr__(self, "blocks", arr)
 
     def __setattr__(self, name, value):
@@ -61,19 +162,16 @@ class JetPoint:
         """Dimension N of the underlying curve."""
         return self.blocks.shape[1]
 
-    def block(self, beta: int) -> np.ndarray:
-        return self.blocks[beta]
+    def coord(self, i: int, beta: int):
+        return self.blocks.item(beta, i)
 
-    def coord(self, i: int, beta: int) -> float:
-        return float(self.blocks[beta, i])
-
-    def with_coord(self, i: int, beta: int, value: float) -> "JetPoint":
+    def with_coord(self, i: int, beta: int, value) -> "JetPoint":
         """Copy with one jet coordinate replaced (used by difference quotients)."""
         arr = self.blocks.copy()
         arr[beta, i] = value
         return JetPoint(self.t, arr)
 
-    def with_time(self, t: float) -> "JetPoint":
+    def with_time(self, t) -> "JetPoint":
         return JetPoint(t, self.blocks)
 
     def __repr__(self) -> str:
@@ -82,7 +180,9 @@ class JetPoint:
 
 def _as_ujet(u, depth: int = 0) -> np.ndarray:
     """Normalize a control value or control-derivative stack to shape (k+1, M)."""
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
+    arr = np.atleast_1d(u)
+    if arr.dtype != object:
+        arr = arr.astype(float, copy=False)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.shape[0] < depth + 1:
@@ -100,7 +200,9 @@ class JetField:
     protocol comes from here: ``value`` accepts a bare control value,
     ``read_depth`` follows ``reads`` (or ``actual_order`` when it is None),
     and ``partial`` normalizes the control to a stack for ``partial_uj``,
-    which takes symmetric finite differences of ``value_uj``.
+    which takes symmetric finite differences of ``value_uj``.  On float jets
+    ``value`` and ``partial`` return Python floats; on a series view they
+    return series.
     """
 
     __slots__ = ()
@@ -118,10 +220,10 @@ class JetField:
         return int(self.reads.get(j, -1))
 
     def value(self, p: JetPoint, u) -> float:
-        return self.value_uj(p, _as_ujet(u, self.u_depth))
+        return _as_float(self.value_uj(p, _as_ujet(u, self.u_depth)))
 
     def partial(self, p: JetPoint, u, direction: Direction, step: float | None = None) -> float:
-        return self.partial_uj(p, _as_ujet(u, self.u_depth), direction, step)
+        return _as_float(self.partial_uj(p, _as_ujet(u, self.u_depth), direction, step))
 
     def partial_uj(self, p: JetPoint, ujet: np.ndarray, direction: Direction,
                    step: float | None = None) -> float:
@@ -135,7 +237,8 @@ class ScalarJetField(JetField):
     ``partials`` optionally maps coordinate directions to analytic partial
     evaluators with the same ``(JetPoint, u) -> float`` signature.  Keys are
     ``"t"``, ``("q", i, beta)`` and ``("u", a)``.  Missing partials fall back
-    to symmetric finite differences.
+    to symmetric finite differences.  Evaluators must be arithmetic or numpy
+    expressions, so that they also evaluate on series.
     """
 
     evaluator: Callable[[JetPoint, np.ndarray], float]
@@ -146,7 +249,7 @@ class ScalarJetField(JetField):
     reads: Optional[Mapping[int, int]] = None
 
     def value_uj(self, p: JetPoint, ujet: np.ndarray) -> float:
-        return float(self.evaluator(p, ujet[0]))
+        return self.evaluator(p, ujet[0])
 
     def partial_uj(self, p: JetPoint, ujet: np.ndarray, direction: Direction,
                    step: float | None = None) -> float:
@@ -156,7 +259,7 @@ class ScalarJetField(JetField):
             if fn is None and key[0] == "u" and key[2] == 0:
                 fn = self.partials.get(("u", key[1]))
             if fn is not None:
-                return float(fn(p, ujet[0]))
+                return fn(p, ujet[0])
         return finite_diff_partial(self, p, ujet, direction, step)
 
 
@@ -174,9 +277,11 @@ def _canonical_direction(direction: Direction):
     raise ValueError(f"unknown coordinate direction {direction!r}")
 
 
-def _fd_step(x: float, step: float | None) -> float:
+def _fd_step(x, step: float | None) -> float:
     if step is not None:
         return float(step)
+    while isinstance(x, TaylorSeries):   # a series steps by its constant term
+        x = x.c[0]
     return FD_BASE_STEP * max(1.0, abs(x))
 
 
@@ -186,9 +291,13 @@ def finite_diff_partial(f, p: JetPoint, u, direction: Direction,
 
     ``direction`` names ``t``, a jet coordinate ``("q", i, beta)`` or a
     control coordinate ``("u", a)`` (equivalently ``("u", a, k)`` for a row
-    of the control-derivative stack).
+    of the control-derivative stack).  A jet coordinate the field does not
+    read gives exactly 0 without evaluating.  On a series point the step
+    follows the constant coefficient and the quotient is a series.
     """
     key = _canonical_direction(direction)
+    if key[0] == "q" and key[2] > f.read_depth(key[1]):
+        return 0.0
     ujet = _as_ujet(u, f.u_depth)
 
     if key == "t":
@@ -204,7 +313,7 @@ def finite_diff_partial(f, p: JetPoint, u, direction: Direction,
                 - f.value_uj(p.with_coord(i, beta, x - h), ujet)) / (2.0 * h)
 
     _, a, k = key
-    x = float(ujet[k, a])
+    x = ujet[k, a]
     h = _fd_step(x, step)
     up = ujet.copy()
     um = ujet.copy()
@@ -213,20 +322,10 @@ def finite_diff_partial(f, p: JetPoint, u, direction: Direction,
     return (f.value_uj(p, up) - f.value_uj(p, um)) / (2.0 * h)
 
 
-def _frozen_control_chain(f, p: JetPoint, ujet: np.ndarray) -> float:
-    """df/dt|_t + sum_{j, delta} (df/dq^j_(delta)) q^j_(delta+1): the chain
-    rule along the jet prolongation with the control stack held fixed."""
-    out = f.partial_uj(p, ujet, "t")
-    for j in range(p.dim):
-        for delta in range(f.read_depth(j) + 1):
-            df = f.partial_uj(p, ujet, ("q", j, delta))
-            if df != 0.0:
-                out += df * p.coord(j, delta + 1)
-    return out
-
-
 def total_derivative(f, p: JetPoint, u) -> float:
-    """Total derivative of ``f`` at ``(p, u)`` with the control held fixed.
+    """Total derivative of ``f`` at ``(p, u)`` with the control held fixed:
+    df/dt|_t + sum_{j, delta} (df/dq^j_(delta)) q^j_(delta+1), the chain
+    rule along the jet prolongation, assembled from the field's partials.
 
     Requires ``p.n >= f.actual_order + 1`` since the result reads blocks one
     order above what ``f`` reads.
@@ -236,33 +335,61 @@ def total_derivative(f, p: JetPoint, u) -> float:
             f"total derivative of a field of actual order {f.actual_order} "
             f"needs a jet of order >= {f.actual_order + 1}, got {p.n}"
         )
-    return float(_frozen_control_chain(f, p, _as_ujet(u, f.u_depth)))
+    ujet = _as_ujet(u, f.u_depth)
+    out = f.partial_uj(p, ujet, "t")
+    for j in range(p.dim):
+        for delta in range(f.read_depth(j) + 1):
+            out += f.partial_uj(p, ujet, ("q", j, delta)) * p.coord(j, delta + 1)
+    return float(out)
+
+
+def _shifted_series(rows: np.ndarray, count: int, keep: int) -> np.ndarray:
+    """Rows 0 .. keep-1 of a derivative stack as series of degree ``count``
+    in h: row r at t + h has the derivatives rows[r], ..., rows[r + count]."""
+    out = np.empty((max(keep, 0), rows.shape[1]), dtype=object)
+    for r in range(out.shape[0]):
+        derivatives = rows[r:r + count + 1].T
+        for i in range(out.shape[1]):
+            out[r, i] = TaylorSeries(derivatives[i])
+    return out
+
+
+def _series_view(p: JetPoint, count: int) -> JetPoint:
+    """The jet point along its curve at t + h, as series in h of degree
+    ``count``: q^i_(beta)(t + h) is read from blocks beta .. beta+count."""
+    t = np.zeros(count + 1, dtype=object if isinstance(p.t, TaylorSeries) else float)
+    t[0] = p.t
+    t[1:2] = 1.0   # d(t + h)/dh, when the degree is at least 1
+    return JetPoint(TaylorSeries(t), _shifted_series(p.blocks, count, p.n - count + 1))
 
 
 class DerivedField(JetField):
-    """Total derivative of a field along curves with time-varying control.
+    """The ``count``-fold total derivative of a field along curves with
+    time-varying control.
 
-    Evaluation consumes a control-derivative stack one row deeper than the
-    base field: the frozen-control chain rule of :func:`total_derivative`
-    plus the terms that the control derivatives contribute.  Nested
-    application yields iterated total derivatives.  Partials of a derived
-    field are finite differences of this evaluator (which is itself
-    assembled from the base field's partials).
+    It evaluates the base field once, on the series view of the jet point
+    and of the control-derivative stack, and returns the count-th
+    derivative of the resulting series; the stack it consumes is ``count``
+    rows deeper than the base field's.  A derived field of a derived field
+    collapses into one.
     """
 
-    __slots__ = ("base", "actual_order", "u_depth", "name", "reads", "_needed")
+    __slots__ = ("base", "count", "actual_order", "u_depth", "name", "reads", "_needed")
 
-    def __init__(self, base: JetField) -> None:
+    def __init__(self, base: JetField, count: int) -> None:
+        if isinstance(base, DerivedField):
+            base, count = base.base, base.count + count
         self.base = base
-        self.actual_order = base.actual_order + 1
-        self.u_depth = base.u_depth + 1
-        self.name = f"D({base.name or 'f'})"
-        # each read variable is read one block deeper than by the base
+        self.count = count
+        self.actual_order = base.actual_order + count
+        self.u_depth = base.u_depth + count
+        self.name = f"D^{count}({base.name or 'f'})"
+        # each read variable is read ``count`` blocks deeper than by the base
         if base.reads is None:
             self.reads = None
             self._needed = self.actual_order
         else:
-            self.reads = {j: d + 1 for j, d in base.reads.items() if d >= 0}
+            self.reads = {j: d + count for j, d in base.reads.items() if d >= 0}
             self._needed = max(self.reads.values(), default=-1)
 
     def value_uj(self, p: JetPoint, ujet: np.ndarray) -> float:
@@ -270,22 +397,17 @@ class DerivedField(JetField):
             raise InsufficientJetOrder(
                 f"{self.name} needs a jet of order >= {self._needed}, got {p.n}"
             )
-        base = self.base
-        out = _frozen_control_chain(base, p, ujet)
-        for k in range(base.u_depth + 1):
-            for a in range(ujet.shape[1]):
-                df = base.partial_uj(p, ujet, ("u", a, k))
-                if df != 0.0:
-                    out += df * ujet[k + 1, a]
-        return float(out)
+        k = self.count
+        s = self.base.value_uj(_series_view(p, k),
+                               _shifted_series(ujet, k, self.base.u_depth + 1))
+        if isinstance(s, TaylorSeries):
+            return s.c[k]
+        return s if k == 0 else 0.0
 
 
-def iterated_total_derivative(f, count: int):
-    """``count``-fold total derivative of a field, as a new field."""
-    out = f
-    for _ in range(count):
-        out = DerivedField(out)
-    return out
+def iterated_total_derivative(f, count: int) -> DerivedField:
+    """``count``-fold total derivative of a field, as one derived field."""
+    return DerivedField(f, count)
 
 
 def coordinate_field(i: int, beta: int) -> ScalarJetField:

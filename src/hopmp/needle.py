@@ -22,8 +22,10 @@ from scipy.integrate import simpson
 from .controls import ControlCurve, NeedleOverlayControl, SmoothedNeedleControl
 from .dynamics import Trajectory, segment_rhs
 from .errors import BadParams, NonSolvableForm
-from .homotopy import SurfaceSlice, VariationSurface, blend_homotopy, homotopy_lhs
+from .homotopy import (SurfaceSlice, VariationSurface, blend_homotopy, build_surface,
+                       homotopy_lhs)
 from .auxiliary import ExtendedCurve
+from .classical import Violation
 from .jetspace import JetPoint
 from .problem import DefiningTriple, lagrangian_momenta, pontryagin_p
 
@@ -104,15 +106,7 @@ def needle_variation(triple: DefiningTriple, gamma0: Trajectory,
 
     hom = blend_homotopy(u0, smoothed, lambda s: spec.sigma(eps, s, sigma0),
                          s_intervals)
-    slices = []
-    for s in hom.s_grid:
-        if s == 0.0 and base is not None:
-            slices.append(base)
-            continue
-        u = hom.slice_curve(float(s))
-        traj = triple.controlled_curve(u, hom.sigma_path(float(s)), tol=tol)
-        slices.append(SurfaceSlice(float(s), traj, ExtendedCurve(traj, triple)))
-    return VariationSurface(triple, hom, slices)
+    return build_surface(triple, hom, tol=tol, base=base)
 
 
 def _boundary_pairing(triple: DefiningTriple, surface: VariationSurface,
@@ -461,13 +455,6 @@ def gpmp_verdict(triple: DefiningTriple, gamma0: Trajectory, spec: NeedleSpec,
 
 
 @dataclass
-class ScanViolation:
-    tau: float
-    omega: np.ndarray
-    margin: float
-
-
-@dataclass
 class ScanReport:
     violations: list
     certified: bool
@@ -544,7 +531,7 @@ def pmp_scan(triple: DefiningTriple, gamma0: Trajectory,
     if certification == "full":
         for v in certificate:
             if not v.satisfied:
-                violations.append(ScanViolation(v.tau, v.omega, v.margin))
+                violations.append(Violation(v.tau, v.omega, v.margin))
         note = "full verdict at every grid point"
     else:
         for tau in taus:
@@ -555,8 +542,7 @@ def pmp_scan(triple: DefiningTriple, gamma0: Trajectory,
             for w in omegas:
                 margin = P(w) - p_uo   # corrective dropped under the certificate
                 if margin > tolerance:
-                    violations.append(ScanViolation(float(tau), w.copy(),
-                                                    float(margin)))
+                    violations.append(Violation(float(tau), w.copy(), float(margin)))
         note = ("boundary sign test certified on a subgrid of "
                 f"{len(cert_pairs)} needles; corrective term dropped "
                 "accordingly" if certified else

@@ -72,12 +72,12 @@ class _PartialField(JetField):
 
     __slots__ = ("base", "direction", "actual_order", "u_depth", "name", "reads")
 
-    def __init__(self, base: JetField, direction, name: str = "") -> None:
+    def __init__(self, base: JetField, direction) -> None:
         self.base = base
         self.direction = direction
         self.actual_order = base.actual_order
         self.u_depth = base.u_depth
-        self.name = name or f"d({base.name})/d{direction}"
+        self.name = f"d({base.name})/d{direction}"
         self.reads = base.reads
 
     def value_uj(self, p: JetPoint, ujet: np.ndarray) -> float:
@@ -86,22 +86,11 @@ class _PartialField(JetField):
 
 @dataclass(frozen=True)
 class ControlledLagrangian:
-    """Lagrangian over (jet, control) of declared actual order ``r >= 1``.
-
-    ``momentum_fields`` optionally supplies analytic fields for the partial
-    derivatives with respect to the jet blocks ``q^i_(delta)``; anything
-    missing is built from the Lagrangian's own partials.
-    """
+    """Lagrangian over (jet, control) of declared actual order ``r >= 1``."""
 
     field: ScalarJetField
     actual_order: int
     state_dim: int
-    momentum_fields: Optional[Mapping] = None
-
-    def partial_field(self, i: int, delta: int):
-        if self.momentum_fields is not None and (i, delta) in self.momentum_fields:
-            return self.momentum_fields[(i, delta)]
-        return _PartialField(self.field, ("q", i, delta))
 
     def value(self, p: JetPoint, u) -> float:
         return self.field.value(p, u)
@@ -126,7 +115,7 @@ class CostFunction:
 
     def rate_field(self):
         """Total derivative dC/dt as a field (control independent)."""
-        return DerivedField(self.field)
+        return DerivedField(self.field, 1)
 
     def vanishes_at_zero(self, dim: int, order: int, rng, trials: int = 16,
                          scale: float = 2.0, tol: float = 1e-10) -> bool:
@@ -213,48 +202,35 @@ class DefiningTriple:
         return self.cost.value(traj.terminal_jet(max(self.cost.actual_order, 1)))
 
 
-def _field_depth(fld: JetField, dim: int) -> int:
-    depths = [d for d in (fld.read_depth(j) for j in range(dim)) if d >= 0]
-    return max(depths) if depths else 0
-
-
 def el_residual(triple: DefiningTriple, traj, u: ControlCurve, t: float) -> np.ndarray:
     """Controlled Euler-Lagrange residual E_i(L) along a curve at time ``t``.
 
     E_i(L) = dL/dq^i + sum_{beta=1..r} (-1)^beta (d/dt)^beta (dL/dq^i_(beta)),
-    with iterated total derivatives chained through the curve's control.
-    The requested jet depth follows what the momentum fields actually read
-    (at most 2r).
+    with iterated total derivatives chained through the curve's control; it
+    reads jets of order 2r.
     """
     L = triple.lagrangian
     r = L.actual_order
     N = L.state_dim
-    depth = max(
-        [_field_depth(L.partial_field(i, 0), N) for i in range(N)]
-        + [_field_depth(L.partial_field(i, b), N) + b
-           for i in range(N) for b in range(1, r + 1)]
-    )
-    depth = min(max(depth, r), 2 * r)
-    jet = traj.jet(t, depth) if hasattr(traj, "jet") else traj
-    if jet.n < depth:
-        raise InsufficientJetOrder(f"need jets of order {depth}, got {jet.n}")
+    jet = traj.jet(t, 2 * r) if hasattr(traj, "jet") else traj
+    if jet.n < 2 * r:
+        raise InsufficientJetOrder(f"need jets of order {2 * r}, got {jet.n}")
     ujet = u.jet(t, r + 1)
     out = np.zeros(N)
     for i in range(N):
-        f0 = L.partial_field(i, 0)
-        out[i] = f0.value(jet, ujet)
+        out[i] = L.field.partial(jet, ujet, ("q", i, 0))
         for beta in range(1, r + 1):
-            fb = iterated_total_derivative(L.partial_field(i, beta), beta)
+            fb = iterated_total_derivative(_PartialField(L.field, ("q", i, beta)), beta)
             out[i] += (-1) ** beta * fb.value(jet, ujet)
     return out
 
 
-def momentum_sums(fields_for, jet: JetPoint, ujet: np.ndarray, dim: int, r: int) -> np.ndarray:
-    """Boundary momentum sums M[i, beta] grouped by contact index.
+def momentum_sums(field: JetField, jet: JetPoint, ujet: np.ndarray, dim: int,
+                  r: int) -> np.ndarray:
+    """Boundary momentum sums M[i, beta] of a field F, grouped by contact index.
 
     M[i, beta] = sum_{delta=beta+1..r} (-1)^(delta-beta-1)
                  (d/dt)^(delta-beta-1) (dF/dq^i_(delta))
-    for the field family ``fields_for(i, delta)``.
     """
     out = np.zeros((dim, r))
     for i in range(dim):
@@ -262,7 +238,7 @@ def momentum_sums(fields_for, jet: JetPoint, ujet: np.ndarray, dim: int, r: int)
             acc = 0.0
             for delta in range(beta + 1, r + 1):
                 eps = delta - beta - 1
-                fld = fields_for(i, delta)
+                fld = _PartialField(field, ("q", i, delta))
                 if eps:
                     fld = iterated_total_derivative(fld, eps)
                 acc += (-1) ** eps * fld.value(jet, ujet)
@@ -273,20 +249,14 @@ def momentum_sums(fields_for, jet: JetPoint, ujet: np.ndarray, dim: int, r: int)
 def lagrangian_momenta(triple: DefiningTriple, jet: JetPoint, ujet: np.ndarray) -> np.ndarray:
     """Momentum sums of L alone (used at t = 0 and in needle boundary terms)."""
     L = triple.lagrangian
-    return momentum_sums(L.partial_field, jet, ujet, L.state_dim, L.actual_order)
+    return momentum_sums(L.field, jet, ujet, L.state_dim, L.actual_order)
 
 
 def full_momenta(triple: DefiningTriple, jet: JetPoint, ujet: np.ndarray) -> np.ndarray:
     """Momentum sums of L + dC/dt (used at t = T)."""
     L = triple.lagrangian
-    rate = triple.cost.rate_field()
-
-    def cost_part(i, delta):
-        return _PartialField(rate, ("q", i, delta))
-
-    base = momentum_sums(L.partial_field, jet, ujet, L.state_dim, L.actual_order)
-    extra = momentum_sums(cost_part, jet, ujet, L.state_dim, L.actual_order)
-    return base + extra
+    return (lagrangian_momenta(triple, jet, ujet)
+            + momentum_sums(triple.cost.rate_field(), jet, ujet, L.state_dim, L.actual_order))
 
 
 class PontryaginFunction:
@@ -298,9 +268,6 @@ class PontryaginFunction:
 
     def __call__(self, u) -> float:
         return -self._L.value(self.jet, u)
-
-    def du(self, u, a: int = 0) -> float:
-        return -self._L.du(self.jet, u, a)
 
     def argmax_on_grid(self, grid: np.ndarray) -> tuple[np.ndarray, float]:
         vals = np.array([self(u) for u in np.atleast_2d(grid)])

@@ -34,11 +34,6 @@ BUILTIN_IDS = ("pendulum-classical", "pendulum-r2", "pendulum-direct",
                "mth-order", "third-order")
 
 
-def _zero_field(name: str = "0") -> ScalarJetField:
-    return ScalarJetField(lambda p, u: 0.0, actual_order=0, partials={},
-                          name=name, reads={})
-
-
 def _gated_cost(T: float, var: int = 0, scale: float = -1.0) -> CostFunction:
     """Extended cost scale * (t/T) * q^var_(0): the terminal cost at t = T,
     zero on every jet at t = 0."""
@@ -49,11 +44,7 @@ def _gated_cost(T: float, var: int = 0, scale: float = -1.0) -> CostFunction:
     fld = ScalarJetField(
         evaluator=ev,
         actual_order=0,
-        partials={
-            "t": lambda p, u: scale * p.coord(var, 0) / T,
-            ("q", var, 0): lambda p, u: scale * p.t / T,
-            ("u", 0): lambda p, u: 0.0,
-        },
+        partials={("q", var, 0): lambda p, u: scale * p.t / T},
         name="cost",
         reads={var: 0},
     )
@@ -64,8 +55,7 @@ def _pendulum_top_x() -> ScalarJetField:
     """The pendulum's top equation xdd = u - x, shared by the second-order
     formulations."""
     return ScalarJetField(lambda p, u: u[0] - p.coord(0, 0), actual_order=0,
-                          partials={("q", 0, 0): lambda p, u: -1.0,
-                                    ("u", 0): lambda p, u: 1.0},
+                          partials={("q", 0, 0): lambda p, u: -1.0},
                           name="f_x", reads={0: 0})
 
 
@@ -95,18 +85,10 @@ def pendulum_r2(T: float = math.pi / 2, v_max: float = 1.0) -> DefiningTriple:
         name="L",
         reads={X: 2, P: 0},
     )
-    p0_field = ScalarJetField(lambda p, u: p.coord(P, 0), actual_order=0,
-                              partials={("q", P, 0): lambda p, u: 1.0},
-                              name="p", reads={P: 0})
-    lag = ControlledLagrangian(
-        field=L, actual_order=2, state_dim=2,
-        momentum_fields={(X, 1): _zero_field(), (X, 2): p0_field,
-                         (P, 1): _zero_field(), (P, 2): _zero_field()},
-    )
+    lag = ControlledLagrangian(field=L, actual_order=2, state_dim=2)
 
     top_x = _pendulum_top_x()
     top_p = ScalarJetField(lambda p, u: -p.coord(P, 0), actual_order=0,
-                           partials={("q", P, 0): lambda p, u: -1.0},
                            name="f_p", reads={P: 0})
 
     def rhs(t, y, u):
@@ -159,11 +141,7 @@ def pendulum_direct(T: float = math.pi / 2, v_max: float = 1.0) -> DefiningTripl
         name="L",
         reads={X: 1},
     )
-    x1_field = ScalarJetField(lambda p, u: p.coord(X, 1), actual_order=1,
-                              partials={("q", X, 1): lambda p, u: 1.0},
-                              name="xd", reads={X: 1})
-    lag = ControlledLagrangian(field=L, actual_order=1, state_dim=1,
-                               momentum_fields={(X, 1): x1_field})
+    lag = ControlledLagrangian(field=L, actual_order=1, state_dim=1)
 
     def rhs(t, y, u):
         return np.array([y[1], u[0] - y[0]])
@@ -249,18 +227,7 @@ def mth_order(a: Sequence[float], T: float = 1.0) -> DefiningTriple:
     L = ScalarJetField(L_ev, actual_order=m, partials=L_partials, name="L",
                        reads={X: m, P: 0})
 
-    momenta = {}
-    for l in range(1, m + 1):
-        if a[l] != 0.0:
-            momenta[(X, l)] = ScalarJetField(
-                lambda p, u, _l=l: a[_l] * p.coord(P, 0), actual_order=0,
-                partials={("q", P, 0): (lambda p, u, _l=l: a[_l])},
-                name=f"a{l}*p", reads={P: 0})
-        else:
-            momenta[(X, l)] = _zero_field()
-        momenta[(P, l)] = _zero_field()
-    lag = ControlledLagrangian(field=L, actual_order=m, state_dim=2,
-                               momentum_fields=momenta)
+    lag = ControlledLagrangian(field=L, actual_order=m, state_dim=2)
 
     def fx(p, u):
         return (u[0] - sum(a[l] * p.coord(X, l) for l in range(m))) / a[m]
@@ -278,13 +245,8 @@ def mth_order(a: Sequence[float], T: float = 1.0) -> DefiningTriple:
         s = sum(((-1.0) ** b) * a[b] * p.coord(P, b) for b in range(m))
         return -s / (sgn * a[m])
 
-    fp_partials = {}
-    for b in range(m):
-        if a[b] != 0.0:
-            fp_partials[("q", P, b)] = (
-                lambda p, u, _b=b: -((-1.0) ** _b) * a[_b] / (sgn * a[m]))
-    top_p = ScalarJetField(fp, actual_order=max(0, m - 1), partials=fp_partials,
-                           name="f_p", reads={P: m - 1} if m > 1 else {P: 0})
+    top_p = ScalarJetField(fp, actual_order=max(0, m - 1), name="f_p",
+                           reads={P: m - 1} if m > 1 else {P: 0})
 
     dyn = NormalFormDynamics([ChainBlock("x", m, top_x), ChainBlock("p", m, top_p)])
 
@@ -376,20 +338,7 @@ def third_order(T: float = 1.0,
     L = ScalarJetField(L_ev, actual_order=3, partials=L_partials, name="L",
                        reads=L_reads)
 
-    p0_field = ScalarJetField(lambda p, u: p.coord(P, 0), actual_order=0,
-                              partials={("q", P, 0): lambda p, u: 1.0},
-                              name="p", reads={P: 0})
-    momenta = {(X, 3): p0_field, (P, 1): _zero_field(),
-               (P, 2): _zero_field(), (P, 3): _zero_field()}
-    for l in (1, 2):
-        momenta[(X, l)] = ScalarJetField(
-            lambda p, u, _l=l: -p.coord(P, 0) * f.partial(p, u, ("q", X, _l)),
-            actual_order=max(f.actual_order, 0),
-            name=f"-p df/dx{l}",
-            reads={X: f.read_depth(X), P: 0},
-        )
-    lag = ControlledLagrangian(field=L, actual_order=3, state_dim=2,
-                               momentum_fields=momenta)
+    lag = ControlledLagrangian(field=L, actual_order=3, state_dim=2)
 
     top_x = ScalarJetField(f.evaluator, actual_order=min(f.actual_order, 2),
                            partials=f.partials, name="f_x",
@@ -399,7 +348,8 @@ def third_order(T: float = 1.0,
     reads_x = f.read_depth(X) if f.reads is not None else 2
     if reads_x < 0:
         # f independent of the x-jets: the auxiliary equation is p''' = 0
-        top_p = _zero_field("f_p")
+        top_p = ScalarJetField(lambda p, u: 0.0, actual_order=0, partials={},
+                               name="f_p", reads={})
         sigma_p = np.array([T ** 2 / 2.0, -T, 1.0])
     else:
         top_p = _LeibnizAdjointTop(f, X, P)
@@ -426,41 +376,33 @@ def third_order(T: float = 1.0,
 
 
 class _LeibnizAdjointTop(JetField):
-    """The auxiliary equation for x''' = f, expanded once by Leibniz:
+    """The auxiliary equation for x''' = f,
 
-        p''' = - sum_b (-1)^b (d/dt)^b (p df/dx_(b))
-             = - sum_b (-1)^b sum_k C(b, k) p_(k) (d/dt)^(b-k)(df/dx_(b)).
+        p''' = - sum_b (-1)^b (d/dt)^b (p df/dx_(b)),
 
-    Adjoint coordinates are read exactly; only the (analytic) partials of f
-    pass through nested total derivatives.
+    with each (d/dt)^b one derived field of the product p df/dx_(b).
     """
 
     name = "f_p"
 
     def __init__(self, f: ScalarJetField, X: int, P: int) -> None:
         reads_x = max(f.read_depth(X), 0)
-        self._terms = []   # (sign * C(b, k), adjoint derivative k, field)
+        self._terms = []   # (-(-1)^b, (d/dt)^b (p df/dx_(b)))
         for b in range(3):
-            part = ScalarJetField(
-                lambda p, u, _b=b: f.partial(p, u, ("q", X, _b)),
+            product = ScalarJetField(
+                lambda p, u, _b=b: p.coord(P, 0) * f.partial(p, u, ("q", X, _b)),
                 actual_order=max(f.actual_order, 0),
-                reads={X: reads_x},
+                reads={X: reads_x, P: 0},
                 u_depth=f.u_depth,
-                name=f"df/dx{b}",
+                name=f"p df/dx{b}",
             )
-            for k in range(b + 1):
-                fld = iterated_total_derivative(part, b - k)
-                self._terms.append((-((-1.0) ** b) * math.comb(b, k), k, fld))
-        self.P = P
+            self._terms.append((-((-1.0) ** b), iterated_total_derivative(product, b)))
         self.actual_order = max(f.actual_order, 0) + 2
         self.u_depth = f.u_depth + 2
         self.reads = {X: reads_x + 2, P: 2}
 
     def value_uj(self, p, ujet):
-        out = 0.0
-        for coef, k, fld in self._terms:
-            out += coef * p.coord(self.P, k) * fld.value_uj(p, ujet)
-        return out
+        return sum(sign * fld.value_uj(p, ujet) for sign, fld in self._terms)
 
 
 # -- dispatch and references ---------------------------------------------------

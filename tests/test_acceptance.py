@@ -158,7 +158,6 @@ def test_criterion_05_homotopy_identity():
             slice_curve=lambda s: ConstantControl([s], T_REF),
             sigma_path=lambda s: triple.initial_data.make(v=0.0),
             s_grid=uniform_s_grid(s_intervals),
-            horizon=T_REF,
             du_ds=lambda t, s: np.ones(1),
         )
         return build_surface(triple, hom)
@@ -241,7 +240,6 @@ def test_criterion_07_poincare_cartan_lift_identity():
             else BlendControl(u0, t1, s),
             sigma_path=lambda s, sg=sigma0: sg,
             s_grid=uniform_s_grid(8),
-            horizon=triple.horizon,
             du_ds=lambda t, s, u0=u, t1=target: t1.value(t) - u0.value(t),
         )
         surface = build_surface(triple, hom, tol=(1e-10, 1e-12))

@@ -197,3 +197,45 @@ def test_interpolated_samples_control():
     assert u.value(0.37)[0] == pytest.approx(math.sin(0.74), abs=1e-4)
     j = u.jet(0.5, 1)
     assert j[1, 0] == pytest.approx(2 * math.cos(1.0), abs=1e-3)
+
+
+def _one_minus_cos(t, k):
+    # d^k/dt^k (1 - cos t)
+    return float(k == 0) - math.cos(t + k * PI / 2)
+
+
+def _pendulum_x(t, k):
+    # d^k/dt^k (1 - cos t + sin t)
+    return _one_minus_cos(t, k) + math.sin(t + k * PI / 2)
+
+
+def _cubic_x(t, k):
+    # d^k/dt^k (t^3 / 6)
+    return t ** (3 - k) / math.factorial(3 - k) if k <= 3 else 0.0
+
+
+@pytest.mark.parametrize("problem_id, params, sigma, closed_form", [
+    # u = 1 from x(0) = 0, x'(0) = 1
+    ("pendulum-r2", {}, {"v": 1.0}, _pendulum_x),
+    ("pendulum-direct", {}, {"v": 1.0}, _pendulum_x),
+    ("pendulum-classical", {}, {"v": 1.0}, _pendulum_x),
+    # x'' + x = 1 from rest
+    ("mth-order", {"a": [1.0, 0.0, 1.0], "T": PI / 2}, {}, _one_minus_cos),
+    # x^(3) = 1 from rest
+    ("third-order", {}, {}, _cubic_x),
+])
+def test_deep_jets_match_closed_form(problem_id, params, sigma, closed_form):
+    # every x-jet block up to 2r + 2 comes from the dynamics, so its error is
+    # the integrator's, not that of a finite-difference cascade
+    from hopmp.problems import build
+
+    triple = build(problem_id, **params)
+    u = ConstantControl([1.0], triple.horizon)
+    traj = triple.controlled_curve(u, triple.initial_data.make(**sigma),
+                                   tol=(1e-12, 1e-14))
+    order = 2 * triple.order + 2
+    for t in (0.3 * triple.horizon, 0.8 * triple.horizon):
+        jet = traj.jet(t, order)
+        for k in range(order + 1):
+            assert jet.coord(0, k) == pytest.approx(closed_form(t, k), abs=1e-10), \
+                (problem_id, t, k)

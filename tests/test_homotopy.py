@@ -29,7 +29,6 @@ def hom_constant(triple, value=0.7, v=0.2, intervals=8):
         slice_curve=lambda s: ConstantControl([value], triple.horizon),
         sigma_path=lambda s: sigma,
         s_grid=uniform_s_grid(intervals),
-        horizon=triple.horizon,
         du_ds=lambda t, s: np.zeros(1),
     )
 
@@ -41,7 +40,6 @@ def hom_control_ramp(triple, intervals=16):
         slice_curve=lambda s: ConstantControl([s], triple.horizon),
         sigma_path=lambda s: sigma,
         s_grid=uniform_s_grid(intervals),
-        horizon=triple.horizon,
         du_ds=lambda t, s: np.ones(1),
     )
 
@@ -52,7 +50,6 @@ def hom_sigma_ramp(triple, v_top=1.0, intervals=16):
         slice_curve=lambda s: ConstantControl([0.0], triple.horizon),
         sigma_path=lambda s: triple.initial_data.make(v=s * v_top),
         s_grid=uniform_s_grid(intervals),
-        horizon=triple.horizon,
         du_ds=lambda t, s: np.zeros(1),
     )
 
@@ -138,7 +135,6 @@ def test_minimal_labour_nonpositive_on_optimal(triple):
         slice_curve=lambda s: ConstantControl([1.0 - 2.0 * s], triple.horizon),
         sigma_path=lambda s: triple.initial_data.make(v=1.0),
         s_grid=uniform_s_grid(16),
-        horizon=triple.horizon,
         du_ds=lambda t, s: np.array([-2.0]),
     )
     surface = build_surface(triple, hom)
@@ -152,7 +148,6 @@ def test_infinitesimal_conditions_signs(triple):
         slice_curve=lambda s: ConstantControl([1.0], triple.horizon),
         sigma_path=lambda s: triple.initial_data.make(v=1.0 - 0.5 * s),
         s_grid=uniform_s_grid(8),
-        horizon=triple.horizon,
         du_ds=lambda t, s: np.zeros(1),
     )
     surface = build_surface(triple, hom)
@@ -168,7 +163,6 @@ def test_infinitesimal_detects_bad_control(triple):
         slice_curve=lambda s: ConstantControl([-1.0 + 2.0 * s], triple.horizon),
         sigma_path=lambda s: triple.initial_data.make(v=1.0),
         s_grid=uniform_s_grid(8),
-        horizon=triple.horizon,
         du_ds=lambda t, s: np.array([2.0]),
     )
     surface = build_surface(triple, hom)
@@ -209,7 +203,6 @@ def test_beta_range_first_order_embedding():
         slice_curve=lambda s: ConstantControl([s], triple.horizon),
         sigma_path=lambda s: triple.initial_data.make(v=0.0),
         s_grid=uniform_s_grid(8),
-        horizon=triple.horizon,
         du_ds=lambda t, s: np.ones(1),
     )
     surface = build_surface(triple, hom)
@@ -236,7 +229,6 @@ def test_classical_mu_term_integrates_to_zero_with_enforcement():
         slice_curve=lambda s: ConstantControl([s], triple.horizon),
         sigma_path=lambda s: triple.initial_data.make(v=0.0),
         s_grid=uniform_s_grid(8),
-        horizon=triple.horizon,
         du_ds=lambda t, s: np.ones(1),
     )
     surface = build_surface(triple, hom)
@@ -253,7 +245,6 @@ def test_jacobi_matches_spline_derivative(triple):
         slice_curve=lambda s: ConstantControl([s ** 3], triple.horizon),
         sigma_path=lambda s: triple.initial_data.make(v=0.0),
         s_grid=uniform_s_grid(16),
-        horizon=triple.horizon,
     )
     surface = build_surface(triple, hom)
     t = 1.0
@@ -272,7 +263,6 @@ def test_jacobi_grid_convergence(triple):
             slice_curve=lambda s: ConstantControl([s ** 3], triple.horizon),
             sigma_path=lambda s: triple.initial_data.make(v=0.0),
             s_grid=uniform_s_grid(intervals),
-            horizon=triple.horizon,
         )
         return build_surface(triple, hom)
 

@@ -81,7 +81,6 @@ def test_homotopy_identity_across_builtins(builder, params):
                                               triple.horizon),
         sigma_path=lambda s: sigma,
         s_grid=uniform_s_grid(16),
-        horizon=triple.horizon,
         du_ds=lambda t, s: np.array([hi - lo]),
     )
     surface = build_surface(triple, hom, tol=(1e-10, 1e-12))
@@ -162,7 +161,6 @@ def test_homotopy_identity_combined_control_and_sigma():
         slice_curve=lambda s: ConstantControl([s], triple.horizon),
         sigma_path=lambda s: triple.initial_data.make(v=0.5 * s),
         s_grid=uniform_s_grid(16),
-        horizon=triple.horizon,
         du_ds=lambda t, s: np.ones(1),
     )
     surface = build_surface(triple, hom, tol=(1e-10, 1e-12))
@@ -190,7 +188,6 @@ def test_homotopy_identity_time_varying_control():
         slice_curve=slice_curve,
         sigma_path=lambda s: triple.initial_data.make(v=0.0),
         s_grid=uniform_s_grid(16),
-        horizon=triple.horizon,
         du_ds=lambda t, s: np.array([math.sin(t)]),
     )
     surface = build_surface(triple, hom, tol=(1e-10, 1e-12))
@@ -231,7 +228,6 @@ def test_beta_range_adjudication_third_order():
         slice_curve=lambda s: ConstantControl([-0.8 + 1.5 * s], 1.0),
         sigma_path=sigma_path,
         s_grid=uniform_s_grid(32),
-        horizon=1.0,
         du_ds=lambda t, s: np.array([1.5]),
     )
     surface = build_surface(triple, hom, tol=(1e-10, 1e-12))
@@ -250,7 +246,6 @@ def test_homotopy_identity_nonunit_wavenumber_horizon():
         slice_curve=lambda s: ConstantControl([s], T),
         sigma_path=lambda s: triple.initial_data.make(v=0.4 * s),
         s_grid=uniform_s_grid(16),
-        horizon=T,
         du_ds=lambda t, s: np.ones(1),
     )
     surface = build_surface(triple, hom, tol=(1e-10, 1e-12))
@@ -268,7 +263,6 @@ def test_labour_functional_goes_positive_for_bad_control():
         slice_curve=lambda s: ConstantControl([-1.0 + 2.0 * s], triple.horizon),
         sigma_path=lambda s: triple.initial_data.make(v=1.0),
         s_grid=uniform_s_grid(16),
-        horizon=triple.horizon,
         du_ds=lambda t, s: np.array([2.0]),
     )
     surface = build_surface(triple, hom)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import Polynomial
 
 from hopmp.dynamics import ChainBlock, NormalFormDynamics
 from hopmp.errors import InsufficientJetOrder
@@ -187,3 +189,131 @@ def test_bare_jet_field_drives_jets_and_total_derivative():
     # their read depths are fixed at construction, in ``reads``
     for cls in (DerivedField, _PartialField):
         assert "read_depth" not in vars(cls), cls
+
+
+# -- the series path against the chain-rule reference -------------------------
+
+_COORDS = [("q", 0, 0), ("q", 0, 1), ("q", 1, 0), ("q", 1, 1), ("q", 1, 2)]
+_LEAVES = (st.sampled_from([("t",), ("u", 0)] + _COORDS)
+           | st.floats(-2.0, 2.0).map(lambda c: ("c", c)))
+_POLYNOMIALS = st.recursive(
+    _LEAVES,
+    lambda inner: (st.tuples(st.sampled_from(["+", "-", "*"]), inner, inner)
+                   | st.tuples(st.just("**"), inner, st.integers(0, 3))),
+    max_leaves=8,
+)
+
+
+def _leaf_reader(p, u, magnitude=False):
+    def leaf(e):
+        x = {"t": lambda: p.t, "u": lambda: u[e[1]],
+             "q": lambda: p.coord(e[1], e[2]), "c": lambda: e[1]}[e[0]]()
+        return abs(x) if magnitude else x
+    return leaf
+
+
+def _poly_value(e, leaf, magnitude=False):
+    op = e[0]
+    if op in ("+", "-"):
+        a, b = _poly_value(e[1], leaf, magnitude), _poly_value(e[2], leaf, magnitude)
+        return a + b if op == "+" or magnitude else a - b
+    if op == "*":
+        return _poly_value(e[1], leaf, magnitude) * _poly_value(e[2], leaf, magnitude)
+    if op == "**":
+        return _poly_value(e[1], leaf, magnitude) ** e[2]
+    return leaf(e)
+
+
+def _poly_partial(e, leaf, var, magnitude=False):
+    # the symbolic partial along ``var``; ``magnitude`` bounds it by |terms|
+    op = e[0]
+    if op in ("+", "-"):
+        a = _poly_partial(e[1], leaf, var, magnitude)
+        b = _poly_partial(e[2], leaf, var, magnitude)
+        return a + b if op == "+" or magnitude else a - b
+    if op == "*":
+        return (_poly_partial(e[1], leaf, var, magnitude) * _poly_value(e[2], leaf, magnitude)
+                + _poly_value(e[1], leaf, magnitude) * _poly_partial(e[2], leaf, var, magnitude))
+    if op == "**":
+        n = e[2]
+        return (n * _poly_value(e[1], leaf, magnitude) ** (n - 1)
+                * _poly_partial(e[1], leaf, var, magnitude)) if n else 0.0
+    return float(e == var)
+
+
+def _polynomial_field(e) -> ScalarJetField:
+    partials = {key: (lambda p, u, var=var: _poly_partial(e, _leaf_reader(p, u), var))
+                for key, var in [("t", ("t",)), (("u", 0), ("u", 0))]
+                + [(c, c) for c in _COORDS]}
+    return ScalarJetField(lambda p, u: _poly_value(e, _leaf_reader(p, u)),
+                          actual_order=2, partials=partials, reads={0: 1, 1: 2})
+
+
+_JET_ENTRIES = st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(e=_POLYNOMIALS, t=st.floats(-2.0, 2.0), entries=_JET_ENTRIES,
+       u=st.floats(-2.0, 2.0))
+def test_series_total_derivative_matches_chain_rule(e, t, entries, u):
+    # with the control's time derivative zero, the one-pass series derivative
+    # is the frozen-control chain rule of total_derivative
+    f = _polynomial_field(e)
+    p = JetPoint(t, np.reshape(entries, (4, 2)))
+    series = DerivedField(f, 1).value(p, [[u], [0.0]])
+    chain = total_derivative(f, p, [u])
+    # size of the chain rule's terms, which bounds its rounding
+    leaf = _leaf_reader(p, [u], magnitude=True)
+    scale = _poly_partial(e, leaf, ("t",), magnitude=True) + sum(
+        _poly_partial(e, leaf, c, magnitude=True) * abs(p.coord(c[1], c[2] + 1))
+        for c in _COORDS)
+    assert isinstance(series, float)
+    assert series == pytest.approx(chain, rel=1e-12, abs=1e-12 * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(i=st.integers(0, 1), beta=st.integers(0, 3), k=st.integers(0, 4),
+       t=st.floats(-2.0, 2.0), entries=st.lists(st.floats(-1e3, 1e3), min_size=16,
+                                                max_size=16))
+def test_derived_coordinate_is_exact(i, beta, k, t, entries):
+    p = JetPoint(t, np.reshape(entries, (8, 2)))
+    f = coordinate_field(i, beta)
+    d = iterated_total_derivative(f, k)
+    # one derived field, however the derivative was composed
+    assert type(d) is DerivedField and d.base is f and d.count == k
+    nested = iterated_total_derivative(iterated_total_derivative(f, 1), k)
+    assert nested.base is f and nested.count == k + 1
+    assert d.value(p, [0.0]) == p.coord(i, beta + k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=_POLYNOMIALS, k=st.integers(2, 4), t=st.floats(-2.0, 2.0),
+       entries=st.lists(st.floats(-2.0, 2.0), min_size=16, max_size=16),
+       controls=st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5))
+def test_series_derivatives_match_polynomial_composition(e, k, t, entries, controls):
+    # truncated at degree k, the jet and the control stack are polynomials
+    # in h along the curve at t + h; numpy's Polynomial composes f with them
+    # independently of the series arithmetic, products included
+    blocks = np.reshape(entries, (8, 2))
+    ujet = np.reshape(controls, (5, 1))
+    weights = np.array([1.0 / math.factorial(j) for j in range(k + 1)])
+
+    def expansion(magnitude):
+        def taylor(derivatives):
+            coeffs = derivatives[:k + 1] * weights
+            return Polynomial(np.abs(coeffs) if magnitude else coeffs)
+
+        def leaf(x):
+            if x[0] == "c":
+                return abs(x[1]) if magnitude else x[1]
+            return {"t": lambda: Polynomial([abs(t) if magnitude else t, 1.0]),
+                    "u": lambda: taylor(ujet[:, x[1]]),
+                    "q": lambda: taylor(blocks[x[2]:, x[1]])}[x[0]]()
+
+        g = _poly_value(e, leaf, magnitude)
+        coeffs = g.coef if isinstance(g, Polynomial) else [g]
+        return (coeffs[k] if len(coeffs) > k else 0.0) * math.factorial(k)
+
+    series = DerivedField(_polynomial_field(e), k).value(JetPoint(t, blocks), ujet)
+    assert series == pytest.approx(expansion(False), rel=1e-12,
+                                   abs=1e-12 * expansion(True))
