@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -40,9 +41,10 @@ class TaylorSeries:
     modulo h^(K+1).
 
     Entries are floats, or series in another variable when a derived field is
-    itself evaluated on series.  Sums, products, quotients and integer powers
-    accept series; ``float()`` of a series and numpy's elementary functions
-    on one raise.
+    itself evaluated on series.  Sums, products, quotients, powers and
+    numpy's ``sin``, ``cos``, ``exp``, ``log`` and ``sqrt`` (which call the
+    methods of those names) accept series; ``float()``, ``math`` functions
+    and comparisons raise TypeError on one.
     """
 
     __slots__ = ("c",)
@@ -93,23 +95,56 @@ class TaylorSeries:
             return NotImplemented
         return self.reciprocal() * other
 
-    def __pow__(self, n):
-        if n != int(n):
-            raise ValueError(f"a series takes integer powers only, not {n}")
-        out = self if n else 1.0 + 0.0 * self
-        for _ in range(abs(int(n)) - 1):
-            out = out * self
-        return out if n >= 0 else out.reciprocal()
+    def __pow__(self, r):
+        if isinstance(r, TaylorSeries):
+            return NotImplemented
+        if r >= 0 and r == int(r):   # products, which also allow c[0] = 0
+            out = 0.0 * self + 1.0
+            for _ in range(int(r)):
+                out = out * self
+            return out
+        return self._solve(self.c[0] ** r, self._log_rate(), lambda v, q: r * v * q)
+
+    def _solve(self, first, rate, slope):
+        """The series v with v(0) = ``first`` and v' = slope(v, rate), one
+        degree at a time (Griewank and Walther, ch. 13): the slope to degree
+        k - 1 needs v and the rate series only to degree k - 1."""
+        v = np.empty_like(self.c)
+        v[0] = first
+        for k in range(1, v.size):
+            v[k] = slope(TaylorSeries(v[:k]), TaylorSeries(rate.c[:k])).c[k - 1]
+        return TaylorSeries(v)
+
+    def _log_rate(self):
+        """u'/u, the derivative of log u, to degree K - 1."""
+        return TaylorSeries(self.c[1:]) * TaylorSeries(self.c[:-1]).reciprocal()
 
     def reciprocal(self):
-        """1 / self, one degree at a time from (1/a)' = -(1/a)^2 a'."""
-        r = np.zeros_like(self.c)
-        r[0] = 1.0 / self.c[0]
-        slope = TaylorSeries(self.c[1:])
-        for k in range(1, r.size):
-            known = TaylorSeries(r[:-1])
-            r[k] = -(known * known * slope).c[k - 1]
-        return TaylorSeries(r)
+        return self._solve(1.0 / self.c[0], TaylorSeries(self.c[1:]), lambda v, du: -(v * v * du))
+
+    def exp(self):
+        return self._solve(np.exp(self.c[0]), TaylorSeries(self.c[1:]), lambda v, du: v * du)
+
+    def log(self):
+        return self._solve(np.log(self.c[0]), self._log_rate(), lambda v, q: q)
+
+    def sqrt(self):
+        return self ** 0.5
+
+    def _sin_cos(self):
+        s, c = np.empty_like(self.c), np.empty_like(self.c)
+        s[0], c[0] = np.sin(self.c[0]), np.cos(self.c[0])
+        for k in range(1, s.size):   # as _solve, for sin' = u' cos, cos' = -u' sin
+            du = TaylorSeries(self.c[1:k + 1])
+            s[k] = (TaylorSeries(c[:k]) * du).c[k - 1]
+            c[k] = -(TaylorSeries(s[:k]) * du).c[k - 1]
+        return TaylorSeries(s), TaylorSeries(c)
+
+    def sin(self):
+        return self._sin_cos()[0]
+
+    def cos(self):
+        return self._sin_cos()[1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -335,12 +370,20 @@ def total_derivative(f, p: JetPoint, u) -> float:
             f"total derivative of a field of actual order {f.actual_order} "
             f"needs a jet of order >= {f.actual_order + 1}, got {p.n}"
         )
-    ujet = _as_ujet(u, f.u_depth)
+    return float(_chain_rule(f, p, _as_ujet(u, f.u_depth), 0))
+
+
+def _chain_rule(f, p: JetPoint, ujet: np.ndarray, control_rows: int):
+    """The chain rule of :func:`total_derivative`, plus the terms
+    (df/du^a_(k)) u^a_(k+1) of the first ``control_rows`` control rows."""
     out = f.partial_uj(p, ujet, "t")
     for j in range(p.dim):
         for delta in range(f.read_depth(j) + 1):
             out += f.partial_uj(p, ujet, ("q", j, delta)) * p.coord(j, delta + 1)
-    return float(out)
+    for k in range(control_rows):
+        for a in range(ujet.shape[1]):
+            out += f.partial_uj(p, ujet, ("u", a, k)) * ujet[k + 1, a]
+    return out
 
 
 def _shifted_series(rows: np.ndarray, count: int, keep: int) -> np.ndarray:
@@ -371,10 +414,15 @@ class DerivedField(JetField):
     and of the control-derivative stack, and returns the count-th
     derivative of the resulting series; the stack it consumes is ``count``
     rows deeper than the base field's.  A derived field of a derived field
-    collapses into one.
+    collapses into one.  A base that cannot take series (a ``math``
+    function, a ``float()`` cast or a comparison in its evaluator) is
+    differentiated instead, with a RuntimeWarning, by the chain rule on its
+    (count-1)-fold derivative, with difference-quotient partials where the
+    base has no analytic ones; those jets lose digits with every order.
     """
 
-    __slots__ = ("base", "count", "actual_order", "u_depth", "name", "reads", "_needed")
+    __slots__ = ("base", "count", "actual_order", "u_depth", "name", "reads",
+                 "_needed", "_fallback")
 
     def __init__(self, base: JetField, count: int) -> None:
         if isinstance(base, DerivedField):
@@ -384,6 +432,7 @@ class DerivedField(JetField):
         self.actual_order = base.actual_order + count
         self.u_depth = base.u_depth + count
         self.name = f"D^{count}({base.name or 'f'})"
+        self._fallback = None
         # each read variable is read ``count`` blocks deeper than by the base
         if base.reads is None:
             self.reads = None
@@ -398,11 +447,19 @@ class DerivedField(JetField):
                 f"{self.name} needs a jet of order >= {self._needed}, got {p.n}"
             )
         k = self.count
-        s = self.base.value_uj(_series_view(p, k),
-                               _shifted_series(ujet, k, self.base.u_depth + 1))
-        if isinstance(s, TaylorSeries):
-            return s.c[k]
-        return s if k == 0 else 0.0
+        if k == 0:
+            return self.base.value_uj(p, ujet)
+        if self._fallback is None:
+            try:
+                s = self.base.value_uj(_series_view(p, k),
+                                       _shifted_series(ujet, k, self.base.u_depth + 1))
+            except TypeError as exc:
+                warnings.warn(f"{self.name}: the base cannot take Taylor series ({exc}); "
+                              "falling back to difference quotients", RuntimeWarning)
+                self._fallback = self.base if k == 1 else DerivedField(self.base, k - 1)
+            else:
+                return s.c[k] if isinstance(s, TaylorSeries) else 0.0
+        return _chain_rule(self._fallback, p, ujet, self._fallback.u_depth + 1)
 
 
 def iterated_total_derivative(f, count: int) -> DerivedField:

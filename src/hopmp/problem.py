@@ -18,7 +18,6 @@ from .controls import ControlCurve
 from .dynamics import NormalFormDynamics, Trajectory, integrate
 from .errors import ConstraintViolation, InsufficientJetOrder
 from .jetspace import (
-    DerivedField,
     JetField,
     JetPoint,
     ScalarJetField,
@@ -115,7 +114,7 @@ class CostFunction:
 
     def rate_field(self):
         """Total derivative dC/dt as a field (control independent)."""
-        return DerivedField(self.field, 1)
+        return iterated_total_derivative(self.field, 1)
 
     def vanishes_at_zero(self, dim: int, order: int, rng, trials: int = 16,
                          scale: float = 2.0, tol: float = 1e-10) -> bool:

@@ -313,6 +313,8 @@ def third_order(T: float = 1.0,
 
     The default instance is f = u.  For a general ``f`` supply a field with
     analytic partials; the auxiliary equation is then assembled from them.
+    Written with numpy functions, ``f`` and its partials take Taylor series
+    and its jets are exact.
     """
     if T <= 0:
         raise BadParams("horizon must be positive")

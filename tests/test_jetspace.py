@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial import Polynomial
 
 from hopmp.dynamics import ChainBlock, NormalFormDynamics
@@ -196,12 +196,63 @@ def test_bare_jet_field_drives_jets_and_total_derivative():
 _COORDS = [("q", 0, 0), ("q", 0, 1), ("q", 1, 0), ("q", 1, 1), ("q", 1, 2)]
 _LEAVES = (st.sampled_from([("t",), ("u", 0)] + _COORDS)
            | st.floats(-2.0, 2.0).map(lambda c: ("c", c)))
-_POLYNOMIALS = st.recursive(
+
+
+def _positive(e):
+    """2 + e^2: a denominator, logarithm or negative-power argument >= 2."""
+    return ("+", ("c", 2.0), ("*", e, e))
+
+
+_EXPRESSIONS = st.recursive(
     _LEAVES,
     lambda inner: (st.tuples(st.sampled_from(["+", "-", "*"]), inner, inner)
-                   | st.tuples(st.just("**"), inner, st.integers(0, 3))),
+                   | st.tuples(st.just("**"), inner, st.integers(0, 3))
+                   | st.tuples(st.just("/"), inner, inner.map(_positive))
+                   | st.tuples(st.sampled_from(["sin", "cos", "exp"]), inner)
+                   | st.tuples(st.sampled_from(["log", "sqrt", "**-1", "**-2"]),
+                               inner.map(_positive))),
     max_leaves=8,
 )
+# on a series numpy calls the series' methods of these names
+_UNARY = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
+          "**-1": lambda x: x ** -1, "**-2": lambda x: x ** -2}
+_EXPONENTS = {"sqrt": 0.5, "**-1": -1, "**-2": -2}
+_MAX_K = 4   # the highest series degree a test reads
+# below the smallest normal float rounding is absolute, not relative
+_TINY = np.finfo(float).tiny
+
+
+def _unary_derivative(name, x, m, magnitude=False):
+    """The m-th derivative of a unary operation at x.  With ``magnitude`` it
+    bounds that derivative's size at every argument of size <= x; the
+    arguments of log and of the powers are >= 2."""
+    if name in ("sin", "cos"):
+        phase = (m + (name == "cos")) * math.pi / 2
+        return 1.0 if magnitude else np.sin(x + phase)
+    if name == "exp":
+        return np.exp(x)
+    if name == "log":
+        if m == 0:
+            return np.log(x)
+        size = math.factorial(m - 1) / (2.0 if magnitude else x) ** m
+        return size if magnitude else (-1) ** (m + 1) * size
+    r = _EXPONENTS[name]
+    falling = math.prod(r - i for i in range(m))
+    if magnitude:
+        return abs(falling) * (x ** (r - m) if r >= m else 2.0 ** (r - m))
+    return falling * x ** (r - m)
+
+
+def _apply(name, a, magnitude):
+    if isinstance(a, Polynomial):
+        # f(a0 + e) = sum_m f^(m)(a0) e^m / m!; e has no constant term, so
+        # degrees past _MAX_K are dropped
+        out, power = Polynomial([0.0]), Polynomial([1.0])
+        for m in range(_MAX_K + 1):
+            out = out + _unary_derivative(name, a.coef[0], m, magnitude) / math.factorial(m) * power
+            power = (power * (a - a.coef[0])).cutdeg(_MAX_K)
+        return out
+    return _unary_derivative(name, a, 0, True) if magnitude else _UNARY[name](a)
 
 
 def _leaf_reader(p, u, magnitude=False):
@@ -212,63 +263,85 @@ def _leaf_reader(p, u, magnitude=False):
     return leaf
 
 
-def _poly_value(e, leaf, magnitude=False):
+def _value(e, leaf, magnitude=False):
     op = e[0]
     if op in ("+", "-"):
-        a, b = _poly_value(e[1], leaf, magnitude), _poly_value(e[2], leaf, magnitude)
+        a, b = _value(e[1], leaf, magnitude), _value(e[2], leaf, magnitude)
         return a + b if op == "+" or magnitude else a - b
     if op == "*":
-        return _poly_value(e[1], leaf, magnitude) * _poly_value(e[2], leaf, magnitude)
+        return _value(e[1], leaf, magnitude) * _value(e[2], leaf, magnitude)
     if op == "**":
-        return _poly_value(e[1], leaf, magnitude) ** e[2]
+        return _value(e[1], leaf, magnitude) ** e[2]
+    if op == "/":
+        a, b = _value(e[1], leaf, magnitude), _value(e[2], leaf, magnitude)
+        if magnitude or isinstance(b, Polynomial):
+            return a * _apply("**-1", b, magnitude)
+        return a / b
+    if op in _UNARY:
+        return _apply(op, _value(e[1], leaf, magnitude), magnitude)
     return leaf(e)
 
 
-def _poly_partial(e, leaf, var, magnitude=False):
-    # the symbolic partial along ``var``; ``magnitude`` bounds it by |terms|
+def _partial(e, leaf, var, magnitude=False):
+    # the symbolic partial along ``var``; ``magnitude`` bounds its size
     op = e[0]
     if op in ("+", "-"):
-        a = _poly_partial(e[1], leaf, var, magnitude)
-        b = _poly_partial(e[2], leaf, var, magnitude)
+        a = _partial(e[1], leaf, var, magnitude)
+        b = _partial(e[2], leaf, var, magnitude)
         return a + b if op == "+" or magnitude else a - b
     if op == "*":
-        return (_poly_partial(e[1], leaf, var, magnitude) * _poly_value(e[2], leaf, magnitude)
-                + _poly_value(e[1], leaf, magnitude) * _poly_partial(e[2], leaf, var, magnitude))
+        return (_partial(e[1], leaf, var, magnitude) * _value(e[2], leaf, magnitude)
+                + _value(e[1], leaf, magnitude) * _partial(e[2], leaf, var, magnitude))
     if op == "**":
         n = e[2]
-        return (n * _poly_value(e[1], leaf, magnitude) ** (n - 1)
-                * _poly_partial(e[1], leaf, var, magnitude)) if n else 0.0
+        return (n * _value(e[1], leaf, magnitude) ** (n - 1)
+                * _partial(e[1], leaf, var, magnitude)) if n else 0.0
+    if op == "/":
+        a, b = _value(e[1], leaf, magnitude), _value(e[2], leaf, magnitude)
+        da, db = _partial(e[1], leaf, var, magnitude), _partial(e[2], leaf, var, magnitude)
+        return da / 2 + a * db / 4 if magnitude else (da * b - a * db) / b ** 2
+    if op in _UNARY:
+        return (_unary_derivative(op, _value(e[1], leaf, magnitude), 1, magnitude)
+                * _partial(e[1], leaf, var, magnitude))
     return float(e == var)
 
 
-def _polynomial_field(e) -> ScalarJetField:
-    partials = {key: (lambda p, u, var=var: _poly_partial(e, _leaf_reader(p, u), var))
+def _expression_field(e) -> ScalarJetField:
+    partials = {key: (lambda p, u, var=var: _partial(e, _leaf_reader(p, u), var))
                 for key, var in [("t", ("t",)), (("u", 0), ("u", 0))]
                 + [(c, c) for c in _COORDS]}
-    return ScalarJetField(lambda p, u: _poly_value(e, _leaf_reader(p, u)),
+    return ScalarJetField(lambda p, u: _value(e, _leaf_reader(p, u)),
                           actual_order=2, partials=partials, reads={0: 1, 1: 2})
+
+
+def _series_derivative(e, k, p, ujet):
+    d = DerivedField(_expression_field(e), k)
+    value = d.value(p, ujet)
+    assert d._fallback is None   # the series path, not the difference quotients
+    return value
 
 
 _JET_ENTRIES = st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8)
 
 
 @settings(max_examples=150, deadline=None)
-@given(e=_POLYNOMIALS, t=st.floats(-2.0, 2.0), entries=_JET_ENTRIES,
+@given(e=_EXPRESSIONS, t=st.floats(-2.0, 2.0), entries=_JET_ENTRIES,
        u=st.floats(-2.0, 2.0))
 def test_series_total_derivative_matches_chain_rule(e, t, entries, u):
     # with the control's time derivative zero, the one-pass series derivative
     # is the frozen-control chain rule of total_derivative
-    f = _polynomial_field(e)
     p = JetPoint(t, np.reshape(entries, (4, 2)))
-    series = DerivedField(f, 1).value(p, [[u], [0.0]])
-    chain = total_derivative(f, p, [u])
     # size of the chain rule's terms, which bounds its rounding
     leaf = _leaf_reader(p, [u], magnitude=True)
-    scale = _poly_partial(e, leaf, ("t",), magnitude=True) + sum(
-        _poly_partial(e, leaf, c, magnitude=True) * abs(p.coord(c[1], c[2] + 1))
-        for c in _COORDS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = _partial(e, leaf, ("t",), magnitude=True) + sum(
+            _partial(e, leaf, c, magnitude=True) * abs(p.coord(c[1], c[2] + 1))
+            for c in _COORDS)
+    assume(scale < 1e100)
+    series = _series_derivative(e, 1, p, [[u], [0.0]])
+    chain = total_derivative(_expression_field(e), p, [u])
     assert isinstance(series, float)
-    assert series == pytest.approx(chain, rel=1e-12, abs=1e-12 * scale)
+    assert series == pytest.approx(chain, rel=1e-12, abs=1e-12 * scale + _TINY)
 
 
 @settings(max_examples=100, deadline=None)
@@ -287,13 +360,14 @@ def test_derived_coordinate_is_exact(i, beta, k, t, entries):
 
 
 @settings(max_examples=100, deadline=None)
-@given(e=_POLYNOMIALS, k=st.integers(2, 4), t=st.floats(-2.0, 2.0),
+@given(e=_EXPRESSIONS, k=st.integers(2, _MAX_K), t=st.floats(-2.0, 2.0),
        entries=st.lists(st.floats(-2.0, 2.0), min_size=16, max_size=16),
        controls=st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5))
 def test_series_derivatives_match_polynomial_composition(e, k, t, entries, controls):
     # truncated at degree k, the jet and the control stack are polynomials
     # in h along the curve at t + h; numpy's Polynomial composes f with them
-    # independently of the series arithmetic, products included
+    # independently of the series arithmetic, products included, and the
+    # unary operations enter through their Taylor expansions
     blocks = np.reshape(entries, (8, 2))
     ujet = np.reshape(controls, (5, 1))
     weights = np.array([1.0 / math.factorial(j) for j in range(k + 1)])
@@ -310,10 +384,12 @@ def test_series_derivatives_match_polynomial_composition(e, k, t, entries, contr
                     "u": lambda: taylor(ujet[:, x[1]]),
                     "q": lambda: taylor(blocks[x[2]:, x[1]])}[x[0]]()
 
-        g = _poly_value(e, leaf, magnitude)
+        g = _value(e, leaf, magnitude)
         coeffs = g.coef if isinstance(g, Polynomial) else [g]
         return (coeffs[k] if len(coeffs) > k else 0.0) * math.factorial(k)
 
-    series = DerivedField(_polynomial_field(e), k).value(JetPoint(t, blocks), ujet)
-    assert series == pytest.approx(expansion(False), rel=1e-12,
-                                   abs=1e-12 * expansion(True))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = expansion(True)
+    assume(bound < 1e100)
+    series = _series_derivative(e, k, JetPoint(t, blocks), ujet)
+    assert series == pytest.approx(expansion(False), rel=1e-12, abs=1e-12 * bound + _TINY)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hopmp.classical import ClassicalProblem, embed_classical
 from hopmp.controls import ConstantControl
 from hopmp.dynamics import NormalFormDynamics
 from hopmp.errors import BadParams, NoClosedForm
+from hopmp.jetspace import ScalarJetField
 from hopmp.problem import ControlSet, el_residual, validate_triple
 from hopmp.problems import (
     build,
@@ -176,17 +178,57 @@ def test_optimize_free_param_recovers_vmax():
     assert cost_best == pytest.approx(-2.0, abs=1e-8)
 
 
-def _swinging_pendulum() -> ClassicalProblem:
-    """A nonlinear classical problem: x1' = x2, x2' = -sin x1 + u."""
+def _swinging_pendulum(lib=math) -> ClassicalProblem:
+    """A nonlinear classical problem: x1' = x2, x2' = -sin x1 + u, with sin
+    and cos taken from ``lib``."""
     return ClassicalProblem(
-        f=lambda t, x, u: np.array([x[1], -math.sin(x[0]) + u[0]]),
-        dfdx=lambda t, x, u: np.array([[0.0, 1.0], [-math.cos(x[0]), 0.0]]),
+        f=lambda t, x, u: np.array([x[1], -lib.sin(x[0]) + u[0]]),
+        dfdx=lambda t, x, u: np.array([[0.0, 1.0], [-lib.cos(x[0]), 0.0]]),
         cost=lambda x: -x[0],
         cost_grad=lambda x: np.array([-1.0, 0.0]),
         x0=np.array([0.0, 0.0]),
         controls=ControlSet([-1.0], [1.0]),
         horizon=PI / 2,
     )
+
+
+def _sine_force(lib) -> ScalarJetField:
+    """f = -sin x + u for ``third_order``, with sin and cos from ``lib``."""
+    return ScalarJetField(lambda p, u: -lib.sin(p.coord(0, 0)) + u[0], actual_order=0,
+                          partials={("q", 0, 0): lambda p, u: -lib.cos(p.coord(0, 0)),
+                                    ("u", 0): lambda p, u: 1.0},
+                          name="f", reads={0: 0})
+
+
+@pytest.mark.parametrize("lib", [math, np], ids=["math", "numpy"])
+def test_elementary_function_fields_give_jets(lib):
+    # numpy's sin and cos run on the Taylor-series path, exact up to rounding;
+    # math's cannot take a series, so their fields are differentiated, with a
+    # warning, by the chain rule with difference-quotient partials
+    u, tol = 0.5, (1e-12 if lib is np else 1e-6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        swinging = embed_classical(_swinging_pendulum(lib))
+        traj = swinging.controlled_curve(ConstantControl([u], swinging.horizon))
+        for t in (0.3, 1.2):
+            (x1, x2), jet = traj.state(t)[:2], traj.jet(t, 2).blocks
+            force = -math.sin(x1) + u
+            np.testing.assert_allclose(jet[1, :2], [x2, force], rtol=0, atol=tol)
+            np.testing.assert_allclose(jet[2, :2], [force, -math.cos(x1) * x2],
+                                       rtol=0, atol=tol)
+
+        third = third_order(f=_sine_force(lib))
+        traj = third.controlled_curve(ConstantControl([u], third.horizon))
+        for t in (0.3, 0.8):
+            jet = traj.jet(t, 4).blocks[:, 0]
+            assert jet[3] == pytest.approx(-math.sin(jet[0]) + u, abs=tol)
+            assert jet[4] == pytest.approx(-math.cos(jet[0]) * jet[1], abs=tol)
+
+        for triple in (swinging, third):
+            rep = validate_triple(triple)
+            assert rep.ok, "; ".join(rep.lines())
+    fell_back = any("difference quotients" in str(w.message) for w in caught)
+    assert fell_back == (lib is math)
 
 
 OVERRIDDEN_DYNAMICS = {
