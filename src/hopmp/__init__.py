@@ -6,11 +6,11 @@ and classical cross-checks."""
 __version__ = "0.1.0"
 
 from .jetspace import (  # noqa: F401
+    DerivedField,
     JetField,
     JetPoint,
     ScalarJetField,
     finite_diff_partial,
-    iterated_total_derivative,
     total_derivative,
 )
 from .problem import (  # noqa: F401

@@ -3,25 +3,22 @@
 Constraint systems are realized as chains: each variable ``q^i`` carries a
 chain of length ``m_i`` (its value and derivatives up to ``m_i - 1`` are
 state components) closed by a top equation ``d^{m_i} q^i/dt^{m_i} = f^i``.
-Jet blocks above the state content are obtained by analytic differentiation
-of the top fields along the flow, never by differencing samples.
+Jet blocks above the state content are total derivatives of the top fields
+along the flow, evaluated by one plan per jet order, never by differencing
+samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .controls import ControlCurve, HarmonicControl, NeedleOverlayControl
-from .errors import OrderUnavailable, StepSizeUnderflow, TimeOutOfRange
-from .jetspace import JetField, JetPoint, ScalarJetField, iterated_total_derivative
-
-# Jet blocks above a variable's chain come from total derivatives of its top
-# field; extensions deeper than this are refused up front.
-_MAX_DERIVED_EXTENSION = 8
+from .errors import InsufficientJetOrder, OrderUnavailable, StepSizeUnderflow, TimeOutOfRange
+from .jetspace import DerivedField, JetField, JetPoint, ScalarJetField
 
 
 @dataclass(frozen=True)
@@ -33,17 +30,28 @@ class ChainBlock:
     top: JetField
 
 
+class EvaluationPlan(NamedTuple):
+    """Steps ``(i, beta, field, depth)`` in an order that respects the
+    fields' reads: block ``beta`` of variable ``i`` is ``field`` on blocks
+    ``0 .. depth``."""
+
+    steps: tuple
+    rows: int      # blocks the steps write or read
+    u_depth: int   # depth of the control stack they read
+
+
 class NormalFormDynamics:
     """First-order normal form ``dy/dt = g(t, y, u)`` built from chain blocks.
 
     The state vector stacks, per variable, the jet blocks ``0 .. m_i - 1``.
-    ``jets_at`` reconstructs jets of any order by recursive application of
-    the total derivative to the top fields; ``u_depth`` declares how many
-    control derivatives the right-hand side itself consumes (0 for all the
-    builtin problems).
+    The blocks above the state are total derivatives of the top fields along
+    the flow (one :class:`~hopmp.jetspace.DerivedField` per block).  Each jet
+    order, and the right-hand side, has one :class:`EvaluationPlan`, built
+    on first use; ``jets_at`` and ``rhs`` run it as one loop, and its
+    ``u_depth`` tells callers how deep a control stack to pass.
     """
 
-    def __init__(self, blocks: Sequence[ChainBlock], u_depth: int = 0,
+    def __init__(self, blocks: Sequence[ChainBlock],
                  rhs_override: Optional[Callable] = None) -> None:
         self.blocks = tuple(blocks)
         self.names = tuple(b.name for b in self.blocks)
@@ -51,10 +59,9 @@ class NormalFormDynamics:
         self.dim = len(self.blocks)
         self.offsets = tuple(int(o) for o in np.cumsum([0] + [b.order for b in self.blocks])[:-1])
         self.state_dim = int(sum(self.orders))
-        self.u_depth = int(u_depth)
         self.order = 2 * max(self.orders)  # order of the realized constraints
         self._rhs_override = rhs_override
-        self._derived_cache: dict[tuple[int, int], object] = {}
+        self._plans: dict = {}
 
     # -- state packing ------------------------------------------------------
 
@@ -85,90 +92,79 @@ class NormalFormDynamics:
             out.extend(f"{name}_d{k}" for k in range(1, m))
         return out
 
-    # -- jet reconstruction -------------------------------------------------
+    # -- evaluation plans ---------------------------------------------------
 
-    def _derived(self, i: int, ext: int):
-        key = (i, ext)
-        if key not in self._derived_cache:
-            self._derived_cache[key] = iterated_total_derivative(self.blocks[i].top, ext)
-        return self._derived_cache[key]
+    def plan(self, order: Optional[int] = None) -> EvaluationPlan:
+        """The plan for every block up to ``order`` (built on the plan one
+        order below, so derived fields are shared), or for the top block of
+        every chain when ``order`` is None."""
+        if order in self._plans:
+            return self._plans[order]
+        if order is None:
+            steps, targets = [], list(enumerate(self.orders))
+        else:
+            steps = list(self.plan(order - 1).steps) if order > 0 else []
+            targets = [(i, order) for i in range(self.dim)]
+        done = {(i, beta) for i, m in enumerate(self.orders) for beta in range(m)}
+        done.update(step[:2] for step in steps)
+        active = set()
 
-    def _seed_memo(self, y: np.ndarray) -> dict:
-        memo: dict[tuple[int, int], float] = {}
+        def visit(i: int, beta: int) -> None:
+            if (i, beta) in done:
+                return
+            if (i, beta) in active:
+                raise OrderUnavailable(
+                    f"circular jet dependency at variable {self.names[i]!r} order {beta}")
+            active.add((i, beta))
+            ext = beta - self.orders[i]
+            fld = DerivedField(self.blocks[i].top, ext) if ext else self.blocks[i].top
+            depths = [fld.read_depth(j) for j in range(self.dim)]
+            for j, dj in enumerate(depths):
+                for delta in range(dj + 1):
+                    visit(j, delta)
+            done.add((i, beta))
+            steps.append((i, beta, fld, max((d for d in depths if d >= 0),
+                                            default=fld.actual_order)))
+
+        for i, beta in targets:
+            visit(i, beta)
+        rows = max([max(self.orders)] + [max(beta, depth) + 1 for _, beta, _, depth in steps])
+        u_depth = max((fld.u_depth for _, _, fld, _ in steps), default=0)
+        return self._plans.setdefault(order, EvaluationPlan(tuple(steps), rows, u_depth))
+
+    def _run(self, plan: EvaluationPlan, t: float, y: np.ndarray, ujet) -> np.ndarray:
+        """The state, then every step of ``plan``, in one blocks array."""
+        uj = np.atleast_2d(np.asarray(ujet, dtype=float))
+        if uj.shape[0] <= plan.u_depth:
+            raise InsufficientJetOrder(
+                f"the plan reads {plan.u_depth + 1} control rows, got {uj.shape[0]}")
+        blocks = np.zeros((plan.rows, self.dim))
         for i, (off, m) in enumerate(zip(self.offsets, self.orders)):
-            for beta in range(m):
-                memo[(i, beta)] = float(y[off + beta])
-        return memo
+            blocks[:m, i] = y[off:off + m]
+        for i, beta, fld, depth in plan.steps:
+            blocks[beta, i] = fld.value_uj(JetPoint(t, blocks[:depth + 1]), uj)
+        return blocks
 
     def jets_at(self, t: float, y: np.ndarray, ujet: np.ndarray, order: int) -> JetPoint:
-        """Jet blocks of all variables at (t, y), to the requested order."""
-        worst_ext = order - min(self.orders)
-        if worst_ext > _MAX_DERIVED_EXTENSION:
-            raise OrderUnavailable(
-                f"order {order} needs a jet extension of {worst_ext}, beyond "
-                f"the cap {_MAX_DERIVED_EXTENSION}")
-        uj = np.atleast_2d(np.asarray(ujet, dtype=float))
-        memo = self._seed_memo(y)
-        filling: set[tuple[int, int]] = set()
-        blocks = np.empty((order + 1, self.dim))
-        for beta in range(order + 1):
-            for i in range(self.dim):
-                blocks[beta, i] = self._fill(i, beta, t, memo, uj, filling)
-        return JetPoint(t, blocks)
-
-    def _fill(self, i: int, beta: int, t: float, memo, ujet: np.ndarray, filling) -> float:
-        key = (i, beta)
-        if key in memo:
-            return memo[key]
-        if key in filling:
-            raise OrderUnavailable(
-                f"circular jet dependency at variable {self.names[i]!r} order {beta}"
-            )
-        filling.add(key)
-        ext = beta - self.orders[i]
-        fld = self._derived(i, ext) if ext > 0 else self.blocks[i].top
-        depth = max(
-            (fld.read_depth(j) for j in range(self.dim) if fld.read_depth(j) >= 0),
-            default=fld.actual_order,
-        )
-        for j in range(self.dim):
-            dj = fld.read_depth(j)
-            for delta in range(dj + 1):
-                self._fill(j, delta, t, memo, ujet, filling)
-        pt = self._materialize(t, memo, depth)
-        val = fld.value(pt, ujet)
-        filling.discard(key)
-        memo[key] = val
-        return val
-
-    def _materialize(self, t: float, memo, order: int) -> JetPoint:
-        blocks = np.zeros((order + 1, self.dim))
-        for (i, beta), v in memo.items():
-            if beta <= order:
-                blocks[beta, i] = v
-        return JetPoint(t, blocks)
+        """Jet blocks of all variables at (t, y), to the requested order;
+        ``ujet`` holds at least ``plan(order).u_depth + 1`` control rows."""
+        return JetPoint(t, self._run(self.plan(order), t, y, ujet)[:order + 1])
 
     # -- right-hand side ----------------------------------------------------
 
     def rhs(self, t: float, y: np.ndarray, ujet) -> np.ndarray:
         """dy/dt for the chain system; ``ujet`` is a control-derivative stack
-        (a bare control value is accepted when ``u_depth == 0``)."""
-        uj = np.atleast_2d(np.asarray(ujet, dtype=float))
+        of at least ``plan().u_depth + 1`` rows (or a bare control value)."""
         if self._rhs_override is not None:
+            uj = np.atleast_2d(np.asarray(ujet, dtype=float))
             return np.asarray(self._rhs_override(t, y, uj[0]), dtype=float)
-        out = np.empty(self.state_dim)
-        memo = self._seed_memo(y)
-        filling: set[tuple[int, int]] = set()
-        for i, (off, m) in enumerate(zip(self.offsets, self.orders)):
-            out[off:off + m - 1] = y[off + 1:off + m]
-            out[off + m - 1] = self._fill(i, m, t, memo, uj, filling)
-        return out
+        blocks = self._run(self.plan(), t, y, ujet)
+        return np.concatenate([blocks[1:m + 1, i] for i, m in enumerate(self.orders)])
 
 
 def reduce_to_first_order(highest_order_rhs: Callable, order: int, state_dim: int,
                           partials: Optional[Mapping] = None,
-                          names: Optional[Sequence[str]] = None,
-                          u_depth: int = 0) -> NormalFormDynamics:
+                          names: Optional[Sequence[str]] = None) -> NormalFormDynamics:
     """Chain reduction of ``d^m q/dt^m = f(t, q, ..., d^{m-1} q, u)``.
 
     ``highest_order_rhs`` maps ``(JetPoint, u) -> (state_dim,)`` vector;
@@ -189,11 +185,10 @@ def reduce_to_first_order(highest_order_rhs: Callable, order: int, state_dim: in
             actual_order=order - 1,
             partials=comp_partials,
             name=f"f[{names[i]}]",
-            u_depth=u_depth,
         )
 
     blocks = [ChainBlock(names[i], order, make_top(i)) for i in range(state_dim)]
-    return NormalFormDynamics(blocks, u_depth=u_depth)
+    return NormalFormDynamics(blocks)
 
 
 class Trajectory:
@@ -232,8 +227,7 @@ class Trajectory:
 
     def jet(self, t: float, order: int) -> JetPoint:
         y = self.state(t)
-        depth = self.dynamics.u_depth + max(0, order - min(self.dynamics.orders))
-        ujet = self.control.jet(self.control.clamp(t), depth)
+        ujet = self.control.jet(self.control.clamp(t), self.dynamics.plan(order).u_depth)
         return self.dynamics.jets_at(t, y, ujet, order)
 
     def terminal_jet(self, order: int) -> JetPoint:
@@ -245,10 +239,11 @@ def segment_rhs(dynamics: NormalFormDynamics, control: ControlCurve,
     """dy/dt on the segment [a, b) between two control breakpoints, in
     either direction of integration: the control is sampled inside the
     half-open segment, so right-continuity picks the piece active on it."""
+    depth = dynamics.plan().u_depth
 
     def rhs(t, y):
         tt = min(max(t, a), np.nextafter(b, a))
-        return dynamics.rhs(t, y, control.jet(tt, dynamics.u_depth))
+        return dynamics.rhs(t, y, control.jet(tt, depth))
 
     return rhs
 

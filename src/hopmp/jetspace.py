@@ -201,8 +201,8 @@ class JetPoint:
         return self.blocks.item(beta, i)
 
     def with_coord(self, i: int, beta: int, value) -> "JetPoint":
-        """Copy with one jet coordinate replaced (used by difference quotients)."""
-        arr = self.blocks.copy()
+        """Copy with one jet coordinate replaced (a float or a dual number)."""
+        arr = self.blocks.astype(object if isinstance(value, TaylorSeries) else self.blocks.dtype)
         arr[beta, i] = value
         return JetPoint(self.t, arr)
 
@@ -235,7 +235,7 @@ class JetField:
     protocol comes from here: ``value`` accepts a bare control value,
     ``read_depth`` follows ``reads`` (or ``actual_order`` when it is None),
     and ``partial`` normalizes the control to a stack for ``partial_uj``,
-    which takes symmetric finite differences of ``value_uj``.  On float jets
+    which evaluates the field once on a dual number.  On float jets
     ``value`` and ``partial`` return Python floats; on a series view they
     return series.
     """
@@ -257,12 +257,47 @@ class JetField:
     def value(self, p: JetPoint, u) -> float:
         return _as_float(self.value_uj(p, _as_ujet(u, self.u_depth)))
 
-    def partial(self, p: JetPoint, u, direction: Direction, step: float | None = None) -> float:
-        return _as_float(self.partial_uj(p, _as_ujet(u, self.u_depth), direction, step))
+    def partial(self, p: JetPoint, u, direction: Direction) -> float:
+        return _as_float(self.partial_uj(p, _as_ujet(u, self.u_depth), direction))
 
-    def partial_uj(self, p: JetPoint, ujet: np.ndarray, direction: Direction,
-                   step: float | None = None) -> float:
-        return finite_diff_partial(self, p, ujet, direction, step)
+    def partial_uj(self, p: JetPoint, ujet: np.ndarray, direction: Direction) -> float:
+        """The exact partial along one coordinate: the field evaluated once
+        with that coordinate a dual number x + e, its e-coefficient read
+        back.  A field that cannot take series falls back, with a
+        RuntimeWarning, to a difference quotient on float points."""
+        key = _canonical_direction(direction)
+        if key[0] == "q" and key[2] > self.read_depth(key[1]):
+            return 0.0
+        x, at = _coordinate(p, ujet, key)
+        try:
+            s = self.value_uj(*at(_seed_dual(x)))
+        except TypeError as exc:
+            if object in (p.blocks.dtype, ujet.dtype) or isinstance(p.t, TaylorSeries):
+                raise   # no difference quotient on a series point
+            warnings.warn(f"{self.name or 'field'}: cannot take a dual number ({exc}); "
+                          "falling back to a difference quotient", RuntimeWarning)
+            return finite_diff_partial(self, p, ujet, key)
+        return _dual_coefficient(s, x)
+
+
+def _seed_dual(x):
+    """x + e for a new variable e: a degree-1 series in e at the innermost
+    constant term of x, so that e nests inside the h-series of a series view
+    instead of meeting them as a series in the same variable."""
+    if not isinstance(x, TaylorSeries):
+        return TaylorSeries(np.array([x, 1.0]))
+    c = x.c.astype(object)
+    c[0] = _seed_dual(c[0])
+    return TaylorSeries(c)
+
+
+def _dual_coefficient(s, like):
+    """The e-coefficient of ``s``, read at the nesting depth of ``like``."""
+    if not isinstance(s, TaylorSeries):
+        return 0.0
+    if isinstance(like, TaylorSeries):
+        return TaylorSeries(np.array([_dual_coefficient(c, like.c[0]) for c in s.c]))
+    return s.c[1]
 
 
 @dataclass(frozen=True)
@@ -271,9 +306,9 @@ class ScalarJetField(JetField):
 
     ``partials`` optionally maps coordinate directions to analytic partial
     evaluators with the same ``(JetPoint, u) -> float`` signature.  Keys are
-    ``"t"``, ``("q", i, beta)`` and ``("u", a)``.  Missing partials fall back
-    to symmetric finite differences.  Evaluators must be arithmetic or numpy
-    expressions, so that they also evaluate on series.
+    ``"t"``, ``("q", i, beta)`` and ``("u", a)``.  Missing partials are taken
+    on a dual number, as for any :class:`JetField`.  Evaluators must be
+    arithmetic or numpy expressions, so that they also evaluate on series.
     """
 
     evaluator: Callable[[JetPoint, np.ndarray], float]
@@ -286,8 +321,7 @@ class ScalarJetField(JetField):
     def value_uj(self, p: JetPoint, ujet: np.ndarray) -> float:
         return self.evaluator(p, ujet[0])
 
-    def partial_uj(self, p: JetPoint, ujet: np.ndarray, direction: Direction,
-                   step: float | None = None) -> float:
+    def partial_uj(self, p: JetPoint, ujet: np.ndarray, direction: Direction) -> float:
         key = _canonical_direction(direction)
         if self.partials is not None:
             fn = self.partials.get(key)
@@ -295,7 +329,7 @@ class ScalarJetField(JetField):
                 fn = self.partials.get(("u", key[1]))
             if fn is not None:
                 return fn(p, ujet[0])
-        return finite_diff_partial(self, p, ujet, direction, step)
+        return super().partial_uj(p, ujet, key)
 
 
 def _canonical_direction(direction: Direction):
@@ -312,12 +346,20 @@ def _canonical_direction(direction: Direction):
     raise ValueError(f"unknown coordinate direction {direction!r}")
 
 
-def _fd_step(x, step: float | None) -> float:
-    if step is not None:
-        return float(step)
-    while isinstance(x, TaylorSeries):   # a series steps by its constant term
-        x = x.c[0]
-    return FD_BASE_STEP * max(1.0, abs(x))
+def _coordinate(p: JetPoint, ujet: np.ndarray, key):
+    """The coordinate ``key`` of (p, ujet), and a function returning (p, ujet)
+    copied with it replaced by a float or a dual number."""
+    if key == "t":
+        return p.t, lambda v: (p.with_time(v), ujet)
+    if key[0] == "q":
+        return p.coord(key[1], key[2]), lambda v: (p.with_coord(key[1], key[2], v), ujet)
+
+    def at(v):
+        uj = ujet.astype(object if isinstance(v, TaylorSeries) else ujet.dtype)
+        uj[key[2], key[1]] = v
+        return p, uj
+
+    return ujet[key[2], key[1]], at
 
 
 def finite_diff_partial(f, p: JetPoint, u, direction: Direction,
@@ -327,34 +369,16 @@ def finite_diff_partial(f, p: JetPoint, u, direction: Direction,
     ``direction`` names ``t``, a jet coordinate ``("q", i, beta)`` or a
     control coordinate ``("u", a)`` (equivalently ``("u", a, k)`` for a row
     of the control-derivative stack).  A jet coordinate the field does not
-    read gives exactly 0 without evaluating.  On a series point the step
-    follows the constant coefficient and the quotient is a series.
+    read gives exactly 0 without evaluating.  It is the fallback of
+    :meth:`JetField.partial_uj` for fields that cannot take series, so it
+    takes float points only.
     """
     key = _canonical_direction(direction)
     if key[0] == "q" and key[2] > f.read_depth(key[1]):
         return 0.0
-    ujet = _as_ujet(u, f.u_depth)
-
-    if key == "t":
-        h = _fd_step(p.t, step)
-        return (f.value_uj(p.with_time(p.t + h), ujet)
-                - f.value_uj(p.with_time(p.t - h), ujet)) / (2.0 * h)
-
-    if key[0] == "q":
-        _, i, beta = key
-        x = p.coord(i, beta)
-        h = _fd_step(x, step)
-        return (f.value_uj(p.with_coord(i, beta, x + h), ujet)
-                - f.value_uj(p.with_coord(i, beta, x - h), ujet)) / (2.0 * h)
-
-    _, a, k = key
-    x = ujet[k, a]
-    h = _fd_step(x, step)
-    up = ujet.copy()
-    um = ujet.copy()
-    up[k, a] = x + h
-    um[k, a] = x - h
-    return (f.value_uj(p, up) - f.value_uj(p, um)) / (2.0 * h)
+    x, at = _coordinate(p, _as_ujet(u, f.u_depth), key)
+    h = FD_BASE_STEP * max(1.0, abs(x)) if step is None else float(step)
+    return (f.value_uj(*at(x + h)) - f.value_uj(*at(x - h))) / (2.0 * h)
 
 
 def total_derivative(f, p: JetPoint, u) -> float:
@@ -462,23 +486,9 @@ class DerivedField(JetField):
         return _chain_rule(self._fallback, p, ujet, self._fallback.u_depth + 1)
 
 
-def iterated_total_derivative(f, count: int) -> DerivedField:
-    """``count``-fold total derivative of a field, as one derived field."""
-    return DerivedField(f, count)
-
-
 def coordinate_field(i: int, beta: int) -> ScalarJetField:
     """The coordinate function q^i_(beta) as a scalar jet field."""
-
-    def ev(p, u, _i=i, _b=beta):
-        return p.coord(_i, _b)
-
-    return ScalarJetField(
-        evaluator=ev,
-        actual_order=beta,
-        partials={("q", i, beta): (lambda p, u: 1.0)},
-        name=f"q{i}_({beta})",
-    )
+    return ScalarJetField(lambda p, u: p.coord(i, beta), actual_order=beta, name=f"q{i}_({beta})")
 
 
 def audit_actual_order(f, p: JetPoint, u, rng, trials: int = 2,

@@ -17,13 +17,7 @@ import numpy as np
 from .controls import ControlCurve
 from .dynamics import NormalFormDynamics, Trajectory, integrate
 from .errors import ConstraintViolation, InsufficientJetOrder
-from .jetspace import (
-    JetField,
-    JetPoint,
-    ScalarJetField,
-    audit_actual_order,
-    iterated_total_derivative,
-)
+from .jetspace import DerivedField, JetField, JetPoint, ScalarJetField, audit_actual_order
 
 
 @dataclass(frozen=True)
@@ -64,9 +58,9 @@ class ControlSet:
 class _PartialField(JetField):
     """The partial of a field along one coordinate, as a field itself.
 
-    Its value is the base field's (analytic or finite-difference) partial,
-    taken on the full control-derivative stack; it reads what the base field
-    reads, and its own partials are finite differences of that value.
+    Its value is the base field's (analytic or dual-number) partial, taken
+    on the full control-derivative stack; it reads what the base field
+    reads, and its own partials are dual-number partials of that value.
     """
 
     __slots__ = ("base", "direction", "actual_order", "u_depth", "name", "reads")
@@ -114,7 +108,7 @@ class CostFunction:
 
     def rate_field(self):
         """Total derivative dC/dt as a field (control independent)."""
-        return iterated_total_derivative(self.field, 1)
+        return DerivedField(self.field, 1)
 
     def vanishes_at_zero(self, dim: int, order: int, rng, trials: int = 16,
                          scale: float = 2.0, tol: float = 1e-10) -> bool:
@@ -219,7 +213,7 @@ def el_residual(triple: DefiningTriple, traj, u: ControlCurve, t: float) -> np.n
     for i in range(N):
         out[i] = L.field.partial(jet, ujet, ("q", i, 0))
         for beta in range(1, r + 1):
-            fb = iterated_total_derivative(_PartialField(L.field, ("q", i, beta)), beta)
+            fb = DerivedField(_PartialField(L.field, ("q", i, beta)), beta)
             out[i] += (-1) ** beta * fb.value(jet, ujet)
     return out
 
@@ -239,7 +233,7 @@ def momentum_sums(field: JetField, jet: JetPoint, ujet: np.ndarray, dim: int,
                 eps = delta - beta - 1
                 fld = _PartialField(field, ("q", i, delta))
                 if eps:
-                    fld = iterated_total_derivative(fld, eps)
+                    fld = DerivedField(fld, eps)
                 acc += (-1) ** eps * fld.value(jet, ujet)
             out[i, beta] = acc
     return out

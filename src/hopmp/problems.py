@@ -20,7 +20,7 @@ import numpy as np
 from .controls import ConstantControl, ControlCurve
 from .dynamics import ChainBlock, NormalFormDynamics
 from .errors import BadParams, NoClosedForm
-from .jetspace import JetField, ScalarJetField, iterated_total_derivative
+from .jetspace import DerivedField, JetField, ScalarJetField
 from .problem import (
     ControlSet,
     ControlledLagrangian,
@@ -398,7 +398,7 @@ class _LeibnizAdjointTop(JetField):
                 u_depth=f.u_depth,
                 name=f"p df/dx{b}",
             )
-            self._terms.append((-((-1.0) ** b), iterated_total_derivative(product, b)))
+            self._terms.append((-((-1.0) ** b), DerivedField(product, b)))
         self.actual_order = max(f.actual_order, 0) + 2
         self.u_depth = f.u_depth + 2
         self.reads = {X: reads_x + 2, P: 2}

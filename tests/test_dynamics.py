@@ -5,6 +5,7 @@ import pytest
 
 from hopmp.controls import (
     ConstantControl,
+    HarmonicControl,
     NeedleOverlayControl,
     PiecewiseConstantControl,
 )
@@ -239,3 +240,54 @@ def test_deep_jets_match_closed_form(problem_id, params, sigma, closed_form):
         for k in range(order + 1):
             assert jet.coord(0, k) == pytest.approx(closed_form(t, k), abs=1e-10), \
                 (problem_id, t, k)
+
+
+def test_pendulum_jets_beyond_former_cap_match_closed_form():
+    # order 13 extends the chain x'' = u - x by 11 blocks; every one of them
+    # is exact along the flow, so no cap on the extension is needed
+    triple = pendulum_r2()
+    u = ConstantControl([1.0], triple.horizon)
+    traj = triple.controlled_curve(u, triple.initial_data.make(v=1.0),
+                                   tol=(1e-12, 1e-14))
+    for t in (0.3 * triple.horizon, 0.8 * triple.horizon):
+        jet = traj.jet(t, 13)
+        for k in range(14):
+            assert jet.coord(0, k) == pytest.approx(_pendulum_x(t, k), abs=1e-10), (t, k)
+
+
+def _third_order_reading_xdd():
+    # x''' = u - x''^2 / 2: the adjoint's top reads x'''' = Df, hence u'
+    from hopmp.jetspace import ScalarJetField
+    from hopmp.problems import third_order
+
+    f = ScalarJetField(lambda p, u: u[0] - p.coord(0, 2) ** 2 / 2, actual_order=2,
+                       reads={0: 2}, name="f")
+    return third_order(f=f)
+
+
+def test_trajectory_jet_reads_the_control_rows_its_plan_needs():
+    triple = _third_order_reading_xdd()
+    dyn = triple.dynamics
+    u = HarmonicControl(np.array([0.1]), np.array([0.6]), 1.7, 0.3, triple.horizon)
+    traj = triple.controlled_curve(u, {"x": np.zeros(3), "p": np.array([0.5, -1.0, 1.0])})
+    t = 0.4
+    for n in (3, 6):
+        deep = dyn.jets_at(t, traj.state(t), u.jet(t, 12), n)
+        assert np.array_equal(traj.jet(t, n).blocks, deep.blocks), n
+        assert dyn.plan(n).u_depth > n - min(dyn.orders)
+    # the integrated adjoint sees the control's derivatives too
+    assert dyn.plan().u_depth == 2
+    y = traj.state(t)
+    assert np.array_equal(dyn.rhs(t, y, u.jet(t, 2)),
+                          [y[1], y[2], deep.coord(0, 3), y[4], y[5], deep.coord(1, 3)])
+
+
+def test_shallow_control_stack_refused():
+    from hopmp.errors import InsufficientJetOrder
+
+    dyn = _third_order_reading_xdd().dynamics
+    y = np.linspace(0.1, 0.6, dyn.state_dim)
+    with pytest.raises(InsufficientJetOrder):
+        dyn.jets_at(0.4, y, np.ones((2, 1)), 3)
+    with pytest.raises(InsufficientJetOrder):
+        dyn.rhs(0.4, y, [0.5])

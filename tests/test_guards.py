@@ -1,5 +1,5 @@
-"""Error-path coverage: reconstruction caps, integrator blow-up, and the
-boundary-matrix conditioning guard."""
+"""Error-path coverage: circular jet dependencies, integrator blow-up, and
+the boundary-matrix conditioning guard."""
 
 import math
 
@@ -11,14 +11,6 @@ from hopmp.controls import ConstantControl
 from hopmp.dynamics import integrate, reduce_to_first_order
 from hopmp.errors import OrderUnavailable, SingularBoundaryMatrix, StepSizeUnderflow
 from hopmp.problems import pendulum_direct, pendulum_r2
-
-
-def test_jet_order_cap_raises():
-    triple = pendulum_r2(T=1.0)
-    u = ConstantControl([0.0], 1.0)
-    traj = triple.controlled_curve(u, triple.initial_data.make(v=0.1))
-    with pytest.raises(OrderUnavailable):
-        traj.jet(0.5, 13)   # extension beyond the analytic-differentiation cap
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -44,7 +44,9 @@ def test_total_derivative_matches_time_differencing_along_trajectory():
     step = 1e-5
     for t in (0.3, 0.8, 1.2):
         fd = (along(t + step) - along(t - step)) / (2 * step)
-        formal = total_derivative(f, traj.jet(t, 2), u.value(t))
+        # math.sin cannot take a dual number: the partial falls back, loudly
+        with pytest.warns(RuntimeWarning, match="difference quotient"):
+            formal = total_derivative(f, traj.jet(t, 2), u.value(t))
         assert fd == pytest.approx(formal, abs=5e-9)
 
 

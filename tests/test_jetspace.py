@@ -16,7 +16,6 @@ from hopmp.jetspace import (
     audit_actual_order,
     coordinate_field,
     finite_diff_partial,
-    iterated_total_derivative,
     total_derivative,
 )
 from hopmp.problem import _PartialField
@@ -75,8 +74,10 @@ def test_total_derivative_linearity():
         return a * f.evaluator(pt, u) + b * g.evaluator(pt, u)
 
     h = ScalarJetField(combo, actual_order=2)
-    lhs = total_derivative(h, p, [0.0])
-    rhs = a * total_derivative(f, p, [0.0]) + b * total_derivative(g, p, [0.0])
+    # math.sin cannot take a dual number: f's and h's partials fall back, loudly
+    with pytest.warns(RuntimeWarning, match="difference quotient"):
+        lhs = total_derivative(h, p, [0.0])
+        rhs = a * total_derivative(f, p, [0.0]) + b * total_derivative(g, p, [0.0])
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
@@ -85,6 +86,37 @@ def test_insufficient_jet_order_raises():
     f = ScalarJetField(lambda pt, u: pt.coord(0, 2), actual_order=2)
     with pytest.raises(InsufficientJetOrder):
         total_derivative(f, p, [0.0])
+
+
+def test_default_partials_are_exact():
+    # no analytic partials: one evaluation on a dual number gives each one
+    p = make_point(order=2)
+    f = ScalarJetField(
+        lambda pt, u: np.sin(pt.coord(0, 1)) * pt.coord(1, 0) * u[0] ** 2
+        + pt.t * pt.coord(0, 0), actual_order=1)
+    x0, x1, y0, u = p.coord(0, 0), p.coord(0, 1), p.coord(1, 0), 0.7
+    assert f.partial(p, [u], ("q", 0, 1)) == pytest.approx(np.cos(x1) * y0 * u ** 2, rel=1e-15)
+    assert f.partial(p, [u], ("q", 1, 0)) == pytest.approx(np.sin(x1) * u ** 2, rel=1e-15)
+    assert f.partial(p, [u], ("q", 0, 0)) == p.t
+    assert f.partial(p, [u], "t") == x0
+    assert f.partial(p, [u], ("u", 0)) == pytest.approx(2 * u * np.sin(x1) * y0, rel=1e-15)
+    assert f.partial(p, [u], ("q", 1, 2)) == 0.0   # beyond the read depth
+
+
+def test_default_partials_on_series_points_are_exact():
+    # inside a derived field the partial is taken on the series view of the
+    # jet, and the dual number nests inside its series
+    c = ScalarJetField(lambda pt, u: np.sin(pt.coord(0, 1)) * pt.t, actual_order=1,
+                       reads={0: 1})
+    # d/dx' of dc/dt = cos(x') x'' t + sin(x')
+    g = ScalarJetField(lambda pt, u: np.cos(pt.coord(0, 1))
+                       - np.sin(pt.coord(0, 1)) * pt.coord(0, 2) * pt.t,
+                       actual_order=2, reads={0: 2})
+    p = make_point(order=5, dim=1)
+    for k in range(3):
+        dual = DerivedField(_PartialField(DerivedField(c, 1), ("q", 0, 1)), k)
+        assert dual.value(p, [0.0]) == pytest.approx(DerivedField(g, k).value(p, [0.0]),
+                                                     rel=1e-13), k
 
 
 def test_finite_diff_partial_linear_exact():
@@ -126,7 +158,7 @@ def test_iterated_total_derivative_with_control_chain():
         actual_order=0,
         partials={("q", 0, 0): lambda pt, u: u[0], ("u", 0): lambda pt, u: pt.coord(0, 0)},
     )
-    df = iterated_total_derivative(f, 1)
+    df = DerivedField(f, 1)
     blocks = np.array([[2.0], [5.0], [0.0]])
     p = JetPoint(0.0, blocks)
     ujet = np.array([[3.0], [7.0]])  # u=3, udot=7
@@ -135,7 +167,7 @@ def test_iterated_total_derivative_with_control_chain():
 
 def test_second_total_derivative_of_linear_field_exact():
     f = coordinate_field(0, 0)
-    d2 = iterated_total_derivative(f, 2)
+    d2 = DerivedField(f, 2)
     blocks = np.array([[1.0], [2.0], [3.0], [4.0]])
     p = JetPoint(0.0, blocks)
     ujet = np.zeros((3, 1))
@@ -351,10 +383,10 @@ def test_series_total_derivative_matches_chain_rule(e, t, entries, u):
 def test_derived_coordinate_is_exact(i, beta, k, t, entries):
     p = JetPoint(t, np.reshape(entries, (8, 2)))
     f = coordinate_field(i, beta)
-    d = iterated_total_derivative(f, k)
+    d = DerivedField(f, k)
     # one derived field, however the derivative was composed
     assert type(d) is DerivedField and d.base is f and d.count == k
-    nested = iterated_total_derivative(iterated_total_derivative(f, 1), k)
+    nested = DerivedField(DerivedField(f, 1), k)
     assert nested.base is f and nested.count == k + 1
     assert d.value(p, [0.0]) == p.coord(i, beta + k)
 

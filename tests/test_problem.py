@@ -11,6 +11,7 @@ from hopmp.problem import (
     ControlSet,
     ControlledLagrangian,
     el_residual,
+    momentum_sums,
     pontryagin_p,
     validate_triple,
 )
@@ -182,3 +183,18 @@ def test_build_dispatch():
 
     with pytest.raises(BadParams):
         build("unknown-problem")
+
+
+@pytest.mark.parametrize("problem_id", ["third-order", "pendulum-r2"])
+def test_cost_momentum_at_horizon_is_exact(problem_id):
+    # full_momenta adds the momenta of dC/dt for the cost C = -(t/T) x(t):
+    # d/dx'(dC/dt) = -t/T, exactly -1 at T when taken on a dual number
+    triple = build(problem_id)
+    T = triple.horizon
+    u = ConstantControl([1.0], T)
+    traj = triple.controlled_curve(u, tol=(1e-12, 1e-14))
+    r = triple.order
+    cost_part = momentum_sums(triple.cost.rate_field(), traj.jet(T, 2 * r), u.jet(T, r + 1),
+                              triple.lagrangian.state_dim, r)
+    assert cost_part[0, 0] == -1.0
+    assert np.all(cost_part[:, 1:] == 0.0)

@@ -249,7 +249,7 @@ def test_rhs_override_matches_chain_fields(name, t, y, u):
     # the hand-written right-hand side and the one assembled from the chain
     # blocks' top fields are two definitions of the same dynamics
     dyn = OVERRIDDEN_DYNAMICS[name]()
-    generic = NormalFormDynamics(dyn.blocks, u_depth=dyn.u_depth)
+    generic = NormalFormDynamics(dyn.blocks)
     state = np.array(y[:dyn.state_dim])
     fast = dyn.rhs(t, state, [u])
     slow = generic.rhs(t, state, [u])
