@@ -239,24 +239,49 @@ def gauss_legendre(f: Callable[[float], float], a: float, b: float) -> float:
     return half * sum(w * f(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
 
 
+def cumulative_integral(f: Callable[[float], float], mesh: np.ndarray,
+                        head: Optional[np.ndarray] = None) -> np.ndarray:
+    """Integrals of ``f`` from mesh[0] to each mesh node, one Gauss-Legendre
+    rule per interval, summed left to right; ``head`` holds the values at
+    the first nodes when they are already known."""
+    head = np.zeros(1) if head is None else head
+    cum = np.zeros(mesh.size)
+    cum[:head.size] = head
+    for k in range(head.size - 1, mesh.size - 1):
+        cum[k + 1] = cum[k] + gauss_legendre(f, mesh[k], mesh[k + 1])
+    return cum
+
+
 class ExtendedCurve:
     """A controlled curve together with its auxiliary companions, the scalar
     mu obtained by quadrature of the extended Lagrangian, and the time
     integral of the bare Lagrangian.
 
-    The auxiliary coefficients, the cumulative mu table and the Lagrangian
-    integral are computed on first use and cached on the instance, so they
-    live as long as the curve that owns them.  Needle verdicts that share
-    one instance for the reference curve pay for each at most once.
+    The auxiliary coefficients, the cumulative mu table and the cumulative
+    Lagrangian table are computed on first use and cached on the instance,
+    so they live as long as the curve that owns them.  Needle verdicts that
+    share one instance for the reference curve pay for each at most once.
+
+    ``prefix`` is the extended curve of the trajectory ``base`` was spliced
+    onto (``base.splice``).  Its Lagrangian table is read up to the splice
+    node instead of integrating that part again.  The states there are the
+    prefix's own, and the caller guarantees equal controls: a needle's
+    s = 1 slice, whose control on the spliced part is ``0 * u0 + 1 * u0``,
+    gets the table it would sum itself bit for bit; an interior slice's
+    blended control ``(1 - s) u0 + s u0`` may round one ulp away from u0.
     """
 
-    def __init__(self, base: Trajectory, triple: DefiningTriple) -> None:
+    def __init__(self, base: Trajectory, triple: DefiningTriple,
+                 prefix: Optional[ExtendedCurve] = None) -> None:
+        if prefix is not None and (base.splice is None or base.splice[0] is not prefix.base):
+            raise ValueError("prefix must extend the trajectory base was spliced onto")
         self.base = base
         self.triple = triple
+        self.prefix = prefix
         self._h_coeffs: Optional[HCoefficients] = None
         self._mu_nodes: Optional[np.ndarray] = None
         self._mu_cum: Optional[np.ndarray] = None
-        self._lagrangian_integral: Optional[float] = None
+        self._lagrangian_cum: Optional[np.ndarray] = None
 
     @property
     def h_coeffs(self) -> HCoefficients:
@@ -287,24 +312,27 @@ class ExtendedCurve:
             mesh = np.concatenate([mesh, [self.base.horizon]])
         return mesh
 
+    def lagrangian_cumulative(self) -> np.ndarray:
+        """Integrals of the bare Lagrangian from 0 to each node of the mesh
+        of mu (see :func:`cumulative_integral`)."""
+        if self._lagrangian_cum is None:
+            mesh = self._mesh()
+            head = None
+            if self.prefix is not None:
+                k = int(np.searchsorted(mesh, self.base.splice[1]))
+                head = self.prefix.lagrangian_cumulative()[:k + 1]
+            self._lagrangian_cum = cumulative_integral(self.lagrangian, mesh, head)
+        return self._lagrangian_cum
+
     def lagrangian_integral(self) -> float:
         """Integral of the bare Lagrangian from 0 to T, on the mesh of mu."""
-        if self._lagrangian_integral is None:
-            mesh = self._mesh()
-            self._lagrangian_integral = sum(
-                gauss_legendre(self.lagrangian, a, b)
-                for a, b in zip(mesh[:-1], mesh[1:]))
-        return self._lagrangian_integral
+        return self.lagrangian_cumulative()[-1]
 
     def _ensure_mu(self) -> None:
         if self._mu_nodes is not None:
             return
-        mesh = self._mesh()
-        cum = np.zeros(mesh.size)
-        for k in range(mesh.size - 1):
-            cum[k + 1] = cum[k] + gauss_legendre(self.ltilde, mesh[k], mesh[k + 1])
-        self._mu_nodes = mesh
-        self._mu_cum = cum
+        self._mu_nodes = self._mesh()
+        self._mu_cum = cumulative_integral(self.ltilde, self._mu_nodes)
 
     def mu(self, t: float) -> float:
         """mu(t) = - integral of Ltilde from 0 to t."""

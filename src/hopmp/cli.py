@@ -214,10 +214,7 @@ def _suite_homotopy(cfg, triple, gamma0) -> SuiteResult:
     surface = build_surface(triple, hom, tol=cfg.tol)
 
     selection = select_beta_range(surface, t_nodes=max(100, cfg.t_nodes // 2))
-    res.info(f"contact-index convention selected by the identity: "
-             f"{selection['selected']} "
-             f"(gaps: full={_fmt(selection['gaps']['full'])}, "
-             f"paper={_fmt(selection['gaps']['paper'])})")
+    res.info(_convention_line(selection))
     mode = selection["selected"]
 
     lhs = homotopy_lhs(surface)
@@ -250,6 +247,15 @@ def _suite_homotopy(cfg, triple, gamma0) -> SuiteResult:
     if cfg.dump_mu_grid:
         _dump_mu_grid(cfg, surface, mode)
     return res
+
+
+def _convention_line(selection: dict) -> str:
+    gaps = (f"(gaps: full={_fmt(selection['gaps']['full'])}, "
+            f"paper={_fmt(selection['gaps']['paper'])})")
+    if selection["tie"]:
+        return ("contact-index convention: the identity does not separate full "
+                f"and paper {gaps}; using the default {selection['selected']}")
+    return f"contact-index convention selected by the identity: {selection['selected']} {gaps}"
 
 
 def _dump_mu_grid(cfg, surface, mode) -> None:

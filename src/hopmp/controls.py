@@ -37,7 +37,8 @@ def smoothstep5(theta: float, deriv: int = 0) -> float:
 
 
 class ControlCurve:
-    """Base class; subclasses implement ``value`` and ``jet``."""
+    """Base class; subclasses implement ``jet`` and may give ``value`` a
+    direct path, which must return ``jet(t, 0)[0]`` bit for bit."""
 
     def __init__(self, horizon: float, dim: int) -> None:
         self.horizon = float(horizon)
@@ -70,6 +71,9 @@ class ConstantControl(ControlCurve):
         super().__init__(horizon, v.size)
         self._v = v
 
+    def value(self, t: float) -> np.ndarray:
+        return self._v.copy()
+
     def jet(self, t: float, depth: int) -> np.ndarray:
         out = np.zeros((depth + 1, self.dim))
         out[0] = self._v
@@ -93,6 +97,9 @@ class HarmonicControl(ControlCurve):
             return -a * om * om * np.sin(x)
         sign = 1.0 if k % 4 < 2 else -1.0
         return sign * a * om ** k * (np.sin(x) if k % 2 == 0 else np.cos(x))
+
+    def value(self, t: float) -> np.ndarray:
+        return self._layer(0, self.om * t + self.ph)
 
     def jet(self, t: float, depth: int) -> np.ndarray:
         x = self.om * t + self.ph
@@ -163,6 +170,11 @@ class NeedleOverlayControl(ControlCurve):
         pts = set(base.breakpoints) | {self.tau - self.eps, self.tau}
         self.breakpoints = tuple(sorted(p for p in pts if 0.0 < p < self.horizon))
 
+    def value(self, t: float) -> np.ndarray:
+        if self.tau - self.eps <= t < self.tau:
+            return self.omega.copy()
+        return self.base.value(t)
+
     def jet(self, t: float, depth: int) -> np.ndarray:
         if self.tau - self.eps <= t < self.tau:
             out = np.zeros((depth + 1, self.dim))
@@ -219,6 +231,13 @@ class SmoothedNeedleControl(ControlCurve):
             out[j] = smoothstep5(theta, j) * slope ** j
         return out
 
+    def value(self, t: float) -> np.ndarray:
+        b = self.base.value(t)
+        if not self.t_on <= t < self.t_end:
+            return b   # w = 0 off the needle
+        w = self._weight_jet(t, 0)[0]
+        return b + w * (self.omega - b) if w != 0.0 else b
+
     def jet(self, t: float, depth: int) -> np.ndarray:
         b = self.base.jet(t, depth)
         w = self._weight_jet(t, depth)
@@ -244,6 +263,9 @@ class BlendControl(ControlCurve):
         self.u0, self.u1, self.s = u0, u1, float(s)
         pts = set(u0.breakpoints) | set(u1.breakpoints)
         self.breakpoints = tuple(sorted(pts))
+
+    def value(self, t: float) -> np.ndarray:
+        return (1.0 - self.s) * self.u0.value(t) + self.s * self.u1.value(t)
 
     def jet(self, t: float, depth: int) -> np.ndarray:
         return (1.0 - self.s) * self.u0.jet(t, depth) + self.s * self.u1.jet(t, depth)

@@ -202,7 +202,8 @@ class Trajectory:
     def __init__(self, dynamics: NormalFormDynamics, control: ControlCurve,
                  initial_state: np.ndarray, horizon: float,
                  seg_bounds: Sequence[tuple[float, float]], seg_sols: Sequence,
-                 mesh: np.ndarray, states: np.ndarray) -> None:
+                 mesh: np.ndarray, states: np.ndarray,
+                 splice: Optional[tuple[Trajectory, float]] = None) -> None:
         self.dynamics = dynamics
         self.control = control
         self.initial_state = np.asarray(initial_state, dtype=float)
@@ -211,6 +212,8 @@ class Trajectory:
         self._seg_sols = list(seg_sols)
         self.mesh = np.asarray(mesh, dtype=float)
         self.states = np.asarray(states, dtype=float)
+        # (trajectory, mesh node t_k) when this one continues another from t_k
+        self.splice = splice
 
     def _segment(self, t: float) -> int:
         for k, (a, b) in enumerate(self._seg_bounds):
@@ -240,32 +243,60 @@ def segment_rhs(dynamics: NormalFormDynamics, control: ControlCurve,
     either direction of integration: the control is sampled inside the
     half-open segment, so right-continuity picks the piece active on it."""
     depth = dynamics.plan().u_depth
+    end = np.nextafter(b, a)
 
-    def rhs(t, y):
-        tt = min(max(t, a), np.nextafter(b, a))
-        return dynamics.rhs(t, y, control.jet(tt, depth))
+    if depth == 0:
+        def rhs(t, y):
+            return dynamics.rhs(t, y, control.value(min(max(t, a), end)))
+    else:
+        def rhs(t, y):
+            return dynamics.rhs(t, y, control.jet(min(max(t, a), end), depth))
 
     return rhs
 
 
 def integrate(dynamics: NormalFormDynamics, control: ControlCurve, sigma,
-              horizon: float, tol: tuple[float, float] = (1e-8, 1e-10)) -> Trajectory:
+              horizon: float, tol: tuple[float, float] = (1e-8, 1e-10),
+              start: Optional[tuple[Trajectory, float]] = None) -> Trajectory:
     """Adaptive Runge-Kutta (RK45) integration with dense output.
 
     Control breakpoints become integration breakpoints, so the mesh contains
     every discontinuity exactly.  ``tol = (rtol, atol)``.
+
+    ``start = (traj, t)`` splices the result onto ``traj``: its segment
+    solutions, mesh and states up to the last mesh node ``t_k <= t`` are
+    kept, and the integration restarts from the stored state at ``t_k`` (a
+    step endpoint, not a dense-output sample).  The caller guarantees that
+    ``control`` equals ``traj.control`` on ``[0, t)`` and that both share
+    ``dynamics`` and the horizon; the splice is skipped, and the curve
+    integrated from 0, unless the packed initial state equals
+    ``traj.initial_state`` bit for bit.
     """
     rtol, atol = tol
     y0 = dynamics.pack_state(sigma)
-
-    cuts = [0.0] + [float(b) for b in control.breakpoints if 0.0 < b < horizon] + [float(horizon)]
-    cuts = sorted(set(cuts))
     seg_bounds: list[tuple[float, float]] = []
     seg_sols: list = []
     mesh_parts: list[np.ndarray] = []
     state_parts: list[np.ndarray] = []
 
-    y = y0.copy()
+    y, t0, splice = y0.copy(), 0.0, None
+    if start is not None and start[0].initial_state.tobytes() == y0.tobytes():
+        prev = start[0]
+        n = int(np.searchsorted(prev.mesh, start[1], side="right"))
+        if n > 1:
+            t0 = float(prev.mesh[n - 1])
+            splice = (prev, t0)
+            for (a, b), sol in zip(prev._seg_bounds, prev._seg_sols):
+                if a >= t0:
+                    break
+                seg_bounds.append((a, min(b, t0)))
+                seg_sols.append(sol)
+            mesh_parts.append(prev.mesh[:n])
+            state_parts.append(prev.states[:n])
+            y = prev.states[n - 1].copy()
+
+    cuts = sorted({t0, float(horizon)}
+                  | {float(b) for b in control.breakpoints if t0 < b < horizon})
     for a, b in zip(cuts[:-1], cuts[1:]):
         sol = solve_ivp(segment_rhs(dynamics, control, a, b), (a, b), y,
                         method="RK45", dense_output=True, rtol=rtol, atol=atol)
@@ -279,7 +310,8 @@ def integrate(dynamics: NormalFormDynamics, control: ControlCurve, sigma,
 
     mesh = np.concatenate(mesh_parts)
     states = np.vstack(state_parts)
-    return Trajectory(dynamics, control, y0, horizon, seg_bounds, seg_sols, mesh, states)
+    return Trajectory(dynamics, control, y0, horizon, seg_bounds, seg_sols, mesh, states,
+                      splice=splice)
 
 
 # -- empirical Lipschitz probe ----------------------------------------------

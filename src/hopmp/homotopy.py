@@ -210,18 +210,28 @@ class VariationSurface:
 
 def build_surface(triple: DefiningTriple, hom: ControlHomotopy,
                   tol=(1e-8, 1e-10),
-                  base: Optional[SurfaceSlice] = None) -> VariationSurface:
+                  base: Optional[SurfaceSlice] = None,
+                  start: Optional[float] = None) -> VariationSurface:
     """Integrate every slice of the homotopy and solve its auxiliary
     boundary-value families.  A ``base`` slice, already built for this
-    family's s = 0 curve, is used there instead of integrating it again."""
+    family's s = 0 curve, is used there instead of integrating it again.
+
+    With a ``base`` and ``start = t``, each slice is spliced onto the base
+    curve at ``t`` by :func:`~hopmp.dynamics.integrate` and reads the base's
+    Lagrangian table on the spliced part; the caller guarantees that every
+    slice's control equals the base control on ``[0, t)``.  Without a base
+    nothing is spliced, so that all slices the s-differences compare share
+    their prefix."""
     slices = []
     for s in hom.s_grid:
         if s == 0.0 and base is not None:
             slices.append(base)
             continue
         u = hom.slice_curve(float(s))
-        traj = triple.controlled_curve(u, hom.sigma_path(float(s)), tol=tol)
-        slices.append(SurfaceSlice(float(s), traj, ExtendedCurve(traj, triple)))
+        splice = None if base is None or start is None else (base.traj, start)
+        traj = triple.controlled_curve(u, hom.sigma_path(float(s)), tol=tol, start=splice)
+        ext = ExtendedCurve(traj, triple, prefix=base.ext if traj.splice else None)
+        slices.append(SurfaceSlice(float(s), traj, ext))
     return VariationSurface(triple, hom, slices)
 
 
@@ -325,12 +335,13 @@ def homotopy_gap(surface: VariationSurface, t_nodes: int = 400,
 
 
 def select_beta_range(surface: VariationSurface, t_nodes: int = 200) -> dict:
-    """Let the two-sided identity pick the contact-index convention."""
+    """Let the two-sided identity pick the contact-index convention.  Gaps
+    within 1e-12 of each other are a tie (``"tie": True``): the identity does
+    not separate the conventions, and ``full`` is selected by default."""
     gaps = {mode: homotopy_gap(surface, t_nodes, mode) for mode in BETA_RANGES}
-    chosen = min(gaps, key=gaps.get)
-    if abs(gaps["full"] - gaps["paper"]) <= 1e-12:
-        chosen = "full"
-    return {"selected": chosen, "gaps": gaps}
+    tie = abs(gaps["full"] - gaps["paper"]) <= 1e-12
+    chosen = "full" if tie else min(gaps, key=gaps.get)
+    return {"selected": chosen, "gaps": gaps, "tie": tie}
 
 
 def minimal_labour_W(surface: VariationSurface, delta: float,

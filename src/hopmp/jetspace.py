@@ -248,6 +248,8 @@ class JetField:
     # None means "may read every variable up to actual_order".
     reads = None
     name = ""
+    # Directions along which a dual number has made the field raise TypeError.
+    dual_refused = frozenset()
 
     def read_depth(self, j: int) -> int:
         if self.reads is None:
@@ -263,21 +265,32 @@ class JetField:
     def partial_uj(self, p: JetPoint, ujet: np.ndarray, direction: Direction) -> float:
         """The exact partial along one coordinate: the field evaluated once
         with that coordinate a dual number x + e, its e-coefficient read
-        back.  A field that cannot take series falls back, with a
-        RuntimeWarning, to a difference quotient on float points."""
+        back.  Where the field cannot take series it falls back to a
+        difference quotient on float points: the direction is remembered,
+        so later partials along it skip the dual number, and the field
+        warns (RuntimeWarning) the first time only."""
         key = _canonical_direction(direction)
         if key[0] == "q" and key[2] > self.read_depth(key[1]):
             return 0.0
+        refused = self.dual_refused and key in self.dual_refused
+        if refused and not _is_series_point(p, ujet):
+            return finite_diff_partial(self, p, ujet, key)
         x, at = _coordinate(p, ujet, key)
         try:
             s = self.value_uj(*at(_seed_dual(x)))
         except TypeError as exc:
-            if object in (p.blocks.dtype, ujet.dtype) or isinstance(p.t, TaylorSeries):
+            if _is_series_point(p, ujet):
                 raise   # no difference quotient on a series point
-            warnings.warn(f"{self.name or 'field'}: cannot take a dual number ({exc}); "
-                          "falling back to a difference quotient", RuntimeWarning)
+            if not self.dual_refused:
+                warnings.warn(f"{self.name or 'field'}: cannot take a dual number ({exc}); "
+                              "falling back to a difference quotient", RuntimeWarning)
+            object.__setattr__(self, "dual_refused", self.dual_refused | {key})
             return finite_diff_partial(self, p, ujet, key)
         return _dual_coefficient(s, x)
+
+
+def _is_series_point(p: JetPoint, ujet: np.ndarray) -> bool:
+    return object in (p.blocks.dtype, ujet.dtype) or isinstance(p.t, TaylorSeries)
 
 
 def _seed_dual(x):
@@ -446,7 +459,7 @@ class DerivedField(JetField):
     """
 
     __slots__ = ("base", "count", "actual_order", "u_depth", "name", "reads",
-                 "_needed", "_fallback")
+                 "_needed", "_fallback", "dual_refused")
 
     def __init__(self, base: JetField, count: int) -> None:
         if isinstance(base, DerivedField):
@@ -457,6 +470,7 @@ class DerivedField(JetField):
         self.u_depth = base.u_depth + count
         self.name = f"D^{count}({base.name or 'f'})"
         self._fallback = None
+        self.dual_refused = frozenset()
         # each read variable is read ``count`` blocks deeper than by the base
         if base.reads is None:
             self.reads = None

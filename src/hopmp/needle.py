@@ -94,7 +94,9 @@ def needle_variation(triple: DefiningTriple, gamma0: Trajectory,
                      s_intervals: int = 4, tol=(1e-8, 1e-10),
                      base: Optional[SurfaceSlice] = None) -> VariationSurface:
     """The interpolating variation u(t, s) = (1-s) u0 + s ustar for one width,
-    led by the spec's initial-data family."""
+    led by the spec's initial-data family.  Given gamma0's ``base`` slice,
+    the slices continue gamma0 from its last step before the needle's ramp
+    (see :func:`~hopmp.homotopy.build_surface`)."""
     spec.validate(triple.horizon)
     u0 = gamma0.control
     smoothed = smooth_needle(needle_modification(u0, spec, eps), spec, eps)
@@ -106,7 +108,9 @@ def needle_variation(triple: DefiningTriple, gamma0: Trajectory,
 
     hom = blend_homotopy(u0, smoothed, lambda s: spec.sigma(eps, s, sigma0),
                          s_intervals)
-    return build_surface(triple, hom, tol=tol, base=base)
+    # every slice's control is u0 on [0, t_on): with gamma0 as the base
+    # slice, the slices that share its initial data continue it from there
+    return build_surface(triple, hom, tol=tol, base=base, start=smoothed.t_on)
 
 
 def _boundary_pairing(triple: DefiningTriple, surface: VariationSurface,

@@ -63,9 +63,11 @@ class _PartialField(JetField):
     reads, and its own partials are dual-number partials of that value.
     """
 
-    __slots__ = ("base", "direction", "actual_order", "u_depth", "name", "reads")
+    __slots__ = ("base", "direction", "actual_order", "u_depth", "name", "reads",
+                 "dual_refused")
 
     def __init__(self, base: JetField, direction) -> None:
+        self.dual_refused = frozenset()
         self.base = base
         self.direction = direction
         self.actual_order = base.actual_order
@@ -182,14 +184,16 @@ class DefiningTriple:
         return self.lagrangian.actual_order
 
     def controlled_curve(self, u: ControlCurve, sigma=None,
-                         tol: tuple[float, float] = (1e-8, 1e-10)) -> Trajectory:
-        """Integrate the unique solution for (u, sigma)."""
+                         tol: tuple[float, float] = (1e-8, 1e-10),
+                         start: Optional[tuple[Trajectory, float]] = None) -> Trajectory:
+        """Integrate the unique solution for (u, sigma); ``start`` is passed
+        to :func:`~hopmp.dynamics.integrate`."""
         if sigma is None:
             sigma = self.initial_data.make()
         y0 = self.dynamics.pack_state(sigma)
         if not self.initial_data.admissible(y0):
             raise ConstraintViolation("sigma rejected by the initial-data constraint")
-        return integrate(self.dynamics, u, y0, self.horizon, tol=tol)
+        return integrate(self.dynamics, u, y0, self.horizon, tol=tol, start=start)
 
     def terminal_cost(self, traj: Trajectory) -> float:
         return self.cost.value(traj.terminal_jet(max(self.cost.actual_order, 1)))

@@ -6,10 +6,15 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from hopmp.controls import (
+    BlendControl,
+    CallbackControl,
     ConstantControl,
     ControlCurve,
     HarmonicControl,
+    InterpolatedSamplesControl,
     NeedleOverlayControl,
+    PiecewiseConstantControl,
+    SmoothedNeedleControl,
 )
 from hopmp.dynamics import _random_smooth_control, control_measure_diff
 
@@ -88,6 +93,38 @@ def test_harmonic_jet(t, om, ph, amp, mid):
         scale = amp * om ** k
         closed = scale * np.sin(om * t + ph + k * math.pi / 2)
         np.testing.assert_allclose(jet[k], closed, rtol=0.0, atol=1e-12 * scale[0])
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), grid=needle_grids(), k=st.floats(0.01, 0.9), s=unit)
+def test_value_is_the_jet_value_row(data, grid, k, s):
+    # every curve's value(t) is jet(t, 0)[0] bit for bit: at the breakpoints
+    # (the ramp edges of a smoothed needle among them), next to them, at
+    # clamp(T) and at the grid's other times
+    T, tau, eps, ts = grid
+    sine = data.draw(harmonics(T))
+    dim = sine.dim
+    vec = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+    const, omega = ConstantControl(data.draw(vec), T), data.draw(vec)
+    steps = PiecewiseConstantControl([tau - eps, tau], [data.draw(vec) for _ in range(3)], T)
+    callback = CallbackControl(lambda t: np.sin(t + np.arange(dim)), T, dim=dim)
+    knots = np.linspace(0.0, T, 7)
+    samples = InterpolatedSamplesControl(knots, np.cos(np.outer(knots, np.arange(1, dim + 1))), T)
+    overlay = NeedleOverlayControl(sine, tau, omega, eps)
+    smoothed = SmoothedNeedleControl(overlay, tau, omega, eps, k)
+    curves = [const, sine, steps, callback, samples, overlay, smoothed,
+              SmoothedNeedleControl(const, tau, omega, eps, k),
+              BlendControl(sine, smoothed, s), BlendControl(const, smoothed, 1.0),
+              BlendControl(BlendControl(sine, const, s), smoothed, 1.0 - s)]
+    covered = {type(c) for c in curves}
+    assert covered == {c for c in _all_subclasses(ControlCurve)[1:]
+                       if c.__module__ == "hopmp.controls"}
+    for c in curves:
+        times = set(ts) | {c.clamp(T)}
+        for b in c.breakpoints:
+            times |= {b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)}
+        for t in sorted(x for x in times if 0.0 <= x < T):
+            assert c.value(t).tobytes() == c.jet(t, 0)[0].tobytes(), (type(c).__name__, t)
 
 
 def _all_subclasses(cls):

@@ -192,6 +192,26 @@ def test_mu_prime_at_base_slice_is_mu(triple, ramp_surface):
         ramp_surface.slices[0].ext.mu(t), abs=1e-14)
 
 
+def test_beta_range_tie_is_reported_as_a_tie(triple, ramp_surface):
+    # a surface whose slices all coincide has no Jacobi field, so both
+    # conventions close the identity to the same gap: the report names the
+    # default instead of claiming a selection
+    from hopmp.cli import _convention_line
+
+    tying = select_beta_range(build_surface(triple, hom_constant(triple, intervals=2)),
+                              t_nodes=100)
+    assert tying["tie"] and tying["selected"] == "full"
+    assert tying["gaps"]["full"] == tying["gaps"]["paper"]
+    line = _convention_line(tying)
+    assert "does not separate full and paper" in line
+    assert "using the default full" in line and "selected by the identity" not in line
+
+    separated = select_beta_range(ramp_surface, t_nodes=200)
+    assert not separated["tie"]
+    assert _convention_line(separated).startswith(
+        "contact-index convention selected by the identity: full")
+
+
 def test_beta_range_first_order_embedding():
     # r = 1: the narrow convention empties the auxiliary correction sum
     # (mu' = mu pointwise), but only the wide convention closes the

@@ -119,6 +119,32 @@ def test_default_partials_on_series_points_are_exact():
                                                      rel=1e-13), k
 
 
+def test_field_refusing_dual_numbers_is_remembered():
+    # the first partial along x tries the dual number once and falls back to
+    # two difference-quotient evaluations; the second goes straight to them,
+    # and the fallback is announced once for the field.  Along u the dual
+    # number never meets math.sin, so that partial stays exact.
+    calls = []
+
+    def evaluator(pt, u):
+        calls.append(pt.coord(0, 0))
+        return math.sin(pt.coord(0, 0)) * u[0]
+
+    f = ScalarJetField(evaluator, actual_order=0)
+    p = make_point(order=1, dim=1)
+    x = p.coord(0, 0)
+    with pytest.warns(RuntimeWarning, match="difference quotient") as record:
+        first = f.partial(p, [0.5], ("q", 0, 0))
+        evaluations = len(calls)
+        second = f.partial(p, [0.25], ("q", 0, 0))
+        along_u = f.partial(p, [0.5], ("u", 0))
+    assert (evaluations, len(calls)) == (3, 6)
+    assert len(record) == 1
+    assert first == pytest.approx(0.5 * math.cos(x), rel=1e-8)
+    assert second == pytest.approx(0.25 * math.cos(x), rel=1e-8)
+    assert along_u == math.sin(x)
+
+
 def test_finite_diff_partial_linear_exact():
     p = make_point()
     f = coordinate_field(0, 0)

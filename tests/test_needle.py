@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hopmp.auxiliary import ExtendedCurve
+from hopmp.auxiliary import ExtendedCurve, gauss_legendre
 from hopmp.controls import ConstantControl, PiecewiseConstantControl
 from hopmp.errors import BadParams, NonSolvableForm
 from hopmp.homotopy import SurfaceSlice, mu_prime_gap_direct
@@ -173,6 +173,61 @@ def test_goodn_check_enforcing_and_frozen(triple, gamma_opt):
     surface2 = needle_variation(triple, g_frozen, spec, 0.05)
     _, residual2 = goodn_check(triple, surface2)
     assert abs(residual2) > 1e-3
+
+
+def test_needle_slices_continue_gamma0():
+    # every slice shares gamma0's initial data and control before t_on, so
+    # it keeps gamma0's mesh and states up to the last step endpoint t_k <= t_on
+    from hopmp import build, optimal_reference
+
+    triple = build("pendulum-direct", T=PI / 2, v_max=1.0)
+    u0, sigma0, _ = optimal_reference("pendulum-direct", T=PI / 2, v_max=1.0)
+    gamma0 = triple.controlled_curve(u0, sigma0, tol=(1e-10, 1e-12))
+    spec = NeedleSpec(tau=0.7, omega=[-1.0], eps0=0.05)
+    base = SurfaceSlice(0.0, gamma0, ExtendedCurve(gamma0, triple))
+    surface = needle_variation(triple, gamma0, spec, 0.05, base=base)
+    t_on = 0.7 - 0.05 - spec.k * 0.05 ** 2
+    n = int(np.searchsorted(gamma0.mesh, t_on, side="right"))
+    T = triple.horizon
+    for sl in surface.slices[1:]:
+        traj = sl.traj
+        assert traj.splice == (gamma0, gamma0.mesh[n - 1])
+        assert traj.mesh[:n].tobytes() == gamma0.mesh[:n].tobytes()
+        assert traj.states[:n].tobytes() == gamma0.states[:n].tobytes()
+        assert traj.mesh[n] > gamma0.mesh[n - 1]
+        assert set(traj.control.breakpoints) <= set(traj.mesh)   # t_on among them
+        cold = triple.controlled_curve(traj.control, sigma0, tol=(1e-8, 1e-10))
+        assert cold.splice is None
+        np.testing.assert_allclose(traj.state(T), cold.state(T), rtol=1e-8, atol=1e-10)
+        assert sl.ext.prefix is base.ext
+
+    # the s = 1 slice reads gamma0's Lagrangian table up to t_k and sums its
+    # own intervals past it: the result is the plain left-to-right sum
+    def plain_sum(ext):
+        mesh, total = ext._mesh(), 0.0
+        for a, b in zip(mesh[:-1], mesh[1:]):
+            total += gauss_legendre(ext.lagrangian, a, b)
+        return total
+
+    top = surface.slices[-1].ext
+    assert base.ext.lagrangian_cumulative()[n - 1] > 0.1   # a prefix worth reusing
+    assert top.lagrangian_integral() == plain_sum(top)
+    assert base.ext.lagrangian_integral() == plain_sum(base.ext)
+
+
+def test_moving_sigma_family_integrates_cold(triple, gamma_opt):
+    # slices whose initial data move with s start from their own data, and
+    # without a base slice no slice is spliced
+    spec = NeedleSpec(tau=0.7, omega=[-1.0], eps0=0.05,
+                      sigma_family=lambda eps, s: triple.initial_data.make(v=1.0 - 0.1 * s))
+    base = SurfaceSlice(0.0, gamma_opt, ExtendedCurve(gamma_opt, triple))
+    surface = needle_variation(triple, gamma_opt, spec, 0.05, base=base)
+    assert surface.slices[0] is base
+    assert [sl.traj.splice for sl in surface.slices[1:]] == [None] * (surface.n_slices - 1)
+    assert all(sl.ext.prefix is None for sl in surface.slices)
+    frozen = needle_variation(triple, gamma_opt, NeedleSpec(tau=0.7, omega=[-1.0], eps0=0.05),
+                              0.05)
+    assert all(sl.traj.splice is None for sl in frozen.slices)
 
 
 def test_transversality_classical_embedding():

@@ -2,10 +2,11 @@
 
 Usage::
 
-    python3 tools/report_digest.py OUT
+    python3 tools/report_digest.py OUT [ID ...]
 
-Runs ``hopmp`` with the default suites on each builtin problem, writing into
-``OUT/<id>/``, and prints one line per problem::
+Runs ``hopmp`` with the default suites on each builtin problem named (all of
+them when none is), writing into ``OUT/<id>/``, and prints one line per
+problem::
 
     <id> exit=<code> report=<sha1> trajectory=<sha1>
 
@@ -47,11 +48,12 @@ def digest(out: Path, problem_id: str) -> str:
 
 
 def run(argv: list[str]) -> int:
-    if len(argv) != 1:
-        sys.stderr.write("usage: report_digest.py OUT\n")
+    unknown = [arg for arg in argv[1:] if arg not in BUILTIN_IDS]
+    if not argv or unknown:
+        sys.stderr.write(f"usage: report_digest.py OUT [ID ...], ID in {', '.join(BUILTIN_IDS)}\n")
         return 2
     out = Path(argv[0])
-    for problem_id in BUILTIN_IDS:
+    for problem_id in argv[1:] or BUILTIN_IDS:
         print(digest(out, problem_id), flush=True)
     return 0
 
