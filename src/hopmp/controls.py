@@ -56,12 +56,19 @@ class ControlCurve:
         """Value and time derivatives at ``t``, shape (depth+1, dim)."""
         raise NotImplementedError
 
+    def jets(self, ts, depth: int) -> np.ndarray:
+        """``jet`` at every node of a grid, clamped: (depth+1, dim, len(ts))."""
+        return np.stack([self.jet(t, depth) for t in self.clamp(np.asarray(ts, dtype=float))],
+                        axis=-1)
+
     def __call__(self, t: float) -> np.ndarray:
         return self.value(t)
 
-    def clamp(self, t: float) -> float:
-        """``t`` moved just left of the horizon when it reaches it, so that a
-        right-continuous curve reports its last piece at ``t = T``."""
+    def clamp(self, t):
+        """``t``, or each node of a grid, moved just left of the horizon when it
+        reaches it, so a right-continuous curve reports its last piece at T."""
+        if isinstance(t, np.ndarray) and t.ndim:
+            return np.minimum(t, np.nextafter(self.horizon, 0.0))
         return t if t < self.horizon else np.nextafter(self.horizon, 0.0)
 
 
@@ -77,6 +84,14 @@ class ConstantControl(ControlCurve):
     def jet(self, t: float, depth: int) -> np.ndarray:
         out = np.zeros((depth + 1, self.dim))
         out[0] = self._v
+        return out
+
+    def values(self, ts) -> np.ndarray:
+        return np.tile(self._v, (len(ts), 1))
+
+    def jets(self, ts, depth: int) -> np.ndarray:
+        out = np.zeros((depth + 1, self.dim, len(ts)))
+        out[0] = self._v[:, None]
         return out
 
 
@@ -111,6 +126,10 @@ class HarmonicControl(ControlCurve):
     def values(self, ts) -> np.ndarray:
         x = self.om * np.asarray(ts, dtype=float)[:, None] + self.ph
         return self.mid + self.amp * np.sin(x)
+
+    def jets(self, ts, depth: int) -> np.ndarray:
+        x = self.om * self.clamp(np.asarray(ts, dtype=float))[:, None] + self.ph
+        return np.stack([self._layer(k, x).T for k in range(depth + 1)])
 
 
 class CallbackControl(ControlCurve):
@@ -186,6 +205,14 @@ class NeedleOverlayControl(ControlCurve):
         ts = np.asarray(ts, dtype=float)
         inside = (self.tau - self.eps <= ts) & (ts < self.tau)
         return np.where(inside[:, None], self.omega, self.base.values(ts))
+
+    def jets(self, ts, depth: int) -> np.ndarray:
+        ts = self.clamp(np.asarray(ts, dtype=float))
+        inside = (self.tau - self.eps <= ts) & (ts < self.tau)
+        out = self.base.jets(ts, depth)
+        out[:, :, inside] = 0.0
+        out[0][:, inside] = self.omega[:, None]
+        return out
 
 
 class SmoothedNeedleControl(ControlCurve):
@@ -269,6 +296,12 @@ class BlendControl(ControlCurve):
 
     def jet(self, t: float, depth: int) -> np.ndarray:
         return (1.0 - self.s) * self.u0.jet(t, depth) + self.s * self.u1.jet(t, depth)
+
+    def values(self, ts) -> np.ndarray:
+        return (1.0 - self.s) * self.u0.values(ts) + self.s * self.u1.values(ts)
+
+    def jets(self, ts, depth: int) -> np.ndarray:
+        return (1.0 - self.s) * self.u0.jets(ts, depth) + self.s * self.u1.jets(ts, depth)
 
 
 class InterpolatedSamplesControl(ControlCurve):

@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 
 from .controls import ControlCurve, HarmonicControl, NeedleOverlayControl
 from .errors import InsufficientJetOrder, OrderUnavailable, StepSizeUnderflow, TimeOutOfRange
-from .jetspace import DerivedField, JetField, JetPoint, ScalarJetField
+from .jetspace import DerivedField, JetField, JetPoint, ScalarJetField, on_batch
 
 
 @dataclass(frozen=True)
@@ -132,22 +132,24 @@ class NormalFormDynamics:
         u_depth = max((fld.u_depth for _, _, fld, _ in steps), default=0)
         return self._plans.setdefault(order, EvaluationPlan(tuple(steps), rows, u_depth))
 
-    def _run(self, plan: EvaluationPlan, t: float, y: np.ndarray, ujet) -> np.ndarray:
-        """The state, then every step of ``plan``, in one blocks array."""
+    def _run(self, plan: EvaluationPlan, t, y: np.ndarray, ujet) -> np.ndarray:
+        """The state, then every step of ``plan`` (through :func:`on_batch`), in
+        one blocks array; with B times, y (state_dim, B) and ujet (k+1, M, B)."""
         uj = np.atleast_2d(np.asarray(ujet, dtype=float))
         if uj.shape[0] <= plan.u_depth:
             raise InsufficientJetOrder(
                 f"the plan reads {plan.u_depth + 1} control rows, got {uj.shape[0]}")
-        blocks = np.zeros((plan.rows, self.dim))
+        blocks = np.zeros((plan.rows, self.dim) + y.shape[1:])
         for i, (off, m) in enumerate(zip(self.offsets, self.orders)):
             blocks[:m, i] = y[off:off + m]
         for i, beta, fld, depth in plan.steps:
-            blocks[beta, i] = fld.value_uj(JetPoint(t, blocks[:depth + 1]), uj)
+            blocks[beta, i] = on_batch(fld.value_uj, JetPoint(t, blocks[:depth + 1]), uj)
         return blocks
 
-    def jets_at(self, t: float, y: np.ndarray, ujet: np.ndarray, order: int) -> JetPoint:
+    def jets_at(self, t, y: np.ndarray, ujet: np.ndarray, order: int) -> JetPoint:
         """Jet blocks of all variables at (t, y), to the requested order;
-        ``ujet`` holds at least ``plan(order).u_depth + 1`` control rows."""
+        ``ujet`` holds at least ``plan(order).u_depth + 1`` control rows (a
+        time grid gives a batched point)."""
         return JetPoint(t, self._run(self.plan(order), t, y, ujet)[:order + 1])
 
     # -- right-hand side ----------------------------------------------------
@@ -210,28 +212,49 @@ class Trajectory:
         self.horizon = float(horizon)
         self._seg_bounds = list(seg_bounds)
         self._seg_sols = list(seg_sols)
+        self._seg_cuts = np.array([b for _, b in self._seg_bounds[:-1]])
         self.mesh = np.asarray(mesh, dtype=float)
         self.states = np.asarray(states, dtype=float)
         # (trajectory, mesh node t_k) when this one continues another from t_k
         self.splice = splice
 
-    def _segment(self, t: float) -> int:
-        for k, (a, b) in enumerate(self._seg_bounds):
-            if t < b or k == len(self._seg_bounds) - 1:
-                return k
-        return len(self._seg_bounds) - 1
-
-    def state(self, t: float) -> np.ndarray:
-        if t < -1e-12 or t > self.horizon + 1e-12:
+    def state(self, t) -> np.ndarray:
+        """The state at ``t``, or at every node of a 1-D grid ``t`` (shape
+        (state_dim, len(t))), one dense-output call per segment."""
+        ts = np.asarray(t, dtype=float)
+        lo, hi = (ts.min(), ts.max()) if ts.ndim else (float(ts), float(ts))
+        if lo < -1e-12 or hi > self.horizon + 1e-12:
             raise TimeOutOfRange(f"t={t} outside [0, {self.horizon}]")
-        t = min(max(t, 0.0), self.horizon)
-        k = self._segment(t)
-        return np.atleast_1d(self._seg_sols[k](t))
+        if not ts.ndim:
+            t = min(max(lo, 0.0), self.horizon)
+            return np.atleast_1d(self._seg_sols[self._segment(t)](t))
+        ts = np.clip(ts, 0.0, self.horizon)
+        seg, out = self._segment(ts), np.empty((self.initial_state.size, ts.size))
+        for k in np.unique(seg):
+            at = np.flatnonzero(seg == k)   # a lone node takes the scalar path, as jet does
+            out[:, at] = self._seg_sols[k](ts[at] if at.size > 1 else ts[at[0]]).reshape(-1, at.size)
+        return out
+
+    def _segment(self, t):
+        # right-continuous: a time on a breakpoint reads the segment starting there
+        return self._seg_cuts.searchsorted(t, side="right")
 
     def jet(self, t: float, order: int) -> JetPoint:
-        y = self.state(t)
-        ujet = self.control.jet(self.control.clamp(t), self.dynamics.plan(order).u_depth)
-        return self.dynamics.jets_at(t, y, ujet, order)
+        return self.jets(float(t), order)
+
+    def jets(self, ts, order: int) -> JetPoint:
+        """The jets at every node of a 1-D time grid from one pass of the
+        evaluation plan: a batched JetPoint with ``t = ts`` and blocks of
+        shape (order+1, N, len(ts)).  A float ``ts`` is the batch-free case,
+        :meth:`jet`.  Raises TimeOutOfRange for a node outside [0, T]."""
+        if not isinstance(ts, float):
+            ts = np.asarray(ts, dtype=float)
+            if ts.shape == (1,):   # a one-node grid takes the batch-free path
+                return JetPoint(ts, self.jets(float(ts[0]), order).blocks[..., None])
+        y, depth = self.state(ts), self.dynamics.plan(order).u_depth
+        ujet = (self.control.jet(self.control.clamp(ts), depth) if isinstance(ts, float)
+                else self.control.jets(ts, depth))
+        return self.dynamics.jets_at(ts, y, ujet, order)
 
     def terminal_jet(self, order: int) -> JetPoint:
         return self.jet(self.horizon, order)
@@ -379,11 +402,8 @@ def lipschitz_probe(triple, n_pairs: int, seed: int, grid: int = 201) -> Lipschi
         t1 = integrate(triple.dynamics, u, y1, T, tol=(1e-8, 1e-10))
         t2 = integrate(triple.dynamics, u2, y2, T, tol=(1e-8, 1e-10))
 
-        diff = 0.0
-        for t in ts:
-            j1 = t1.jet(t, jet_depth)
-            j2 = t2.jet(t, jet_depth)
-            diff = max(diff, float(np.max(np.abs(j1.blocks - j2.blocks))))
+        diff = float(np.max(np.abs(t1.jets(ts, jet_depth).blocks
+                                   - t2.jets(ts, jet_depth).blocks)))
         du = control_measure_diff(u, u2)
         rho = float(np.linalg.norm(y1 - y2))
         den = du + rho

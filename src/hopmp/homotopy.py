@@ -33,6 +33,7 @@ from .auxiliary import (
 )
 from .controls import BlendControl, ControlCurve
 from .dynamics import Trajectory
+from .jetspace import JetPoint
 from .problem import DefiningTriple
 
 BETA_RANGES = ("full", "paper")
@@ -51,8 +52,9 @@ class ControlHomotopy:
     """A smooth one-parameter family of admissible control pairs.
 
     ``slice_curve(s)`` yields the control curve u(., s); ``sigma_path(s)``
-    the initial data; ``du_ds`` optionally evaluates the control's
-    s-derivative analytically (otherwise slices are differenced).
+    the initial data; ``du_ds(ts, s)`` optionally evaluates the control's
+    s-derivative analytically on a time grid, as an array that broadcasts
+    to (len(ts), M) (otherwise slices are differenced).
     """
 
     slice_curve: Callable[[float], ControlCurve]
@@ -80,11 +82,11 @@ def blend_homotopy(u0: ControlCurve, u1: ControlCurve,
                    s_intervals: int) -> ControlHomotopy:
     """The interpolating family u(., s) = (1-s) u0 + s u1, which is u0 itself
     at s = 0, with its analytic s-derivative u1 - u0 (sampled at the
-    right-continuous time)."""
+    right-continuous times)."""
 
-    def du_ds(t, s):
-        tt = u0.clamp(t)
-        return u1.value(tt) - u0.value(tt)
+    def du_ds(ts, s):
+        tt = u0.clamp(ts)
+        return u1.values(tt) - u0.values(tt)
 
     return ControlHomotopy(
         slice_curve=lambda s: u0 if s == 0.0 else BlendControl(u0, u1, s),
@@ -112,17 +114,13 @@ class VariationSurface:
         self.slices = list(slices)
         self.s_nodes = np.array([sl.s for sl in self.slices])
         self.ds = float(self.s_nodes[1] - self.s_nodes[0])
-        self._stacked = None   # auxiliary coefficients, solved on demand
         self._grid_cache: dict = {}
 
-    def _coeff_stack(self):
-        if self._stacked is None:
-            self._stacked = (
-                np.stack([sl.ext.h_coeffs.hyp for sl in self.slices]),
-                np.stack([sl.ext.h_coeffs.prime for sl in self.slices]),
-                np.stack([sl.ext.h_coeffs.second for sl in self.slices]),
-            )
-        return self._stacked
+    def _cached(self, key, make):
+        """``make()``, computed once per key (a grid's bytes and its options)."""
+        if key not in self._grid_cache:
+            self._grid_cache[key] = make()
+        return self._grid_cache[key]
 
     # -- plain slice access ---------------------------------------------------
 
@@ -134,19 +132,10 @@ class VariationSurface:
         return self.slices[k].ext.h_coeffs
 
     def q_blocks(self, ts: np.ndarray, order: int) -> np.ndarray:
-        """Jet blocks of every slice on a time grid: (ns, nt, order+1, N)."""
-        ts = np.atleast_1d(ts)
-        key = ("q", ts.tobytes(), order)
-        hit = self._grid_cache.get(key)
-        if hit is not None:
-            return hit
-        out = np.empty((self.n_slices, ts.size, order + 1,
-                        self.triple.lagrangian.state_dim))
-        for k, sl in enumerate(self.slices):
-            for j, t in enumerate(ts):
-                out[k, j] = sl.traj.jet(float(t), order).blocks
-        self._grid_cache[key] = out
-        return out
+        """Jet blocks of every slice on a time grid (ns, nt, order+1, N)."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        return self._cached(("q", ts.tobytes(), order), lambda: np.stack(
+            [np.moveaxis(sl.traj.jets(ts, order).blocks, -1, 0) for sl in self.slices]))
 
     # -- s-differencing core ----------------------------------------------------
 
@@ -167,41 +156,27 @@ class VariationSurface:
         return self.s_derivative(self.q_blocks(ts, order))
 
     def coeff_derivatives(self) -> list[HCoefficients]:
-        """Per-node s-derivatives of the auxiliary coefficient families."""
-        hyp, prime, second = self._coeff_stack()
-        dhyp = self.s_derivative(hyp)
-        dprime = self.s_derivative(prime)
-        dsecond = self.s_derivative(second)
+        """Per-node s-derivatives of the auxiliary coefficient families (the
+        coefficients are solved on demand)."""
+        dhyp, dprime, dsecond = self._cached(("dh/ds",), lambda: [
+            self.s_derivative(np.stack([getattr(sl.ext.h_coeffs, name) for sl in self.slices]))
+            for name in ("hyp", "prime", "second")])
         T = self.triple.horizon
-        return [HCoefficients(T, dhyp[k], dprime[k], dsecond[k])
-                for k in range(self.n_slices)]
+        return [HCoefficients(T, dhyp[k], dprime[k], dsecond[k]) for k in range(self.n_slices)]
 
     def u_values(self, ts: np.ndarray) -> np.ndarray:
-        """(ns, nt, M) control values."""
-        ts = np.atleast_1d(ts)
-        key = ("u", ts.tobytes())
-        hit = self._grid_cache.get(key)
-        if hit is not None:
-            return hit
-        M = self.triple.controls.dim
-        out = np.empty((self.n_slices, ts.size, M))
-        for k, sl in enumerate(self.slices):
-            u = sl.traj.control
-            for j, t in enumerate(ts):
-                out[k, j] = u.value(u.clamp(t))
-        self._grid_cache[key] = out
-        return out
+        """(ns, nt, M) control values at the right-continuous times."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        return self._cached(("u", ts.tobytes()), lambda: np.stack(
+            [sl.traj.control.values(sl.traj.control.clamp(ts)) for sl in self.slices]))
 
     def jacobi_u(self, ts: np.ndarray) -> np.ndarray:
         """Y^a on the grid, analytic when the homotopy provides du_ds."""
-        ts = np.atleast_1d(ts)
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if self.hom.du_ds is not None:
-            M = self.triple.controls.dim
-            out = np.empty((self.n_slices, ts.size, M))
-            for k, s in enumerate(self.s_nodes):
-                for j, t in enumerate(ts):
-                    out[k, j] = np.atleast_1d(self.hom.du_ds(float(t), float(s)))
-            return out
+            shape = (ts.size, self.triple.controls.dim)
+            return np.stack([np.broadcast_to(self.hom.du_ds(ts, float(s)), shape)
+                             for s in self.s_nodes])
         return self.s_derivative(self.u_values(ts))
 
     def mu_values(self, t: float) -> np.ndarray:
@@ -244,6 +219,26 @@ def homotopy_lhs(surface: VariationSurface) -> float:
     return c1 - c0
 
 
+def _grid_terms(surface: VariationSurface, ts: np.ndarray) -> tuple:
+    """(Y^a dP/du^a, dLtilde/ds) on the (s, t) grid, the parts of F that do
+    not depend on the beta range, from each slice's batched jets; Ltilde is
+    the Lagrangian plus the auxiliary quadratic terms.  Computed once per
+    grid."""
+
+    def make():
+        L = surface.triple.lagrangian
+        q, u, Ya = surface.q_blocks(ts, L.actual_order), surface.u_values(ts), surface.jacobi_u(ts)
+        ydp, ltil = np.zeros((surface.n_slices, ts.size)), np.empty((surface.n_slices, ts.size))
+        for k in range(surface.n_slices):
+            c, jet, uk = surface.coeffs(k), JetPoint(ts, np.moveaxis(q[k], 0, -1)), u[k].T
+            ltil[k] = L.value(jet, uk) + h_quadratic_terms(*c.rows(ts, 3), c.T)
+            for a in range(Ya.shape[2]):
+                ydp[k] -= Ya[k, :, a] * L.du(jet, uk, a)
+        return ydp, surface.s_derivative(ltil)
+
+    return surface._cached(("F parts", ts.tobytes()), make)
+
+
 def _mixed_mu_integrand(surface: VariationSurface, ts: np.ndarray,
                         beta_range: str) -> np.ndarray:
     """G(t, s) = d2 mu'/dt ds on the (s, t) grid, shape (ns, nt).
@@ -254,28 +249,12 @@ def _mixed_mu_integrand(surface: VariationSurface, ts: np.ndarray,
     triple = surface.triple
     r = triple.lagrangian.actual_order
     ts = np.atleast_1d(ts)
-    ns, nt = surface.n_slices, ts.size
-
-    # Ltilde(t, s) slice by slice
-    ltil = np.empty((ns, nt))
-    q = surface.q_blocks(ts, r)
-    u = surface.u_values(ts)
-    from .jetspace import JetPoint
-
-    for k in range(ns):
-        coeffs = surface.coeffs(k)
-        quad = h_quadratic_terms(*coeffs.rows(ts, 3), coeffs.T)
-        for j in range(nt):
-            jet = JetPoint(ts[j], q[k, j])
-            ltil[k, j] = triple.lagrangian.value(jet, u[k, j]) + float(quad[j])
-    dltil = surface.s_derivative(ltil)
-
-    G = -dltil
+    G = -_grid_terms(surface, ts)[1]
     idx = list(beta_indices(r, beta_range))
     if idx:
         k4 = (math.pi / (2.0 * triple.horizon)) ** 4
         dcoeffs = surface.coeff_derivatives()
-        for k in range(ns):
+        for k in range(surface.n_slices):
             c = surface.coeffs(k)
             d = dcoeffs[k]
             # d/dt [h'_(3) Y'_(0) + h''_(3) Y''_(0)]
@@ -289,29 +268,11 @@ def _mixed_mu_integrand(surface: VariationSurface, ts: np.ndarray,
 
 def _rhs_integrand(surface: VariationSurface, ts: np.ndarray,
                    beta_range: str) -> np.ndarray:
-    """F(t, s) = Y^a dP/du^a - d2 mu'/dt ds, shape (ns, nt)."""
-    triple = surface.triple
-    r = triple.lagrangian.actual_order
+    """F(t, s) = Y^a dP/du^a - d2 mu'/dt ds, shape (ns, nt), computed once
+    per grid and beta range."""
     ts = np.atleast_1d(ts)
-    ns, nt = surface.n_slices, ts.size
-    q = surface.q_blocks(ts, r)
-    u = surface.u_values(ts)
-    Ya = surface.jacobi_u(ts)
-
-    from .jetspace import JetPoint
-
-    F = np.empty((ns, nt))
-    M = triple.controls.dim
-    for k in range(ns):
-        for j in range(nt):
-            jet = JetPoint(ts[j], q[k, j])
-            acc = 0.0
-            for a in range(M):
-                if Ya[k, j, a] != 0.0:
-                    acc += Ya[k, j, a] * (-triple.lagrangian.du(jet, u[k, j], a))
-            F[k, j] = acc
-    F -= _mixed_mu_integrand(surface, ts, beta_range)
-    return F
+    return surface._cached(("F", ts.tobytes(), beta_range), lambda: (
+        _grid_terms(surface, ts)[0] - _mixed_mu_integrand(surface, ts, beta_range)))
 
 
 def _time_grid(surface: VariationSurface, t_nodes: int) -> np.ndarray:

@@ -41,10 +41,11 @@ class TaylorSeries:
     modulo h^(K+1).
 
     Entries are floats, or series in another variable when a derived field is
-    itself evaluated on series.  Sums, products, quotients, powers and
-    numpy's ``sin``, ``cos``, ``exp``, ``log`` and ``sqrt`` (which call the
-    methods of those names) accept series; ``float()``, ``math`` functions
-    and comparisons raise TypeError on one.
+    itself evaluated on series; ``c`` of shape (K+1, B) holds one series per
+    node of a time grid, and a (B,) float array operand acts as a scalar.
+    Sums, products, quotients, powers and numpy's ``sin``, ``cos``, ``exp``,
+    ``log`` and ``sqrt`` (which call the methods of those names) accept
+    series; ``float()``, ``math`` functions and comparisons raise TypeError.
     """
 
     __slots__ = ("c",)
@@ -52,10 +53,14 @@ class TaylorSeries:
     def __init__(self, c: np.ndarray) -> None:
         self.c = c
 
+    def _foreign(self, other) -> bool:
+        """An array numpy broadcasts the series over: not a float per node."""
+        return isinstance(other, np.ndarray) and (other.dtype == object or other.shape != self.c.shape[1:])
+
     def __add__(self, other):
         if isinstance(other, TaylorSeries):
             return TaylorSeries(self.c + other.c)
-        if isinstance(other, np.ndarray):
+        if self._foreign(other):
             return NotImplemented
         c = self.c.copy()
         c[0] = c[0] + other
@@ -74,10 +79,13 @@ class TaylorSeries:
 
     def __mul__(self, other):
         if isinstance(other, TaylorSeries):
-            # the Cauchy product of the Taylor coefficients c[k] / k!
-            w = _inverse_factorials(self.c.size)
-            return TaylorSeries(np.convolve(self.c * w, other.c * w)[:w.size] / w)
-        if isinstance(other, np.ndarray):
+            # the Cauchy product of the Taylor coefficients c[k] / k!, degree
+            # by degree (np.convolve takes no batch axis)
+            w = _inverse_factorials(len(self.c))
+            a, b = (self.c.T * w).T, (other.c.T * w).T
+            return TaylorSeries((np.array([sum(a[i] * b[k - i] for i in range(k + 1))
+                                           for k in range(len(w))]).T / w).T)
+        if self._foreign(other):
             return NotImplemented
         return TaylorSeries(self.c * other)
 
@@ -86,12 +94,12 @@ class TaylorSeries:
     def __truediv__(self, other):
         if isinstance(other, TaylorSeries):
             return self * other.reciprocal()
-        if isinstance(other, np.ndarray):
+        if self._foreign(other):
             return NotImplemented
         return TaylorSeries(self.c / other)
 
     def __rtruediv__(self, other):
-        if isinstance(other, np.ndarray):
+        if self._foreign(other):
             return NotImplemented
         return self.reciprocal() * other
 
@@ -111,7 +119,7 @@ class TaylorSeries:
         k - 1 needs v and the rate series only to degree k - 1."""
         v = np.empty_like(self.c)
         v[0] = first
-        for k in range(1, v.size):
+        for k in range(1, len(v)):
             v[k] = slope(TaylorSeries(v[:k]), TaylorSeries(rate.c[:k])).c[k - 1]
         return TaylorSeries(v)
 
@@ -134,7 +142,7 @@ class TaylorSeries:
     def _sin_cos(self):
         s, c = np.empty_like(self.c), np.empty_like(self.c)
         s[0], c[0] = np.sin(self.c[0]), np.cos(self.c[0])
-        for k in range(1, s.size):   # as _solve, for sin' = u' cos, cos' = -u' sin
+        for k in range(1, len(s)):   # as _solve, for sin' = u' cos, cos' = -u' sin
             du = TaylorSeries(self.c[1:k + 1])
             s[k] = (TaylorSeries(c[:k]) * du).c[k - 1]
             c[k] = -(TaylorSeries(s[:k]) * du).c[k - 1]
@@ -156,8 +164,8 @@ def _inverse_factorials(n: int) -> np.ndarray:
 
 
 def _as_float(x):
-    """A Python float, unless ``x`` is a series."""
-    return x if isinstance(x, TaylorSeries) else float(x)
+    """A Python float, unless ``x`` is a series or an array of node values."""
+    return x if isinstance(x, TaylorSeries) or (isinstance(x, np.ndarray) and x.ndim) else float(x)
 
 
 class JetPoint:
@@ -170,8 +178,10 @@ class JetPoint:
     blocks : array_like, shape (n+1, N)
         Row ``beta`` is the beta-th time derivative of the curve at ``t``.
 
-    The time and the blocks may also be :class:`TaylorSeries` (the series
-    view a :class:`DerivedField` evaluates its base on).
+    A batched point holds the jets at every node of a time grid ``t`` of
+    shape (B,): blocks (n+1, N, B), and ``coord`` returns (B,) arrays.  The
+    time and the blocks may also be :class:`TaylorSeries` (the series view a
+    :class:`DerivedField` evaluates its base on).
     """
 
     __slots__ = ("t", "blocks")
@@ -198,7 +208,11 @@ class JetPoint:
         return self.blocks.shape[1]
 
     def coord(self, i: int, beta: int):
-        return self.blocks.item(beta, i)
+        return self.blocks[beta, i] if self.blocks.ndim > 2 else self.blocks.item(beta, i)
+
+    def node(self, b: int) -> "JetPoint":
+        """The batch-free point at node ``b`` of a batched point."""
+        return JetPoint(self.t[b], self.blocks[..., b])
 
     def with_coord(self, i: int, beta: int, value) -> "JetPoint":
         """Copy with one jet coordinate replaced (a float or a dual number)."""
@@ -213,17 +227,40 @@ class JetPoint:
         return f"JetPoint(t={self.t!r}, n={self.n}, dim={self.dim})"
 
 
-def _as_ujet(u, depth: int = 0) -> np.ndarray:
-    """Normalize a control value or control-derivative stack to shape (k+1, M)."""
+def _as_ujet(u, depth: int = 0, batch: tuple = ()) -> np.ndarray:
+    """Normalize a control value or control-derivative stack to shape (k+1, M),
+    or (k+1, M, B) on a batched point, where a 2-D array is a value per node."""
     arr = np.atleast_1d(u)
     if arr.dtype != object:
         arr = arr.astype(float, copy=False)
-    if arr.ndim == 1:
-        arr = arr[None, :]
+    if arr.ndim == 1 + len(batch):
+        arr = arr[None]
     if arr.shape[0] < depth + 1:
-        pad = np.zeros((depth + 1 - arr.shape[0], arr.shape[1]))
+        pad = np.zeros((depth + 1 - arr.shape[0],) + arr.shape[1:])
         arr = np.vstack([arr, pad])
     return arr
+
+
+def on_batch(fn, p: JetPoint, ujet: np.ndarray):
+    """``fn(p, ujet)``; on a batched point its (B,) values from one call on
+    the whole batch, which counts only if it raises no TypeError, ValueError
+    or floating-point error, has shape () or (B,) and matches the batch-free
+    call at the first node to 1e-12 relative (which a reduction over the
+    batch axis fails).  Otherwise every node is evaluated on its own."""
+    if p.blocks.ndim < 3:
+        return fn(p, ujet)
+    count = p.blocks.shape[2]
+    first = fn(p.node(0), ujet[..., 0])
+    if count > 1:
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                v = np.asarray(fn(p, ujet), dtype=float)
+                if v.shape in ((), (count,)) and abs(v.flat[0] - first) <= 1e-12 * abs(first):
+                    return np.full(count, v)
+        except (TypeError, ValueError, ArithmeticError):
+            pass
+    return np.array([first] + [fn(p.node(b), ujet[..., b]) for b in range(1, count)],
+                    dtype=float).reshape(count)
 
 
 class JetField:
@@ -236,8 +273,8 @@ class JetField:
     ``read_depth`` follows ``reads`` (or ``actual_order`` when it is None),
     and ``partial`` normalizes the control to a stack for ``partial_uj``,
     which evaluates the field once on a dual number.  On float jets
-    ``value`` and ``partial`` return Python floats; on a series view they
-    return series.
+    ``value`` and ``partial`` return Python floats, on a batched point (B,)
+    arrays (through :func:`on_batch`), and on a series view series.
     """
 
     __slots__ = ()
@@ -257,10 +294,11 @@ class JetField:
         return int(self.reads.get(j, -1))
 
     def value(self, p: JetPoint, u) -> float:
-        return _as_float(self.value_uj(p, _as_ujet(u, self.u_depth)))
+        return _as_float(on_batch(self.value_uj, p, _as_ujet(u, self.u_depth, p.blocks.shape[2:])))
 
     def partial(self, p: JetPoint, u, direction: Direction) -> float:
-        return _as_float(self.partial_uj(p, _as_ujet(u, self.u_depth), direction))
+        return _as_float(on_batch(lambda q, uj: self.partial_uj(q, uj, direction), p,
+                                  _as_ujet(u, self.u_depth, p.blocks.shape[2:])))
 
     def partial_uj(self, p: JetPoint, ujet: np.ndarray, direction: Direction) -> float:
         """The exact partial along one coordinate: the field evaluated once
@@ -273,14 +311,14 @@ class JetField:
         if key[0] == "q" and key[2] > self.read_depth(key[1]):
             return 0.0
         refused = self.dual_refused and key in self.dual_refused
-        if refused and not _is_series_point(p, ujet):
+        if refused and not _exact_only(p, ujet):
             return finite_diff_partial(self, p, ujet, key)
         x, at = _coordinate(p, ujet, key)
         try:
             s = self.value_uj(*at(_seed_dual(x)))
         except TypeError as exc:
-            if _is_series_point(p, ujet):
-                raise   # no difference quotient on a series point
+            if _exact_only(p, ujet):
+                raise   # no difference quotient on a series or batched point
             if not self.dual_refused:
                 warnings.warn(f"{self.name or 'field'}: cannot take a dual number ({exc}); "
                               "falling back to a difference quotient", RuntimeWarning)
@@ -289,8 +327,9 @@ class JetField:
         return _dual_coefficient(s, x)
 
 
-def _is_series_point(p: JetPoint, ujet: np.ndarray) -> bool:
-    return object in (p.blocks.dtype, ujet.dtype) or isinstance(p.t, TaylorSeries)
+def _exact_only(p: JetPoint, ujet: np.ndarray) -> bool:
+    # no difference quotient on series; batched points run node by node instead
+    return p.blocks.ndim > 2 or object in (p.blocks.dtype, ujet.dtype) or isinstance(p.t, TaylorSeries)
 
 
 def _seed_dual(x):
@@ -298,6 +337,8 @@ def _seed_dual(x):
     constant term of x, so that e nests inside the h-series of a series view
     instead of meeting them as a series in the same variable."""
     if not isinstance(x, TaylorSeries):
+        if isinstance(x, np.ndarray):   # a batched point runs node by node instead
+            raise TypeError("a dual number takes one node at a time")
         return TaylorSeries(np.array([x, 1.0]))
     c = x.c.astype(object)
     c[0] = _seed_dual(c[0])
@@ -320,8 +361,11 @@ class ScalarJetField(JetField):
     ``partials`` optionally maps coordinate directions to analytic partial
     evaluators with the same ``(JetPoint, u) -> float`` signature.  Keys are
     ``"t"``, ``("q", i, beta)`` and ``("u", a)``.  Missing partials are taken
-    on a dual number, as for any :class:`JetField`.  Evaluators must be
-    arithmetic or numpy expressions, so that they also evaluate on series.
+    on a dual number, as for any :class:`JetField`.  Evaluators should be
+    elementwise arithmetic or numpy expressions, which also evaluate on series
+    and on a whole time grid at once; anything else (``math`` functions,
+    comparisons, reductions over coordinates) runs node by node on grids and
+    takes difference quotients instead of series.
     """
 
     evaluator: Callable[[JetPoint, np.ndarray], float]
@@ -428,16 +472,15 @@ def _shifted_series(rows: np.ndarray, count: int, keep: int) -> np.ndarray:
     in h: row r at t + h has the derivatives rows[r], ..., rows[r + count]."""
     out = np.empty((max(keep, 0), rows.shape[1]), dtype=object)
     for r in range(out.shape[0]):
-        derivatives = rows[r:r + count + 1].T
         for i in range(out.shape[1]):
-            out[r, i] = TaylorSeries(derivatives[i])
+            out[r, i] = TaylorSeries(rows[r:r + count + 1, i])
     return out
 
 
 def _series_view(p: JetPoint, count: int) -> JetPoint:
     """The jet point along its curve at t + h, as series in h of degree
     ``count``: q^i_(beta)(t + h) is read from blocks beta .. beta+count."""
-    t = np.zeros(count + 1, dtype=object if isinstance(p.t, TaylorSeries) else float)
+    t = np.zeros((count + 1,) + p.blocks.shape[2:], dtype=object if isinstance(p.t, TaylorSeries) else float)
     t[0] = p.t
     t[1:2] = 1.0   # d(t + h)/dh, when the degree is at least 1
     return JetPoint(TaylorSeries(t), _shifted_series(p.blocks, count, p.n - count + 1))
@@ -492,6 +535,8 @@ class DerivedField(JetField):
                 s = self.base.value_uj(_series_view(p, k),
                                        _shifted_series(ujet, k, self.base.u_depth + 1))
             except TypeError as exc:
+                if p.blocks.ndim > 2:
+                    raise   # the batched step runs node by node instead
                 warnings.warn(f"{self.name}: the base cannot take Taylor series ({exc}); "
                               "falling back to difference quotients", RuntimeWarning)
                 self._fallback = self.base if k == 1 else DerivedField(self.base, k - 1)

@@ -240,7 +240,7 @@ def test_criterion_07_poincare_cartan_lift_identity():
             else BlendControl(u0, t1, s),
             sigma_path=lambda s, sg=sigma0: sg,
             s_grid=uniform_s_grid(8),
-            du_ds=lambda t, s, u0=u, t1=target: t1.value(t) - u0.value(t),
+            du_ds=lambda ts, s, u0=u, t1=target: t1.values(ts) - u0.values(ts),
         )
         surface = build_surface(triple, hom, tol=(1e-10, 1e-12))
         for k in range(surface.n_slices):

@@ -60,6 +60,7 @@ def test_values_equal_stacked_scalar_values(data, grid):
         sine,
         NeedleOverlayControl(const, tau, omega, eps),
         NeedleOverlayControl(sine, tau, omega, eps),
+        BlendControl(const, NeedleOverlayControl(sine, tau, omega, eps), 0.3),
     ]
     for c in curves:
         got = c.values(ts)

@@ -1,7 +1,10 @@
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopmp.controls import (
     ConstantControl,
@@ -291,3 +294,109 @@ def test_shallow_control_stack_refused():
         dyn.jets_at(0.4, y, np.ones((2, 1)), 3)
     with pytest.raises(InsufficientJetOrder):
         dyn.rhs(0.4, y, [0.5])
+
+
+# -- jets on time grids --------------------------------------------------------
+
+BUILTIN_PARAMS = {"pendulum-classical": {}, "pendulum-r2": {}, "pendulum-direct": {},
+                  "mth-order": {"a": [1.0, 0.0, 1.0], "T": PI / 2}, "third-order": {}}
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_curve(problem_id):
+    from hopmp.problems import build, optimal_reference
+
+    triple = build(problem_id, **BUILTIN_PARAMS[problem_id])
+    u0, sigma0, _ = optimal_reference(problem_id, **BUILTIN_PARAMS[problem_id])
+    return triple, sigma0, triple.controlled_curve(u0, sigma0)
+
+
+def _stacked_jets(traj, ts, order):
+    return np.stack([traj.jet(float(t), order).blocks for t in ts], axis=-1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem_id=st.sampled_from(sorted(BUILTIN_PARAMS)), data=st.data())
+def test_jets_equal_stacked_jets(problem_id, data):
+    # a needle slice spliced onto gamma0 (a smoothed needle blended with
+    # gamma0's control, as in a needle surface), sampled on a grid holding
+    # every control breakpoint and T: one pass of the plan per grid gives the
+    # jets of one pass per node, up to the dense output's vectorised rounding
+    from hopmp.controls import BlendControl, SmoothedNeedleControl
+
+    triple, sigma0, gamma0 = _reference_curve(problem_id)
+    T = triple.horizon
+    tau = T * data.draw(st.floats(0.3, 0.9))
+    eps = data.draw(st.floats(0.01, 0.2))
+    needle = SmoothedNeedleControl(gamma0.control, tau, [-1.0], eps, 0.05)
+    slice_u = BlendControl(gamma0.control, needle, data.draw(st.floats(0.1, 1.0)))
+    spliced = triple.controlled_curve(slice_u, sigma0, start=(gamma0, needle.t_on))
+    assert spliced.splice is not None
+    extra = data.draw(st.lists(st.floats(0.0, 1.0), max_size=12))
+    ts = np.array(sorted({0.0, T, *slice_u.breakpoints, *(T * x for x in extra)}))
+    order = data.draw(st.integers(0, 2 * triple.order))
+    for traj in (gamma0, spliced):
+        batched = traj.jets(ts, order)
+        assert batched.blocks.shape == (order + 1, triple.dynamics.dim, ts.size)
+        np.testing.assert_allclose(batched.blocks, _stacked_jets(traj, ts, order),
+                                   rtol=1e-13, atol=1e-13)
+
+
+def _node_by_node(traj, ts, order):
+    """The jets at each node from the grid's own states, one node at a time."""
+    ys, depth = traj.state(ts), traj.dynamics.plan(order).u_depth
+    return np.stack([traj.dynamics.jets_at(float(t), ys[:, j],
+                                           traj.control.jet(traj.control.clamp(t), depth),
+                                           order).blocks
+                     for j, t in enumerate(ts)], axis=-1)
+
+
+@pytest.mark.parametrize("lib", [math, np], ids=["math", "numpy"])
+def test_jets_of_fields_that_cannot_batch_add_no_warning(lib):
+    # with math.sin the top field takes no array and runs node by node, its
+    # derived blocks taking difference quotients exactly as at one node; with
+    # np.sin and no analytic partials the adjoint's blocks need dual numbers
+    # inside series, which take one node at a time, so those steps run node
+    # by node without marking any field as unable to take series
+    from hopmp.jetspace import ScalarJetField
+    from hopmp.problems import third_order
+
+    partials = {("q", 0, 0): lambda p, u: -math.cos(p.coord(0, 0)),
+                ("u", 0): lambda p, u: 1.0} if lib is math else None
+    force = ScalarJetField(lambda p, u: -lib.sin(p.coord(0, 0)) + u[0], actual_order=0,
+                           partials=partials, name="f", reads={0: 0})
+    triple = third_order(f=force)
+    traj = triple.controlled_curve(HarmonicControl([0.2], [0.5], 2.0, 0.1, triple.horizon))
+    ts = np.linspace(0.0, triple.horizon, 9)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        expected = _node_by_node(traj, ts, 5)
+    assert any("difference quotient" in str(w.message) for w in caught) == (lib is math)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = traj.jets(ts, 5).blocks
+    if lib is math:
+        assert np.array_equal(got, expected)
+    else:
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("force", [
+    # a comparison: the batched call raises ValueError on an array's truth value
+    lambda p, u: np.array([u[0] - p.coord(0, 0) if p.coord(0, 0) > 0.0 else u[0]]),
+    # a reduction over the batch axis: right shape, wrong values, caught by
+    # the first-node check
+    lambda p, u: np.array([u[0] - np.sum([p.coord(0, 0), 0.5 * p.coord(0, 1)])]),
+], ids=["comparison", "reduction"])
+def test_jets_of_non_elementwise_fields_run_node_by_node(force):
+    dyn = reduce_to_first_order(force, order=2, state_dim=1, names=["x"])
+    traj = integrate(dyn, HarmonicControl([0.0], [0.8], 3.0, 0.0, 2.0), np.array([-0.3, 1.0]), 2.0)
+    ts = np.linspace(0.0, 2.0, 11)
+    assert np.array_equal(traj.jets(ts, 2).blocks, _node_by_node(traj, ts, 2))
+
+
+def test_jets_refuse_nodes_outside_the_horizon():
+    traj = integrate(chain_2nd_order(), ConstantControl([0.0], 1.0), np.array([0.0, 1.0]), 1.0)
+    for ts in ([0.0, 0.5, 1.5], [-0.1, 0.5]):
+        with pytest.raises(TimeOutOfRange):
+            traj.jets(np.array(ts), 2)

@@ -192,7 +192,7 @@ def test_homotopy_identity_time_varying_control():
         slice_curve=slice_curve,
         sigma_path=lambda s: triple.initial_data.make(v=0.0),
         s_grid=uniform_s_grid(16),
-        du_ds=lambda t, s: np.array([math.sin(t)]),
+        du_ds=lambda ts, s: np.sin(ts)[:, None],
     )
     surface = build_surface(triple, hom, tol=(1e-10, 1e-12))
     lhs = homotopy_lhs(surface)

@@ -13,6 +13,7 @@ from hopmp.jetspace import (
     JetField,
     JetPoint,
     ScalarJetField,
+    TaylorSeries,
     audit_actual_order,
     coordinate_field,
     finite_diff_partial,
@@ -451,3 +452,32 @@ def test_series_derivatives_match_polynomial_composition(e, k, t, entries, contr
     assume(bound < 1e100)
     series = _series_derivative(e, k, JetPoint(t, blocks), ujet)
     assert series == pytest.approx(expansion(False), rel=1e-12, abs=1e-12 * bound + _TINY)
+
+
+def test_batched_series_take_one_float_per_node():
+    # a (B,) float array meets a batched series as one scalar per node
+    c, w = np.arange(1.0, 7.0).reshape(3, 2), np.array([2.0, -0.5])
+    s = TaylorSeries(c)
+    assert np.array_equal((s * w).c, c * w) and np.array_equal((s / w).c, c / w)
+    assert np.array_equal((s - w).c, np.vstack([c[0] - w, c[1:]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=_EXPRESSIONS, k=st.integers(0, _MAX_K), nodes=st.integers(2, 4), data=st.data())
+def test_batched_points_evaluate_each_node(e, k, nodes, data):
+    # a grid of jet points carries a trailing batch axis through the float and
+    # the series arithmetic (products, quotients, powers and numpy's unary
+    # functions): one evaluation of the k-th derivative on the batch, without
+    # the node-by-node fallback, gives every node's value
+    def draw(*shape):
+        size = math.prod(shape)
+        return np.reshape(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=size,
+                                             max_size=size)), shape)
+
+    p, ujet = JetPoint(draw(nodes), draw(8, 2, nodes)), draw(5, 1, nodes)
+    d = DerivedField(_expression_field(e), k)
+    with np.errstate(all="ignore"):
+        each = np.array([d.value_uj(p.node(b), ujet[..., b]) for b in range(nodes)])
+        assume(np.all(np.abs(each) < 1e100))
+        batched = np.broadcast_to(d.value_uj(p, ujet), (nodes,))
+    np.testing.assert_allclose(batched, each, rtol=1e-12, atol=1e-12 * np.max(np.abs(each)))

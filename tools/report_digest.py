@@ -3,6 +3,7 @@
 Usage::
 
     python3 tools/report_digest.py OUT [ID ...]
+    python3 tools/report_digest.py --diff A B [ID ...]
 
 Runs ``hopmp`` with the default suites on each builtin problem named (all of
 them when none is), writing into ``OUT/<id>/``, and prints one line per
@@ -16,10 +17,16 @@ stopped before writing it).  Run it on two checkouts and diff
 the printed lines: equal lines mean byte-identical reports and trajectory
 data.  It imports ``hopmp`` from the ``src/`` directory of the checkout it
 lives in.
+
+``--diff A B`` runs nothing: it compares the reports that two earlier runs
+wrote into the ``OUT`` directories ``A`` and ``B`` and prints, per problem,
+the report lines that differ (a unified diff without context, ``generated:``
+lines left out).  It exits 1 when some line differs.
 """
 
 from __future__ import annotations
 
+import difflib
 import hashlib
 import sys
 from pathlib import Path
@@ -34,26 +41,50 @@ def _sha1(data: bytes) -> str:
     return hashlib.sha1(data).hexdigest()
 
 
+def _report_lines(out: Path, problem_id: str) -> list[str]:
+    path = out / problem_id / "report.txt"
+    lines = path.read_text().splitlines(keepends=True) if path.exists() else []
+    return [line for line in lines if not line.startswith("generated:")]
+
+
 def digest(out: Path, problem_id: str) -> str:
     run_dir = out / problem_id
     run_dir.mkdir(parents=True, exist_ok=True)
     config = run_dir / "config.ini"
     config.write_text(f"[problem]\nid = {problem_id}\n")
     code = main(["--config", str(config), "--out", str(run_dir), "--quiet"])
-    report = (run_dir / "report.txt").read_text().splitlines(keepends=True)
-    kept = "".join(line for line in report if not line.startswith("generated:"))
+    kept = "".join(_report_lines(out, problem_id))
     csv = run_dir / "trajectory.csv"
     trajectory = _sha1(csv.read_bytes()) if csv.exists() else "missing"
     return f"{problem_id} exit={code} report={_sha1(kept.encode())} trajectory={trajectory}"
 
 
+def diff(a: Path, b: Path, problem_ids) -> int:
+    moved = False
+    for problem_id in problem_ids:
+        lines = list(difflib.unified_diff(
+            _report_lines(a, problem_id), _report_lines(b, problem_id),
+            fromfile=str(a / problem_id / "report.txt"),
+            tofile=str(b / problem_id / "report.txt"), n=0))
+        sys.stdout.writelines(lines)
+        moved = moved or bool(lines)
+    return 1 if moved else 0
+
+
 def run(argv: list[str]) -> int:
-    unknown = [arg for arg in argv[1:] if arg not in BUILTIN_IDS]
-    if not argv or unknown:
-        sys.stderr.write(f"usage: report_digest.py OUT [ID ...], ID in {', '.join(BUILTIN_IDS)}\n")
+    comparing = argv[:1] == ["--diff"]
+    if comparing:
+        argv = argv[1:]
+    ids = argv[2:] if comparing else argv[1:]
+    unknown = [arg for arg in ids if arg not in BUILTIN_IDS]
+    if len(argv) < (2 if comparing else 1) or unknown:
+        sys.stderr.write("usage: report_digest.py OUT [ID ...] | --diff A B [ID ...], "
+                         f"ID in {', '.join(BUILTIN_IDS)}\n")
         return 2
+    if comparing:
+        return diff(Path(argv[0]), Path(argv[1]), ids or BUILTIN_IDS)
     out = Path(argv[0])
-    for problem_id in argv[1:] or BUILTIN_IDS:
+    for problem_id in ids or BUILTIN_IDS:
         print(digest(out, problem_id), flush=True)
     return 0
 
