@@ -230,26 +230,31 @@ def h_quadratic_terms(h: np.ndarray, hp: np.ndarray, hpp: np.ndarray,
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
-def gauss_legendre(f: Callable[[float], float], a: float, b: float) -> float:
-    """5-point Gauss-Legendre integral of ``f`` over [a, b]; 0 when b <= a."""
-    if b <= a:
-        return 0.0
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * sum(w * f(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a, b):
+    """5-point Gauss-Legendre integrals of ``f`` over [a, b], for one interval
+    or for arrays ``a``, ``b`` of them.  ``f`` is called once, on the grid of
+    every interval's nodes in turn, and returns its values there.  Each
+    interval sums ``half * (0 + w0 f0 + ... + w4 f4)`` left to right."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    nodes = mid[..., None] + half[..., None] * _GL_NODES
+    vals = np.reshape(f(nodes.ravel()), nodes.shape)
+    acc = 0.0
+    for j, w in enumerate(_GL_WEIGHTS):
+        acc = acc + w * vals[..., j]
+    return half * acc
 
 
-def cumulative_integral(f: Callable[[float], float], mesh: np.ndarray,
+def cumulative_integral(f: Callable[[np.ndarray], np.ndarray], mesh: np.ndarray,
                         head: Optional[np.ndarray] = None) -> np.ndarray:
     """Integrals of ``f`` from mesh[0] to each mesh node, one Gauss-Legendre
-    rule per interval, summed left to right; ``head`` holds the values at
-    the first nodes when they are already known."""
+    rule per interval (one call of ``f`` for all of them), summed left to
+    right; ``head`` holds the values at the first nodes when they are
+    already known."""
     head = np.zeros(1) if head is None else head
-    cum = np.zeros(mesh.size)
-    cum[:head.size] = head
-    for k in range(head.size - 1, mesh.size - 1):
-        cum[k + 1] = cum[k] + gauss_legendre(f, mesh[k], mesh[k + 1])
-    return cum
+    k = head.size - 1
+    steps = gauss_legendre(f, mesh[k:-1], mesh[k + 1:])
+    return np.concatenate([head[:-1], np.cumsum(np.concatenate([head[-1:], steps]))])
 
 
 class ExtendedCurve:
@@ -292,15 +297,23 @@ class ExtendedCurve:
 
     # -- extended Lagrangian --------------------------------------------------
 
-    def lagrangian(self, t: float) -> float:
+    def lagrangian(self, ts):
+        """L along the curve at a time, or at every node of a 1-D grid of
+        times from one batched jet pass; the control is read at the
+        right-continuous times.  A time is the one-node grid."""
+        grid = np.atleast_1d(np.asarray(ts, dtype=float))
         r = self.triple.lagrangian.actual_order
-        jet = self.base.jet(t, r)
-        u = self.base.control.value(self.base.control.clamp(t))
-        return self.triple.lagrangian.value(jet, u)
+        control = self.base.control
+        vals = self.triple.lagrangian.value(self.base.jets(grid, r),
+                                            control.values(control.clamp(grid)).T)
+        return vals if np.ndim(ts) else float(vals[0])
 
-    def ltilde(self, t: float) -> float:
+    def ltilde(self, ts):
+        """The extended Lagrangian, at a time or on a grid as :meth:`lagrangian`."""
+        grid = np.atleast_1d(np.asarray(ts, dtype=float))
         coeffs = self.h_coeffs
-        return self.lagrangian(t) + float(h_quadratic_terms(*coeffs.rows(t, 3), coeffs.T))
+        vals = self.lagrangian(grid) + h_quadratic_terms(*coeffs.rows(grid, 3), coeffs.T)
+        return vals if np.ndim(ts) else float(vals[0])
 
     # -- Gauss-Legendre over the integrator mesh -------------------------------
 

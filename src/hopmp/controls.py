@@ -258,6 +258,16 @@ class SmoothedNeedleControl(ControlCurve):
             out[j] = smoothstep5(theta, j) * slope ** j
         return out
 
+    def _weight_jets(self, ts: np.ndarray, depth: int) -> np.ndarray:
+        """``_weight_jet`` at every node of a grid, (depth+1, len(ts)); nodes
+        on the ramps take the scalar path."""
+        out = np.zeros((depth + 1, ts.size))
+        out[0, (self.t_full <= ts) & (ts < self.t_off)] = 1.0
+        ramps = ((self.t_on <= ts) & (ts < self.t_full)) | ((self.t_off <= ts) & (ts < self.t_end))
+        for j in np.flatnonzero(ramps):
+            out[:, j] = self._weight_jet(float(ts[j]), depth)
+        return out
+
     def value(self, t: float) -> np.ndarray:
         b = self.base.value(t)
         if not self.t_on <= t < self.t_end:
@@ -277,6 +287,23 @@ class SmoothedNeedleControl(ControlCurve):
                     target = (self.omega - b[0]) if j == m else -b[m - j]
                     acc += comb(m, j) * w[j] * target
             out[m] = acc
+        return out
+
+    def values(self, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        b, w = self.base.values(ts), self._weight_jets(ts, 0)[0][:, None]
+        return np.where(w != 0.0, b + w * (self.omega - b), b)
+
+    def jets(self, ts, depth: int) -> np.ndarray:
+        ts = self.clamp(np.asarray(ts, dtype=float))
+        b, w = self.base.jets(ts, depth), self._weight_jets(ts, depth)
+        # jet's Leibniz sums, each term added only at the nodes where w[j] != 0
+        out = b.copy()
+        for m in range(depth + 1):
+            for j in range(m + 1):
+                on = w[j] != 0.0
+                target = (self.omega[:, None] - b[0][:, on]) if j == m else -b[m - j][:, on]
+                out[m][:, on] += comb(m, j) * w[j, on] * target
         return out
 
 

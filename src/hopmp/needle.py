@@ -118,10 +118,11 @@ def _boundary_pairing(triple: DefiningTriple, surface: VariationSurface,
     """integral over s of sum_{i,beta} m^L_{i,beta} Y^i_(beta) at t_star."""
     r = triple.lagrangian.actual_order
     depth = max(2 * r - 1, r)
-    Y = surface.jacobi_q(np.array([t_star]), depth)[:, 0]   # (ns, depth+1, N)
+    q = surface.q_blocks(np.array([t_star]), depth)[:, 0]   # (ns, depth+1, N)
+    Y = surface.s_derivative(q)
     vals = np.empty(surface.n_slices)
     for k, sl in enumerate(surface.slices):
-        jet = sl.traj.jet(t_star, depth)
+        jet = JetPoint(t_star, q[k])   # a one-node grid's jet is the batch-free one
         ujet = sl.traj.control.jet(sl.traj.control.clamp(t_star), r + 1)
         m = lagrangian_momenta(triple, jet, ujet)         # (N, r)
         vals[k] = float(np.sum(m * Y[k, :r].T))

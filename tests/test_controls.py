@@ -47,25 +47,57 @@ def _stacked(c, ts):
     return np.vstack([c.value(t) for t in ts])
 
 
+def _with_breakpoints(c, ts):
+    """``ts`` with each breakpoint of ``c`` and its two neighbouring floats."""
+    times = set(ts)
+    for b in c.breakpoints:
+        times |= {b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)}
+    return np.array(sorted(x for x in times if 0.0 <= x <= c.horizon))
+
+
 @settings(deadline=None, max_examples=60)
-@given(data=st.data(), grid=needle_grids())
-def test_values_equal_stacked_scalar_values(data, grid):
+@given(data=st.data(), grid=needle_grids(), k=st.floats(0.01, 0.9))
+def test_values_equal_stacked_scalar_values(data, grid, k):
     T, tau, eps, ts = grid
     sine = data.draw(harmonics(T))
     const = ConstantControl(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=sine.dim,
                                                max_size=sine.dim)), T)
     omega = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=sine.dim, max_size=sine.dim))
+    smoothed = SmoothedNeedleControl(NeedleOverlayControl(sine, tau, omega, eps),
+                                     tau, omega, eps, k)
     curves = [
         const,
         sine,
         NeedleOverlayControl(const, tau, omega, eps),
         NeedleOverlayControl(sine, tau, omega, eps),
         BlendControl(const, NeedleOverlayControl(sine, tau, omega, eps), 0.3),
+        smoothed,
+        SmoothedNeedleControl(const, tau, omega, eps, k),
+        BlendControl(sine, smoothed, 1.0),
     ]
     for c in curves:
-        got = c.values(ts)
-        assert got.shape == (ts.size, c.dim)
-        assert np.array_equal(got, _stacked(c, ts)), type(c).__name__
+        times = _with_breakpoints(c, ts)
+        got = c.values(times)
+        assert got.shape == (times.size, c.dim)
+        assert np.array_equal(got, _stacked(c, times)), type(c).__name__
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), grid=needle_grids(), k=st.floats(0.01, 0.9), depth=st.integers(0, 5))
+def test_smoothed_needle_jets_equal_stacked_jets(data, grid, k, depth):
+    # on the ramps, at their edges and next to them, and at T (clamped)
+    T, tau, eps, ts = grid
+    sine = data.draw(harmonics(T))
+    omega = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=sine.dim, max_size=sine.dim))
+    smoothed = SmoothedNeedleControl(NeedleOverlayControl(sine, tau, omega, eps),
+                                     tau, omega, eps, k)
+    for c in (smoothed, SmoothedNeedleControl(sine, tau, omega, eps, k),
+              BlendControl(sine, smoothed, 1.0)):
+        times = _with_breakpoints(c, ts)
+        got = c.jets(times, depth)
+        stacked = np.stack([c.jet(t, depth) for t in c.clamp(times)], axis=-1)
+        assert got.shape == stacked.shape
+        assert got.tobytes() == stacked.tobytes(), type(c).__name__
 
 
 @settings(deadline=None, max_examples=60)
@@ -121,10 +153,7 @@ def test_value_is_the_jet_value_row(data, grid, k, s):
     assert covered == {c for c in _all_subclasses(ControlCurve)[1:]
                        if c.__module__ == "hopmp.controls"}
     for c in curves:
-        times = set(ts) | {c.clamp(T)}
-        for b in c.breakpoints:
-            times |= {b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)}
-        for t in sorted(x for x in times if 0.0 <= x < T):
+        for t in (x for x in _with_breakpoints(c, [*ts, c.clamp(T)]) if x < T):
             assert c.value(t).tobytes() == c.jet(t, 0)[0].tobytes(), (type(c).__name__, t)
 
 

@@ -315,13 +315,10 @@ def _stacked_jets(traj, ts, order):
     return np.stack([traj.jet(float(t), order).blocks for t in ts], axis=-1)
 
 
-@settings(max_examples=30, deadline=None)
-@given(problem_id=st.sampled_from(sorted(BUILTIN_PARAMS)), data=st.data())
-def test_jets_equal_stacked_jets(problem_id, data):
-    # a needle slice spliced onto gamma0 (a smoothed needle blended with
-    # gamma0's control, as in a needle surface), sampled on a grid holding
-    # every control breakpoint and T: one pass of the plan per grid gives the
-    # jets of one pass per node, up to the dense output's vectorised rounding
+def _needle_slice(problem_id, data):
+    """(triple, gamma0, spliced, ts): a needle slice spliced onto gamma0 (a
+    smoothed needle blended with gamma0's control, as in a needle surface)
+    and a grid holding every control breakpoint and T."""
     from hopmp.controls import BlendControl, SmoothedNeedleControl
 
     triple, sigma0, gamma0 = _reference_curve(problem_id)
@@ -334,12 +331,44 @@ def test_jets_equal_stacked_jets(problem_id, data):
     assert spliced.splice is not None
     extra = data.draw(st.lists(st.floats(0.0, 1.0), max_size=12))
     ts = np.array(sorted({0.0, T, *slice_u.breakpoints, *(T * x for x in extra)}))
+    return triple, gamma0, spliced, ts
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem_id=st.sampled_from(sorted(BUILTIN_PARAMS)), data=st.data())
+def test_jets_equal_stacked_jets(problem_id, data):
+    # one pass of the plan per grid gives the jets of one pass per node, up
+    # to the dense output's vectorised rounding
+    triple, gamma0, spliced, ts = _needle_slice(problem_id, data)
     order = data.draw(st.integers(0, 2 * triple.order))
     for traj in (gamma0, spliced):
         batched = traj.jets(ts, order)
         assert batched.blocks.shape == (order + 1, triple.dynamics.dim, ts.size)
         np.testing.assert_allclose(batched.blocks, _stacked_jets(traj, ts, order),
                                    rtol=1e-13, atol=1e-13)
+
+
+@settings(max_examples=20, deadline=None)
+@given(problem_id=st.sampled_from(sorted(BUILTIN_PARAMS)), data=st.data())
+def test_lagrangians_on_grids_equal_stacked_one_node_values(problem_id, data):
+    # L and Ltilde of an extended curve on a grid, from one batched jet pass,
+    # equal their values at each node as a one-node grid; at T they read the
+    # control's last piece (clamp), also where the control jumps at T itself
+    from hopmp.auxiliary import ExtendedCurve
+
+    triple, gamma0, spliced, ts = _needle_slice(problem_id, data)
+    T, r = triple.horizon, triple.lagrangian.actual_order
+    prefix = ExtendedCurve(gamma0, triple)
+    jump_at_T = PiecewiseConstantControl([T], [[1.0], [-1.0]], T)
+    for ext in (prefix, ExtendedCurve(spliced, triple, prefix),
+                ExtendedCurve(triple.controlled_curve(jump_at_T, gamma0.initial_state), triple)):
+        u = ext.base.control
+        assert ext.lagrangian(T) == triple.lagrangian.value(ext.base.jet(T, r),
+                                                            u.value(u.clamp(T)))
+        for fn in (ext.lagrangian, ext.ltilde):
+            got = fn(ts)
+            assert got.shape == ts.shape
+            np.testing.assert_allclose(got, [fn(float(t)) for t in ts], rtol=1e-13, atol=1e-13)
 
 
 def _node_by_node(traj, ts, order):
