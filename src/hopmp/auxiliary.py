@@ -90,14 +90,6 @@ class HCoefficients:
     cond: float = float("nan")
 
     @property
-    def dim(self) -> int:
-        return self.hyp.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.hyp.shape[1]
-
-    @property
     def wavenumber(self) -> float:
         return math.pi / (2.0 * self.T)
 
@@ -385,10 +377,6 @@ class ExtendedJetPoint:
     hpp: np.ndarray  # (N, r, 4)
     mu_value: float
     mu_rate: float
-
-    @property
-    def t(self) -> float:
-        return self.jet.t
 
 
 @dataclass

@@ -31,16 +31,21 @@ from .problem import (
 
 @dataclass
 class ClassicalProblem:
-    """dx/dt = f(t, x, u), fixed x(0), terminal cost C(x(T)), box controls."""
+    """dx/dt = f(t, x, u), fixed x(0), terminal cost C(x(T)), box controls.
 
-    f: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    ``f`` returns the components of dx/dt as an array or a list.  A list of
+    elementwise expressions also holds a dual number beside the rows of a
+    time grid, which ``np.array`` cannot stack, so the embedding's
+    Lagrangian then takes its partials on whole grids.
+    """
+
+    f: Callable[[float, np.ndarray, np.ndarray], Sequence]
     dfdx: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     cost: Callable[[np.ndarray], float]
     cost_grad: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
     controls: ControlSet
     horizon: float
-    dfdu: Optional[Callable] = None
 
     @property
     def dim(self) -> int:
@@ -94,47 +99,22 @@ def embed_classical(cp: ClassicalProblem) -> DefiningTriple:
     pi = tuple(range(n, 2 * n))
     c0 = float(cp.cost(np.asarray(cp.x0, dtype=float)))
 
-    def split(p: JetPoint):
-        return p.blocks[:, :n], p.blocks[:, n:]
-
     def L_ev(pt: JetPoint, u):
-        x, pp = split(pt)
-        return np.dot(pp[0], x[1] - np.asarray(cp.f(pt.t, x[0], u)))
-
-    partials = {}
-    for i in range(n):
-        partials[("q", i, 1)] = (lambda pt, u, _i=i: pt.coord(n + _i, 0))
-        partials[("q", n + i, 0)] = (
-            lambda pt, u, _i=i: pt.coord(_i, 1)
-            - np.atleast_1d(cp.f(pt.t, pt.blocks[0, :n], u))[_i])
-        partials[("q", i, 0)] = (
-            lambda pt, u, _i=i: -np.dot(
-                pt.blocks[0, n:],
-                np.atleast_2d(cp.dfdx(pt.t, pt.blocks[0, :n], u))[:, _i]))
-    if cp.dfdu is not None:
-        def du_partial(pt, u, a=0):
-            return -np.dot(pt.blocks[0, n:],
-                           np.atleast_2d(cp.dfdu(pt.t, pt.blocks[0, :n], u))[:, a])
-        for a in range(cp.controls.dim):
-            partials[("u", a)] = (lambda pt, u, _a=a: du_partial(pt, u, _a))
+        f = cp.f(pt.t, pt.blocks[0, :n], u)
+        return sum(pt.coord(n + i, 0) * (pt.coord(i, 1) - f[i]) for i in range(n))
 
     reads = {i: 1 for i in range(n)}
     reads.update({n + i: 0 for i in range(n)})
-    L = ScalarJetField(L_ev, actual_order=1, partials=partials, name="L", reads=reads)
+    L = ScalarJetField(L_ev, actual_order=1, name="L", reads=reads)
 
     lag = ControlledLagrangian(field=L, actual_order=1, state_dim=N)
 
     def cost_ev(pt, u):
         return (pt.t / T) * (cp.cost(pt.blocks[0, :n]) - c0)
 
-    cost_partials = {}
-    for i in range(n):
-        cost_partials[("q", i, 0)] = (
-            lambda pt, u, _i=i: (pt.t / T)
-            * np.atleast_1d(cp.cost_grad(pt.blocks[0, :n]))[_i])
     cost = CostFunction(
-        field=ScalarJetField(cost_ev, actual_order=0, partials=cost_partials,
-                             name="cost", reads={i: 0 for i in range(n)}),
+        field=ScalarJetField(cost_ev, actual_order=0, name="cost",
+                             reads={i: 0 for i in range(n)}),
         actual_order=0,
     )
 

@@ -165,27 +165,18 @@ class NormalFormDynamics:
 
 
 def reduce_to_first_order(highest_order_rhs: Callable, order: int, state_dim: int,
-                          partials: Optional[Mapping] = None,
                           names: Optional[Sequence[str]] = None) -> NormalFormDynamics:
     """Chain reduction of ``d^m q/dt^m = f(t, q, ..., d^{m-1} q, u)``.
 
-    ``highest_order_rhs`` maps ``(JetPoint, u) -> (state_dim,)`` vector;
-    ``partials`` optionally maps directions to vector-valued partials of f.
+    ``highest_order_rhs`` maps ``(JetPoint, u) -> (state_dim,)`` vector.
     ``order == 1`` yields the identity reduction.
     """
     names = list(names or (f"q{i}" for i in range(state_dim)))
 
     def make_top(i: int) -> ScalarJetField:
-        comp_partials = None
-        if partials is not None:
-            comp_partials = {
-                key: (lambda p, u, fn=fn, _i=i: np.atleast_1d(fn(p, u))[_i])
-                for key, fn in partials.items()
-            }
         return ScalarJetField(
             evaluator=lambda p, u, _i=i: np.atleast_1d(highest_order_rhs(p, u))[_i],
             actual_order=order - 1,
-            partials=comp_partials,
             name=f"f[{names[i]}]",
         )
 

@@ -41,32 +41,48 @@ class TaylorSeries:
     modulo h^(K+1).
 
     Entries are floats, or series in another variable when a derived field is
-    itself evaluated on series; ``c`` of shape (K+1, B) holds one series per
-    node of a time grid, and a (B,) float array operand acts as a scalar.
-    Sums, products, quotients, powers and numpy's ``sin``, ``cos``, ``exp``,
+    itself evaluated on series.  On a time grid of B nodes each entry carries
+    the batch axis: ``c`` of shape (K+1, B) holds one series per node, or,
+    when its entries are series in another variable (a dual number seeded on
+    a grid), ``c`` is a (K+1,) object array of them and of (B,) rows.  A
+    (B,) float array operand acts as a scalar, on either side.  Sums,
+    products, quotients, powers and numpy's ``sin``, ``cos``, ``exp``,
     ``log`` and ``sqrt`` (which call the methods of those names) accept
     series; ``float()``, ``math`` functions and comparisons raise TypeError.
     """
 
     __slots__ = ("c",)
+    # an ndarray on the left of an operator defers to the reflected method,
+    # which hands a foreign array back to numpy's broadcast
+    __array_priority__ = 1000
 
     def __init__(self, c: np.ndarray) -> None:
         self.c = c
 
+    @property
+    def batch(self) -> tuple:
+        """The shape of the node axis: () at one node, (B,) on a time grid."""
+        if self.c.dtype != object:
+            return self.c.shape[1:]
+        head = self.c[0]
+        return head.batch if isinstance(head, TaylorSeries) else np.shape(head)
+
     def _foreign(self, other) -> bool:
         """An array numpy broadcasts the series over: not a float per node."""
-        return isinstance(other, np.ndarray) and (other.dtype == object or other.shape != self.c.shape[1:])
+        return isinstance(other, np.ndarray) and (other.dtype == object or other.shape != self.batch)
 
     def __add__(self, other):
         if isinstance(other, TaylorSeries):
-            return TaylorSeries(self.c + other.c)
+            a, b = _aligned(self.c, other.c)
+            return TaylorSeries(a + b)
         if self._foreign(other):
             return NotImplemented
         c = self.c.copy()
         c[0] = c[0] + other
         return TaylorSeries(c)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        return np.add(other, self) if self._foreign(other) else self + other
 
     def __neg__(self):
         return TaylorSeries(-self.c)
@@ -75,21 +91,24 @@ class TaylorSeries:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return np.subtract(other, self) if self._foreign(other) else (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, TaylorSeries):
             # the Cauchy product of the Taylor coefficients c[k] / k!, degree
             # by degree (np.convolve takes no batch axis)
-            w = _inverse_factorials(len(self.c))
-            a, b = (self.c.T * w).T, (other.c.T * w).T
-            return TaylorSeries((np.array([sum(a[i] * b[k - i] for i in range(k + 1))
-                                           for k in range(len(w))]).T / w).T)
+            a, b = _aligned(self.c, other.c)
+            w = _inverse_factorials(len(a))
+            if len(w) > 2:   # 1/0! = 1/1! = 1 leave a dual number's product as it is
+                a, b = (a.T * w).T, (b.T * w).T
+            c = _stack([sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(w))])
+            return TaylorSeries((c.T / w).T if len(w) > 2 else c)
         if self._foreign(other):
             return NotImplemented
         return TaylorSeries(self.c * other)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return np.multiply(other, self) if self._foreign(other) else self * other
 
     def __truediv__(self, other):
         if isinstance(other, TaylorSeries):
@@ -99,16 +118,14 @@ class TaylorSeries:
         return TaylorSeries(self.c / other)
 
     def __rtruediv__(self, other):
-        if self._foreign(other):
-            return NotImplemented
-        return self.reciprocal() * other
+        return np.true_divide(other, self) if self._foreign(other) else self.reciprocal() * other
 
     def __pow__(self, r):
         if isinstance(r, TaylorSeries):
             return NotImplemented
         if r >= 0 and r == int(r):   # products, which also allow c[0] = 0
-            out = 0.0 * self + 1.0
-            for _ in range(int(r)):
+            out = self if r else 0.0 * self + 1.0
+            for _ in range(int(r) - 1):
                 out = out * self
             return out
         return self._solve(self.c[0] ** r, self._log_rate(), lambda v, q: r * v * q)
@@ -155,6 +172,35 @@ class TaylorSeries:
         return self._sin_cos()[1]
 
 
+def _cells(a: np.ndarray, lead: int) -> np.ndarray:
+    """A copy of ``a`` as an object array of shape ``a.shape[:lead]``: on a
+    batched array each cell holds a (B,) row, so that one cell can take a
+    series that carries the batch axis itself."""
+    if a.ndim == lead:
+        return a.astype(object)
+    out = np.empty(a.shape[:lead], dtype=object)
+    for idx in np.ndindex(out.shape):
+        out[idx] = a[idx]
+    return out
+
+
+def _aligned(a: np.ndarray, b: np.ndarray):
+    """Two coefficient arrays in one layout: where a (K+1, B) array meets a
+    (K+1,) object array, both as (K+1,) object arrays of their rows."""
+    return (a, b) if a.ndim == b.ndim else (_cells(a, 1), _cells(b, 1))
+
+
+def _stack(entries: list) -> np.ndarray:
+    """Coefficients as one array: floats and (B,) rows stack, and a list
+    holding a series stays a (K+1,) object array."""
+    if not any(isinstance(e, TaylorSeries) for e in entries):
+        return np.array(entries)
+    out = np.empty(len(entries), dtype=object)
+    for k, e in enumerate(entries):
+        out[k] = e
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _inverse_factorials(n: int) -> np.ndarray:
     """1/k! for k < n, read-only."""
@@ -181,7 +227,9 @@ class JetPoint:
     A batched point holds the jets at every node of a time grid ``t`` of
     shape (B,): blocks (n+1, N, B), and ``coord`` returns (B,) arrays.  The
     time and the blocks may also be :class:`TaylorSeries` (the series view a
-    :class:`DerivedField` evaluates its base on).
+    :class:`DerivedField` evaluates its base on, or a dual number; on a
+    batched point, blocks holding one are an (n+1, N) object array of
+    (B,) rows and series).
     """
 
     __slots__ = ("t", "blocks")
@@ -215,8 +263,10 @@ class JetPoint:
         return JetPoint(self.t[b], self.blocks[..., b])
 
     def with_coord(self, i: int, beta: int, value) -> "JetPoint":
-        """Copy with one jet coordinate replaced (a float or a dual number)."""
-        arr = self.blocks.astype(object if isinstance(value, TaylorSeries) else self.blocks.dtype)
+        """Copy with one jet coordinate replaced (a float or a dual number);
+        a dual number on a batched point holds the whole (B,) row, so the
+        blocks become an (n+1, N) object array of rows."""
+        arr = _cells(self.blocks, 2) if isinstance(value, TaylorSeries) else self.blocks.copy()
         arr[beta, i] = value
         return JetPoint(self.t, arr)
 
@@ -246,7 +296,10 @@ def on_batch(fn, p: JetPoint, ujet: np.ndarray):
     the whole batch, which counts only if it raises no TypeError, ValueError
     or floating-point error, has shape () or (B,) and matches the batch-free
     call at the first node to 1e-12 relative (which a reduction over the
-    batch axis fails).  Otherwise every node is evaluated on its own."""
+    batch axis fails).  Otherwise every node is evaluated on its own, as for
+    an evaluator with a ``math`` function, a comparison or a reduction over
+    coordinates; values and dual-number partials of numpy-written fields
+    take the one batched call."""
     if p.blocks.ndim < 3:
         return fn(p, ujet)
     count = p.blocks.shape[2]
@@ -272,7 +325,9 @@ class JetField:
     protocol comes from here: ``value`` accepts a bare control value,
     ``read_depth`` follows ``reads`` (or ``actual_order`` when it is None),
     and ``partial`` normalizes the control to a stack for ``partial_uj``,
-    which evaluates the field once on a dual number.  On float jets
+    which evaluates the field once on a dual number (on a batched point, one
+    dual number that carries the batch axis).  A field that cannot take
+    series and knows its partials overrides ``partial_uj``.  On float jets
     ``value`` and ``partial`` return Python floats, on a batched point (B,)
     arrays (through :func:`on_batch`), and on a series view series.
     """
@@ -328,65 +383,56 @@ class JetField:
 
 
 def _exact_only(p: JetPoint, ujet: np.ndarray) -> bool:
-    # no difference quotient on series; batched points run node by node instead
+    """No difference quotient here: the point holds series or dual numbers,
+    or a time grid (where :func:`on_batch` runs the nodes one by one)."""
     return p.blocks.ndim > 2 or object in (p.blocks.dtype, ujet.dtype) or isinstance(p.t, TaylorSeries)
 
 
 def _seed_dual(x):
     """x + e for a new variable e: a degree-1 series in e at the innermost
     constant term of x, so that e nests inside the h-series of a series view
-    instead of meeting them as a series in the same variable."""
+    instead of meeting them as a series in the same variable.  A (B,) row of
+    a time grid gives one dual number per node, with ``c`` of shape (2, B)."""
     if not isinstance(x, TaylorSeries):
-        if isinstance(x, np.ndarray):   # a batched point runs node by node instead
-            raise TypeError("a dual number takes one node at a time")
-        return TaylorSeries(np.array([x, 1.0]))
-    c = x.c.astype(object)
+        c = np.empty((2,) + np.shape(x))
+        c[0], c[1] = x, 1.0
+        return TaylorSeries(c)
+    c = _cells(x.c, 1)
     c[0] = _seed_dual(c[0])
     return TaylorSeries(c)
 
 
 def _dual_coefficient(s, like):
     """The e-coefficient of ``s``, read at the nesting depth of ``like``."""
-    if not isinstance(s, TaylorSeries):
-        return 0.0
     if isinstance(like, TaylorSeries):
-        return TaylorSeries(np.array([_dual_coefficient(c, like.c[0]) for c in s.c]))
-    return s.c[1]
+        if not isinstance(s, TaylorSeries):
+            return 0.0
+        return TaylorSeries(_stack([_dual_coefficient(c, like.c[0]) for c in s.c]))
+    if isinstance(s, TaylorSeries):
+        return s.c[1]
+    return np.zeros(like.shape) if isinstance(like, np.ndarray) else 0.0
 
 
 @dataclass(frozen=True)
 class ScalarJetField(JetField):
     """A field given by an evaluator of (JetPoint, control value).
 
-    ``partials`` optionally maps coordinate directions to analytic partial
-    evaluators with the same ``(JetPoint, u) -> float`` signature.  Keys are
-    ``"t"``, ``("q", i, beta)`` and ``("u", a)``.  Missing partials are taken
-    on a dual number, as for any :class:`JetField`.  Evaluators should be
-    elementwise arithmetic or numpy expressions, which also evaluate on series
-    and on a whole time grid at once; anything else (``math`` functions,
+    Its partials are taken on a dual number, as for any :class:`JetField`.
+    Evaluators should be elementwise arithmetic or numpy expressions, which
+    also evaluate on series, on dual numbers and on a whole time grid at
+    once, values and partials alike; anything else (``math`` functions,
     comparisons, reductions over coordinates) runs node by node on grids and
-    takes difference quotients instead of series.
+    takes difference quotients instead of series, with a RuntimeWarning.
     """
 
     evaluator: Callable[[JetPoint, np.ndarray], float]
     actual_order: int
-    partials: Optional[Mapping] = None
     name: str = ""
     u_depth: int = 0
     reads: Optional[Mapping[int, int]] = None
 
     def value_uj(self, p: JetPoint, ujet: np.ndarray) -> float:
         return self.evaluator(p, ujet[0])
-
-    def partial_uj(self, p: JetPoint, ujet: np.ndarray, direction: Direction) -> float:
-        key = _canonical_direction(direction)
-        if self.partials is not None:
-            fn = self.partials.get(key)
-            if fn is None and key[0] == "u" and key[2] == 0:
-                fn = self.partials.get(("u", key[1]))
-            if fn is not None:
-                return fn(p, ujet[0])
-        return super().partial_uj(p, ujet, key)
 
 
 def _canonical_direction(direction: Direction):
@@ -412,7 +458,7 @@ def _coordinate(p: JetPoint, ujet: np.ndarray, key):
         return p.coord(key[1], key[2]), lambda v: (p.with_coord(key[1], key[2], v), ujet)
 
     def at(v):
-        uj = ujet.astype(object if isinstance(v, TaylorSeries) else ujet.dtype)
+        uj = _cells(ujet, 2) if isinstance(v, TaylorSeries) else ujet.copy()
         uj[key[2], key[1]] = v
         return p, uj
 
@@ -480,7 +526,10 @@ def _shifted_series(rows: np.ndarray, count: int, keep: int) -> np.ndarray:
 def _series_view(p: JetPoint, count: int) -> JetPoint:
     """The jet point along its curve at t + h, as series in h of degree
     ``count``: q^i_(beta)(t + h) is read from blocks beta .. beta+count."""
-    t = np.zeros((count + 1,) + p.blocks.shape[2:], dtype=object if isinstance(p.t, TaylorSeries) else float)
+    if isinstance(p.t, TaylorSeries):
+        t = np.zeros(count + 1, dtype=object)
+    else:
+        t = np.zeros((count + 1,) + np.shape(p.t))
     t[0] = p.t
     t[1:2] = 1.0   # d(t + h)/dh, when the degree is at least 1
     return JetPoint(TaylorSeries(t), _shifted_series(p.blocks, count, p.n - count + 1))
@@ -497,8 +546,9 @@ class DerivedField(JetField):
     collapses into one.  A base that cannot take series (a ``math``
     function, a ``float()`` cast or a comparison in its evaluator) is
     differentiated instead, with a RuntimeWarning, by the chain rule on its
-    (count-1)-fold derivative, with difference-quotient partials where the
-    base has no analytic ones; those jets lose digits with every order.
+    (count-1)-fold derivative, with the base's own partials (difference
+    quotients, unless it overrides ``partial_uj``); those jets lose digits
+    with every order.
     """
 
     __slots__ = ("base", "count", "actual_order", "u_depth", "name", "reads",
@@ -535,8 +585,8 @@ class DerivedField(JetField):
                 s = self.base.value_uj(_series_view(p, k),
                                        _shifted_series(ujet, k, self.base.u_depth + 1))
             except TypeError as exc:
-                if p.blocks.ndim > 2:
-                    raise   # the batched step runs node by node instead
+                if _exact_only(p, ujet):
+                    raise   # a grid runs node by node; series have no fallback
                 warnings.warn(f"{self.name}: the base cannot take Taylor series ({exc}); "
                               "falling back to difference quotients", RuntimeWarning)
                 self._fallback = self.base if k == 1 else DerivedField(self.base, k - 1)

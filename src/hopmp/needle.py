@@ -120,12 +120,13 @@ def _boundary_pairing(triple: DefiningTriple, surface: VariationSurface,
     depth = max(2 * r - 1, r)
     q = surface.q_blocks(np.array([t_star]), depth)[:, 0]   # (ns, depth+1, N)
     Y = surface.s_derivative(q)
-    vals = np.empty(surface.n_slices)
-    for k, sl in enumerate(surface.slices):
-        jet = JetPoint(t_star, q[k])   # a one-node grid's jet is the batch-free one
-        ujet = sl.traj.control.jet(sl.traj.control.clamp(t_star), r + 1)
-        m = lagrangian_momenta(triple, jet, ujet)         # (N, r)
-        vals[k] = float(np.sum(m * Y[k, :r].T))
+    # the slices' jets and control stacks at t_star as one batched point
+    jets = JetPoint(np.full(surface.n_slices, t_star), np.moveaxis(q, 0, -1))
+    ujets = np.stack([sl.traj.control.jet(sl.traj.control.clamp(t_star), r + 1)
+                      for sl in surface.slices], axis=-1)
+    m = lagrangian_momenta(triple, jets, ujets)           # (N, r, ns)
+    # one (N, r) reduction per slice keeps the rounding of a single node's sum
+    vals = np.array([np.sum(m[..., k] * Y[k, :r].T) for k in range(surface.n_slices)])
     return float(simpson(vals, x=surface.s_nodes))
 
 
@@ -153,10 +154,6 @@ class CorrectiveEstimate:
     richardson: Optional[float]
     consistent: bool
     goodn_residuals: np.ndarray
-
-    @property
-    def value(self) -> float:
-        return self.liminf_proxy
 
 
 def corrective_term(triple: DefiningTriple, gamma0: Trajectory,

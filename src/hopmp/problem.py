@@ -58,9 +58,10 @@ class ControlSet:
 class _PartialField(JetField):
     """The partial of a field along one coordinate, as a field itself.
 
-    Its value is the base field's (analytic or dual-number) partial, taken
-    on the full control-derivative stack; it reads what the base field
-    reads, and its own partials are dual-number partials of that value.
+    Its value is the base field's partial (a dual number, unless the base
+    overrides ``partial_uj``), taken on the full control-derivative stack;
+    it reads what the base field reads, and its own partials are
+    dual-number partials of that value, nested inside the first.
     """
 
     __slots__ = ("base", "direction", "actual_order", "u_depth", "name", "reads",
@@ -200,7 +201,8 @@ class DefiningTriple:
 
 
 def el_residual(triple: DefiningTriple, traj, u: ControlCurve, t: float) -> np.ndarray:
-    """Controlled Euler-Lagrange residual E_i(L) along a curve at time ``t``.
+    """Controlled Euler-Lagrange residual E_i(L) along the curve ``traj`` at
+    time ``t``.
 
     E_i(L) = dL/dq^i + sum_{beta=1..r} (-1)^beta (d/dt)^beta (dL/dq^i_(beta)),
     with iterated total derivatives chained through the curve's control; it
@@ -209,7 +211,7 @@ def el_residual(triple: DefiningTriple, traj, u: ControlCurve, t: float) -> np.n
     L = triple.lagrangian
     r = L.actual_order
     N = L.state_dim
-    jet = traj.jet(t, 2 * r) if hasattr(traj, "jet") else traj
+    jet = traj.jet(t, 2 * r)
     if jet.n < 2 * r:
         raise InsufficientJetOrder(f"need jets of order {2 * r}, got {jet.n}")
     ujet = u.jet(t, r + 1)
@@ -228,12 +230,15 @@ def momentum_sums(field: JetField, jet: JetPoint, ujet: np.ndarray, dim: int,
 
     M[i, beta] = sum_{delta=beta+1..r} (-1)^(delta-beta-1)
                  (d/dt)^(delta-beta-1) (dF/dq^i_(delta))
+
+    On a batched jet each sum is a (B,) row, M of shape (dim, r, B).
     """
-    out = np.zeros((dim, r))
+    out = np.zeros((dim, r) + jet.blocks.shape[2:])
     for i in range(dim):
         for beta in range(r):
             acc = 0.0
-            for delta in range(beta + 1, r + 1):
+            # dF/dq^i_(delta) vanishes past the depth at which F reads q^i
+            for delta in range(beta + 1, min(r, field.read_depth(i)) + 1):
                 eps = delta - beta - 1
                 fld = _PartialField(field, ("q", i, delta))
                 if eps:

@@ -13,6 +13,7 @@ x-trajectories, which the test suite checks.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,13 +42,7 @@ def _gated_cost(T: float, var: int = 0, scale: float = -1.0) -> CostFunction:
     def ev(p, u):
         return scale * (p.t / T) * p.coord(var, 0)
 
-    fld = ScalarJetField(
-        evaluator=ev,
-        actual_order=0,
-        partials={("q", var, 0): lambda p, u: scale * p.t / T},
-        name="cost",
-        reads={var: 0},
-    )
+    fld = ScalarJetField(evaluator=ev, actual_order=0, name="cost", reads={var: 0})
     return CostFunction(field=fld, actual_order=0)
 
 
@@ -55,7 +50,6 @@ def _pendulum_top_x() -> ScalarJetField:
     """The pendulum's top equation xdd = u - x, shared by the second-order
     formulations."""
     return ScalarJetField(lambda p, u: u[0] - p.coord(0, 0), actual_order=0,
-                          partials={("q", 0, 0): lambda p, u: -1.0},
                           name="f_x", reads={0: 0})
 
 
@@ -76,12 +70,6 @@ def pendulum_r2(T: float = math.pi / 2, v_max: float = 1.0) -> DefiningTriple:
     L = ScalarJetField(
         evaluator=lambda p, u: p.coord(P, 0) * (p.coord(X, 2) + p.coord(X, 0) - u[0]),
         actual_order=2,
-        partials={
-            ("q", X, 0): lambda p, u: p.coord(P, 0),
-            ("q", X, 2): lambda p, u: p.coord(P, 0),
-            ("q", P, 0): lambda p, u: p.coord(X, 2) + p.coord(X, 0) - u[0],
-            ("u", 0): lambda p, u: -p.coord(P, 0),
-        },
         name="L",
         reads={X: 2, P: 0},
     )
@@ -133,11 +121,6 @@ def pendulum_direct(T: float = math.pi / 2, v_max: float = 1.0) -> DefiningTripl
         evaluator=lambda p, u: 0.5 * p.coord(X, 1) ** 2 - 0.5 * p.coord(X, 0) ** 2
         + u[0] * p.coord(X, 0),
         actual_order=1,
-        partials={
-            ("q", X, 0): lambda p, u: -p.coord(X, 0) + u[0],
-            ("q", X, 1): lambda p, u: p.coord(X, 1),
-            ("u", 0): lambda p, u: p.coord(X, 0),
-        },
         name="L",
         reads={X: 1},
     )
@@ -177,9 +160,8 @@ def pendulum_classical(T: float = math.pi / 2, v_max: float = 1.0) -> DefiningTr
         raise BadParams("horizon must be positive")
 
     cp = ClassicalProblem(
-        f=lambda t, x, u: np.array([x[1], -x[0] + u[0]]),
+        f=lambda t, x, u: [x[1], -x[0] + u[0]],
         dfdx=lambda t, x, u: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-        dfdu=lambda t, x, u: np.array([[0.0], [1.0]]),
         cost=lambda x: -x[0],
         cost_grad=lambda x: np.array([-1.0, 0.0]),
         x0=np.array([0.0, 0.0]),
@@ -219,25 +201,15 @@ def mth_order(a: Sequence[float], T: float = 1.0) -> DefiningTriple:
         s = sum(a[l] * p.coord(X, l) for l in range(m + 1))
         return p.coord(P, 0) * (s - u[0])
 
-    L_partials = {("q", P, 0): lambda p, u: sum(a[l] * p.coord(X, l) for l in range(m + 1)) - u[0],
-                  ("u", 0): lambda p, u: -p.coord(P, 0)}
-    for l in range(m + 1):
-        if a[l] != 0.0:
-            L_partials[("q", X, l)] = (lambda p, u, _l=l: a[_l] * p.coord(P, 0))
-    L = ScalarJetField(L_ev, actual_order=m, partials=L_partials, name="L",
-                       reads={X: m, P: 0})
+    L = ScalarJetField(L_ev, actual_order=m, name="L", reads={X: m, P: 0})
 
     lag = ControlledLagrangian(field=L, actual_order=m, state_dim=2)
 
     def fx(p, u):
         return (u[0] - sum(a[l] * p.coord(X, l) for l in range(m))) / a[m]
 
-    fx_partials = {("u", 0): lambda p, u: 1.0 / a[m]}
-    for l in range(m):
-        if a[l] != 0.0:
-            fx_partials[("q", X, l)] = (lambda p, u, _l=l: -a[_l] / a[m])
-    top_x = ScalarJetField(fx, actual_order=max(0, m - 1), partials=fx_partials,
-                           name="f_x", reads={X: m - 1} if m > 1 else {X: 0})
+    top_x = ScalarJetField(fx, actual_order=max(0, m - 1), name="f_x",
+                           reads={X: m - 1} if m > 1 else {X: 0})
 
     sgn = (-1.0) ** m
 
@@ -311,47 +283,35 @@ def third_order(T: float = 1.0,
                 f: Optional[ScalarJetField] = None) -> DefiningTriple:
     """x''' = f(t, x, xd, xdd, u) with one auxiliary variable and cost -x(T).
 
-    The default instance is f = u.  For a general ``f`` supply a field with
-    analytic partials; the auxiliary equation is then assembled from them.
-    Written with numpy functions, ``f`` and its partials take Taylor series
-    and its jets are exact.
+    The default instance is f = u.  Write a general ``f`` with numpy
+    (elementwise arithmetic, ``np.sin`` and the like): its jets are then
+    exact, and so are its partials, taken on dual numbers, from which the
+    auxiliary equation is assembled.  An ``f`` that cannot take series (a
+    ``math`` function) falls back to difference quotients with a
+    RuntimeWarning, unless it subclasses :class:`ScalarJetField` and
+    overrides ``partial_uj`` with its exact partials.
     """
     if T <= 0:
         raise BadParams("horizon must be positive")
     X, P = 0, 1
 
     if f is None:
-        f = ScalarJetField(lambda p, u: u[0], actual_order=0,
-                           partials={("u", 0): lambda p, u: 1.0},
-                           name="f", reads={})
+        f = ScalarJetField(lambda p, u: u[0], actual_order=0, name="f", reads={})
 
     def L_ev(p, u):
         return p.coord(P, 0) * (p.coord(X, 3) - f.evaluator(p, u))
 
-    L_partials = {
-        ("q", X, 3): lambda p, u: p.coord(P, 0),
-        ("q", P, 0): lambda p, u: p.coord(X, 3) - f.evaluator(p, u),
-        ("u", 0): lambda p, u: -p.coord(P, 0) * f.partial(p, u, ("u", 0)),
-    }
-    for l in range(3):
-        L_partials[("q", X, l)] = (
-            lambda p, u, _l=l: -p.coord(P, 0) * f.partial(p, u, ("q", X, _l)))
-    L_reads = {X: 3, P: 0}
-    L = ScalarJetField(L_ev, actual_order=3, partials=L_partials, name="L",
-                       reads=L_reads)
-
+    L = ScalarJetField(L_ev, actual_order=3, name="L", reads={X: 3, P: 0})
     lag = ControlledLagrangian(field=L, actual_order=3, state_dim=2)
 
-    top_x = ScalarJetField(f.evaluator, actual_order=min(f.actual_order, 2),
-                           partials=f.partials, name="f_x",
-                           reads=f.reads if f.reads is not None else {X: 2},
-                           u_depth=f.u_depth)
+    # a copy of f itself, so that an override of its partials serves the x-chain
+    top_x = replace(f, actual_order=min(f.actual_order, 2), name="f_x",
+                    reads=f.reads if f.reads is not None else {X: 2})
 
     reads_x = f.read_depth(X) if f.reads is not None else 2
     if reads_x < 0:
         # f independent of the x-jets: the auxiliary equation is p''' = 0
-        top_p = ScalarJetField(lambda p, u: 0.0, actual_order=0, partials={},
-                               name="f_p", reads={})
+        top_p = ScalarJetField(lambda p, u: 0.0, actual_order=0, name="f_p", reads={})
         sigma_p = np.array([T ** 2 / 2.0, -T, 1.0])
     else:
         top_p = _LeibnizAdjointTop(f, X, P)

@@ -28,7 +28,6 @@ def pendulum_cp(T=PI / 2, v=0.0):
     return ClassicalProblem(
         f=lambda t, x, u: np.array([x[1], -x[0] + u[0]]),
         dfdx=lambda t, x, u: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-        dfdu=lambda t, x, u: np.array([[0.0], [1.0]]),
         cost=lambda x: -x[0],
         cost_grad=lambda x: np.array([-1.0, 0.0]),
         x0=np.array([0.0, v]),

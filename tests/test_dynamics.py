@@ -19,6 +19,7 @@ from hopmp.dynamics import (
     reduce_to_first_order,
 )
 from hopmp.errors import TimeOutOfRange
+from hopmp.jetspace import ScalarJetField
 from hopmp.problems import pendulum_r2
 
 PI = math.pi
@@ -29,12 +30,7 @@ def chain_2nd_order():
     def f(p, u):
         return np.array([u[0] - p.coord(0, 0)])
 
-    return reduce_to_first_order(
-        f, order=2, state_dim=1,
-        partials={("q", 0, 0): lambda p, u: np.array([-1.0]),
-                  ("u", 0): lambda p, u: np.array([1.0])},
-        names=["x"],
-    )
+    return reduce_to_first_order(f, order=2, state_dim=1, names=["x"])
 
 
 def test_integrate_pendulum_free_oscillation():
@@ -260,7 +256,6 @@ def test_pendulum_jets_beyond_former_cap_match_closed_form():
 
 def _third_order_reading_xdd():
     # x''' = u - x''^2 / 2: the adjoint's top reads x'''' = Df, hence u'
-    from hopmp.jetspace import ScalarJetField
     from hopmp.problems import third_order
 
     f = ScalarJetField(lambda p, u: u[0] - p.coord(0, 2) ** 2 / 2, actual_order=2,
@@ -371,6 +366,25 @@ def test_lagrangians_on_grids_equal_stacked_one_node_values(problem_id, data):
             np.testing.assert_allclose(got, [fn(float(t)) for t in ts], rtol=1e-13, atol=1e-13)
 
 
+@settings(max_examples=20, deadline=None)
+@given(problem_id=st.sampled_from(sorted(BUILTIN_PARAMS)), data=st.data())
+def test_momenta_on_grids_equal_stacked_node_momenta(problem_id, data):
+    # the boundary pairing takes every slice's momenta from one batched point:
+    # the dual numbers of the partials carry the batch axis, and each node's
+    # sums equal those of its own jet exactly
+    from hopmp.problem import full_momenta, lagrangian_momenta
+
+    triple, gamma0, spliced, ts = _needle_slice(problem_id, data)
+    r, u = triple.lagrangian.actual_order, spliced.control
+    jets = spliced.jets(ts, 2 * r)
+    ujets = np.stack([u.jet(u.clamp(t), r + 1) for t in ts], axis=-1)
+    for momenta in (lagrangian_momenta, full_momenta):
+        got = momenta(triple, jets, ujets)
+        assert got.shape == (triple.lagrangian.state_dim, r, ts.size)
+        assert np.array_equal(got, np.stack([momenta(triple, jets.node(b), ujets[..., b])
+                                              for b in range(ts.size)], axis=-1))
+
+
 def _node_by_node(traj, ts, order):
     """The jets at each node from the grid's own states, one node at a time."""
     ys, depth = traj.state(ts), traj.dynamics.plan(order).u_depth
@@ -383,18 +397,14 @@ def _node_by_node(traj, ts, order):
 @pytest.mark.parametrize("lib", [math, np], ids=["math", "numpy"])
 def test_jets_of_fields_that_cannot_batch_add_no_warning(lib):
     # with math.sin the top field takes no array and runs node by node, its
-    # derived blocks taking difference quotients exactly as at one node; with
-    # np.sin and no analytic partials the adjoint's blocks need dual numbers
-    # inside series, which take one node at a time, so those steps run node
-    # by node without marking any field as unable to take series
-    from hopmp.jetspace import ScalarJetField
+    # derived blocks taking the chain rule on its exact partials as at one
+    # node; with np.sin the adjoint's blocks take dual numbers inside series,
+    # batched like the series, without marking any field as unable to take
+    # series
     from hopmp.problems import third_order
+    from tests_support import sine_force
 
-    partials = {("q", 0, 0): lambda p, u: -math.cos(p.coord(0, 0)),
-                ("u", 0): lambda p, u: 1.0} if lib is math else None
-    force = ScalarJetField(lambda p, u: -lib.sin(p.coord(0, 0)) + u[0], actual_order=0,
-                           partials=partials, name="f", reads={0: 0})
-    triple = third_order(f=force)
+    triple = third_order(f=sine_force(lib))
     traj = triple.controlled_curve(HarmonicControl([0.2], [0.5], 2.0, 0.1, triple.horizon))
     ts = np.linspace(0.0, triple.horizon, 9)
     with warnings.catch_warnings(record=True) as caught:

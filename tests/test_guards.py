@@ -114,9 +114,6 @@ def test_two_dimensional_control_machinery():
     assert control_measure_diff(u1, u2) == pytest.approx(0.1, abs=1e-3)
 
     f = ScalarJetField(
-        lambda p, u: u[0] * p.coord(0, 0) + u[1] ** 2, actual_order=0,
-        partials={("q", 0, 0): lambda p, u: u[0],
-                  ("u", 0): lambda p, u: p.coord(0, 0),
-                  ("u", 1): lambda p, u: 2 * u[1]})
+        lambda p, u: u[0] * p.coord(0, 0) + u[1] ** 2, actual_order=0)
     pt = JetPoint(0.0, np.array([[2.0], [3.0]]))
     assert total_derivative(f, pt, [0.5, -0.5]) == pytest.approx(1.5)

@@ -48,8 +48,7 @@ def test_total_derivative_of_coordinate_function():
 
 
 def test_total_derivative_of_time_coordinate():
-    f = ScalarJetField(lambda p, u: p.t, actual_order=0,
-                       partials={"t": lambda p, u: 1.0}, name="t")
+    f = ScalarJetField(lambda p, u: p.t, actual_order=0, name="t")
     assert total_derivative(f, make_point(), [0.0]) == pytest.approx(1.0)
 
 
@@ -180,11 +179,7 @@ def test_control_partial_direction():
 
 def test_iterated_total_derivative_with_control_chain():
     # f = u * q_(0); along a curve, d/dt f = udot q_(0) + u q_(1)
-    f = ScalarJetField(
-        lambda pt, u: u[0] * pt.coord(0, 0),
-        actual_order=0,
-        partials={("q", 0, 0): lambda pt, u: u[0], ("u", 0): lambda pt, u: pt.coord(0, 0)},
-    )
+    f = ScalarJetField(lambda pt, u: u[0] * pt.coord(0, 0), actual_order=0)
     df = DerivedField(f, 1)
     blocks = np.array([[2.0], [5.0], [0.0]])
     p = JetPoint(0.0, blocks)
@@ -365,16 +360,26 @@ def _partial(e, leaf, var, magnitude=False):
     return float(e == var)
 
 
-def _expression_field(e) -> ScalarJetField:
-    partials = {key: (lambda p, u, var=var: _partial(e, _leaf_reader(p, u), var))
-                for key, var in [("t", ("t",)), (("u", 0), ("u", 0))]
-                + [(c, c) for c in _COORDS]}
-    return ScalarJetField(lambda p, u: _value(e, _leaf_reader(p, u)),
-                          actual_order=2, partials=partials, reads={0: 1, 1: 2})
+class _ExpressionField(JetField):
+    """An expression tree as a field whose partials are the tree's symbolic
+    ones, so that a reference built on them owes nothing to dual numbers."""
+
+    actual_order = 2
+    reads = {0: 1, 1: 2}
+
+    def __init__(self, e) -> None:
+        self.e = e
+
+    def value_uj(self, p, ujet):
+        return _value(self.e, _leaf_reader(p, ujet[0]))
+
+    def partial_uj(self, p, ujet, direction):
+        var = {"t": ("t",), ("u", 0, 0): ("u", 0)}.get(direction, direction)
+        return _partial(self.e, _leaf_reader(p, ujet[0]), var)
 
 
 def _series_derivative(e, k, p, ujet):
-    d = DerivedField(_expression_field(e), k)
+    d = DerivedField(_ExpressionField(e), k)
     value = d.value(p, ujet)
     assert d._fallback is None   # the series path, not the difference quotients
     return value
@@ -398,7 +403,7 @@ def test_series_total_derivative_matches_chain_rule(e, t, entries, u):
             for c in _COORDS)
     assume(scale < 1e100)
     series = _series_derivative(e, 1, p, [[u], [0.0]])
-    chain = total_derivative(_expression_field(e), p, [u])
+    chain = total_derivative(_ExpressionField(e), p, [u])
     assert isinstance(series, float)
     assert series == pytest.approx(chain, rel=1e-12, abs=1e-12 * scale + _TINY)
 
@@ -475,9 +480,64 @@ def test_batched_points_evaluate_each_node(e, k, nodes, data):
                                              max_size=size)), shape)
 
     p, ujet = JetPoint(draw(nodes), draw(8, 2, nodes)), draw(5, 1, nodes)
-    d = DerivedField(_expression_field(e), k)
+    d = DerivedField(_ExpressionField(e), k)
     with np.errstate(all="ignore"):
         each = np.array([d.value_uj(p.node(b), ujet[..., b]) for b in range(nodes)])
         assume(np.all(np.abs(each) < 1e100))
         batched = np.broadcast_to(d.value_uj(p, ujet), (nodes,))
     np.testing.assert_allclose(batched, each, rtol=1e-12, atol=1e-12 * np.max(np.abs(each)))
+
+
+@pytest.mark.parametrize("direction", ["t", ("q", 0, 1), ("u", 0)])
+def test_batched_partials_take_one_dual_number(direction):
+    # the dual number carries the grid's batch axis: a partial on a grid costs
+    # the same few evaluations at 8 nodes as at 64, and equals the partial
+    # taken at each node on its own
+    def partial_with_calls(nodes):
+        calls = []
+
+        def evaluator(pt, u):
+            calls.append(pt.t)
+            return (np.sin(pt.coord(0, 1)) * pt.coord(1, 0) * u[0] ** 2
+                    + pt.t * np.exp(pt.coord(0, 0)))
+
+        rng = np.random.default_rng(nodes)
+        p = JetPoint(rng.uniform(0.0, 1.0, nodes), rng.normal(size=(3, 2, nodes)))
+        u = rng.normal(size=(1, nodes))
+        got = ScalarJetField(evaluator, actual_order=1).partial(p, u, direction)
+        count = len(calls)
+        each = [ScalarJetField(evaluator, actual_order=1).partial(p.node(b), u[:, b], direction)
+                for b in range(nodes)]
+        np.testing.assert_allclose(got, each, rtol=1e-15, atol=0)
+        return count
+
+    assert partial_with_calls(64) == partial_with_calls(8) <= 2
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("direction", ["t", ("q", 0, 0), ("q", 1, 2), ("u", 0)])
+def test_batched_partials_inside_series_take_one_dual_number(direction, k):
+    # the k-th total derivative of a partial on a grid: the dual number nests
+    # inside the grid's series, where it meets series of the other coordinates
+    # in sums, products, quotients and numpy's functions, and still takes one
+    # batched evaluation, equal to the one at each node
+    def derivative_with_calls(nodes):
+        calls = []
+
+        def evaluator(pt, u):
+            calls.append(pt.t)
+            return (np.sin(pt.coord(0, 1)) * pt.coord(1, 0) * u[0] ** 2
+                    + pt.t * np.exp(pt.coord(0, 0)) + pt.coord(1, 2) / (2.0 + pt.coord(0, 1) ** 2))
+
+        f = ScalarJetField(evaluator, actual_order=2, reads={0: 1, 1: 2})
+        d = DerivedField(_PartialField(f, direction), k)
+        rng = np.random.default_rng(nodes)
+        p = JetPoint(rng.uniform(0.0, 1.0, nodes), rng.normal(size=(k + 3, 2, nodes)))
+        ujet = rng.normal(size=(k + 1, 1, nodes))
+        got = d.value(p, ujet)
+        count = len(calls)
+        each = np.array([d.value(p.node(b), ujet[..., b]) for b in range(nodes)])
+        np.testing.assert_allclose(got, each, rtol=1e-12, atol=1e-12 * np.max(np.abs(each)))
+        return count
+
+    assert derivative_with_calls(64) == derivative_with_calls(8) <= 2

@@ -98,23 +98,15 @@ def test_el_residual_linearity_in_lagrangian():
     triple = harmonic_direct_triple()
     L1 = triple.lagrangian
     f2 = ScalarJetField(lambda p, u: p.coord(0, 0) * p.coord(0, 1),
-                        actual_order=1, reads={0: 1},
-                        partials={("q", 0, 0): lambda p, u: p.coord(0, 1),
-                                  ("q", 0, 1): lambda p, u: p.coord(0, 0)})
+                        actual_order=1, reads={0: 1})
     L2 = ControlledLagrangian(field=f2, actual_order=1, state_dim=1)
     a, b = 2.0, -0.7
 
     def combo_ev(p, u):
         return a * L1.field.evaluator(p, u) + b * f2.evaluator(p, u)
 
-    combo_partials = {}
-    for key in (("q", 0, 0), ("q", 0, 1)):
-        combo_partials[key] = (
-            lambda p, u, _k=key: a * L1.field.partial(p, u, _k)
-            + b * f2.partial(p, u, _k))
     combo = ControlledLagrangian(
-        field=ScalarJetField(combo_ev, actual_order=1, reads={0: 1},
-                             partials=combo_partials),
+        field=ScalarJetField(combo_ev, actual_order=1, reads={0: 1}),
         actual_order=1, state_dim=1)
 
     curve = AnalyticCurve([[math.cos, lambda t: -math.sin(t),

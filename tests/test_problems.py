@@ -119,13 +119,7 @@ def test_third_order_default_instance():
 
 def test_third_order_general_f_dynamics():
     # x''' = -x + u exercises the assembled auxiliary equation
-    from hopmp.jetspace import ScalarJetField
-
-    f = ScalarJetField(
-        lambda p, u: u[0] - p.coord(0, 0), actual_order=0,
-        partials={("q", 0, 0): lambda p, u: -1.0, ("u", 0): lambda p, u: 1.0},
-        reads={0: 0},
-    )
+    f = ScalarJetField(lambda p, u: u[0] - p.coord(0, 0), actual_order=0, reads={0: 0})
     triple = third_order(T=1.0, f=f)
     u = ConstantControl([0.5], 1.0)
     sigma = {"x": [0.2, 0.0, 0.0], "p": [0.1, 0.0, 0.3]}
@@ -192,19 +186,14 @@ def _swinging_pendulum(lib=math) -> ClassicalProblem:
     )
 
 
-def _sine_force(lib) -> ScalarJetField:
-    """f = -sin x + u for ``third_order``, with sin and cos from ``lib``."""
-    return ScalarJetField(lambda p, u: -lib.sin(p.coord(0, 0)) + u[0], actual_order=0,
-                          partials={("q", 0, 0): lambda p, u: -lib.cos(p.coord(0, 0)),
-                                    ("u", 0): lambda p, u: 1.0},
-                          name="f", reads={0: 0})
-
-
 @pytest.mark.parametrize("lib", [math, np], ids=["math", "numpy"])
 def test_elementary_function_fields_give_jets(lib):
     # numpy's sin and cos run on the Taylor-series path, exact up to rounding;
     # math's cannot take a series, so their fields are differentiated, with a
-    # warning, by the chain rule with difference-quotient partials
+    # warning, by the chain rule on their partials: difference quotients, or
+    # the exact ones the math-written force supplies
+    from tests_support import sine_force
+
     u, tol = 0.5, (1e-12 if lib is np else 1e-6)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -217,7 +206,7 @@ def test_elementary_function_fields_give_jets(lib):
             np.testing.assert_allclose(jet[2, :2], [force, -math.cos(x1) * x2],
                                        rtol=0, atol=tol)
 
-        third = third_order(f=_sine_force(lib))
+        third = third_order(f=sine_force(lib))
         traj = third.controlled_curve(ConstantControl([u], third.horizon))
         for t in (0.3, 0.8):
             jet = traj.jet(t, 4).blocks[:, 0]

@@ -16,7 +16,8 @@ problem::
 stopped before writing it).  Run it on two checkouts and diff
 the printed lines: equal lines mean byte-identical reports and trajectory
 data.  It imports ``hopmp`` from the ``src/`` directory of the checkout it
-lives in.
+lives in.  Standard error gets each run's wall time, ``<id> wall_s=<seconds>``,
+so the digests on standard output stay comparable across runs.
 
 ``--diff A B`` runs nothing: it compares the reports that two earlier runs
 wrote into the ``OUT`` directories ``A`` and ``B`` and prints, per problem,
@@ -29,6 +30,7 @@ from __future__ import annotations
 import difflib
 import hashlib
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -52,7 +54,9 @@ def digest(out: Path, problem_id: str) -> str:
     run_dir.mkdir(parents=True, exist_ok=True)
     config = run_dir / "config.ini"
     config.write_text(f"[problem]\nid = {problem_id}\n")
+    start = time.perf_counter()
     code = main(["--config", str(config), "--out", str(run_dir), "--quiet"])
+    sys.stderr.write(f"{problem_id} wall_s={time.perf_counter() - start:.2f}\n")
     kept = "".join(_report_lines(out, problem_id))
     csv = run_dir / "trajectory.csv"
     trajectory = _sha1(csv.read_bytes()) if csv.exists() else "missing"
