@@ -119,11 +119,14 @@ def embed_classical(cp: ClassicalProblem) -> DefiningTriple:
     )
 
     def make_top_p(i):
-        return ScalarJetField(
-            lambda pt, u, _i=i: -np.dot(
-                pt.blocks[0, n:],
-                np.atleast_2d(cp.dfdx(pt.t, pt.blocks[0, :n], u))[:, _i]),
-            actual_order=0, name=f"g{i+1}", reads={j: 0 for j in range(2 * n)})
+        # -sum_j p_j df^j/dx^i, one product per component: a matrix product
+        # would also contract a batch of n nodes
+        def g(pt, u):
+            jac = np.atleast_2d(cp.dfdx(pt.t, pt.blocks[0, :n], u))
+            return -sum(pt.coord(n + j, 0) * jac[j, i] for j in range(n))
+
+        return ScalarJetField(g, actual_order=0, name=f"g{i+1}",
+                              reads={j: 0 for j in range(2 * n)})
 
     def rhs(t, y, u):
         x, pp = y[:n], y[n:]

@@ -61,9 +61,6 @@ class ControlCurve:
         return np.stack([self.jet(t, depth) for t in self.clamp(np.asarray(ts, dtype=float))],
                         axis=-1)
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.value(t)
-
     def clamp(self, t):
         """``t``, or each node of a grid, moved just left of the horizon when it
         reaches it, so a right-continuous curve reports its last piece at T."""
@@ -329,6 +326,49 @@ class BlendControl(ControlCurve):
 
     def jets(self, ts, depth: int) -> np.ndarray:
         return (1.0 - self.s) * self.u0.jets(ts, depth) + self.s * self.u1.jets(ts, depth)
+
+
+class ControlFamily:
+    """Curves read together: ``jet(t, depth)`` stacks their jets side by side,
+    (depth+1, M, B), each column its member's ``jet`` (``value`` at depth 0)
+    bit for bit.  At depth 0, blends (1 - s) u0 + s u1 of one base u0 (u0
+    itself is s = 0) read u0 once, each other top curve once and one weight
+    per needle ramp on u0; any other family reads member by member."""
+
+    def __init__(self, curves: Sequence[ControlCurve]) -> None:
+        self.curves = list(curves)
+        u0 = next((c.u0 for c in self.curves if isinstance(c, BlendControl)), self.curves[0])
+        tops = [u0 if c is u0 else c.u1 for c in self.curves
+                if c is u0 or isinstance(c, BlendControl) and c.u0 is u0]
+        self._base = u0 if len(tops) == len(self.curves) else None
+        if self._base is None:
+            return
+        self._s = np.array([0.0 if c is u0 else c.s for c in self.curves])
+        self._r = 1.0 - self._s
+        groups: dict = {}   # the columns of each needle ramp on u0 and of each other top
+        for col, top in enumerate(tops):
+            needle = isinstance(top, SmoothedNeedleControl) and top.base is u0
+            key = (top.t_on, top.t_full, top.t_off, top.t_end, top.ramp) if needle else id(top)
+            groups.setdefault(key, (top, needle, []))[2].append(col)
+        self._groups = []   # (top curve, its columns, the needles' omegas or None)
+        for top, needle, cols in groups.values():
+            at = slice(cols[0], cols[-1] + 1) if cols[-1] - cols[0] == len(cols) - 1 else cols
+            omega = np.stack([tops[c].omega for c in cols], -1) if needle else None
+            self._groups.append((top, at, omega))
+
+    def jet(self, t: float, depth: int) -> np.ndarray:
+        if depth or self._base is None:
+            return np.stack([c.jet(t, depth) if depth else c.value(t)[None]
+                             for c in self.curves], axis=-1)
+        b = self._base.value(t)[:, None]
+        top = np.empty((b.shape[0], len(self.curves)))
+        for curve, cols, omega in self._groups:
+            if omega is None:
+                top[:, cols] = b if curve is self._base else curve.value(t)[:, None]
+                continue
+            w = curve._weight_jet(t, 0)[0] if curve.t_on <= t < curve.t_end else 0.0
+            top[:, cols] = b + w * (omega - b) if w != 0.0 else b   # SmoothedNeedleControl.value
+        return (self._r * b + self._s * top)[None]
 
 
 class InterpolatedSamplesControl(ControlCurve):

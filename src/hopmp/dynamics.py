@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 
-from .controls import ControlCurve, HarmonicControl, NeedleOverlayControl
+from .controls import ControlCurve, ControlFamily, HarmonicControl, NeedleOverlayControl
 from .errors import InsufficientJetOrder, OrderUnavailable, StepSizeUnderflow, TimeOutOfRange
 from .jetspace import DerivedField, JetField, JetPoint, ScalarJetField, on_batch
 
@@ -156,8 +156,10 @@ class NormalFormDynamics:
 
     def rhs(self, t: float, y: np.ndarray, ujet) -> np.ndarray:
         """dy/dt for the chain system; ``ujet`` is a control-derivative stack
-        of at least ``plan().u_depth + 1`` rows (or a bare control value)."""
-        if self._rhs_override is not None:
+        of at least ``plan().u_depth + 1`` rows (or a bare control value).
+        B states, y (state_dim, B) with ujet (k+1, M, B), take one pass of the
+        plan; a hand-written right-hand side serves a single state."""
+        if self._rhs_override is not None and np.ndim(y) == 1:
             uj = np.atleast_2d(np.asarray(ujet, dtype=float))
             return np.asarray(self._rhs_override(t, y, uj[0]), dtype=float)
         blocks = self._run(self.plan(), t, y, ujet)
@@ -251,15 +253,20 @@ class Trajectory:
         return self.jet(self.horizon, order)
 
 
-def segment_rhs(dynamics: NormalFormDynamics, control: ControlCurve,
-                a: float, b: float) -> Callable:
+def segment_rhs(dynamics: NormalFormDynamics, control, a: float, b: float,
+                batch: int = 1) -> Callable:
     """dy/dt on the segment [a, b) between two control breakpoints, in
     either direction of integration: the control is sampled inside the
-    half-open segment, so right-continuity picks the piece active on it."""
+    half-open segment, so right-continuity picks the piece active on it.
+    With ``batch = B``, a ControlFamily drives flattened (state_dim, B) states."""
     depth = dynamics.plan().u_depth
     end = np.nextafter(b, a)
 
-    if depth == 0:
+    if batch > 1:
+        def rhs(t, y):
+            uj = control.jet(min(max(t, a), end), depth)
+            return dynamics.rhs(t, y.reshape(-1, batch), uj).ravel()
+    elif depth == 0:
         def rhs(t, y):
             return dynamics.rhs(t, y, control.value(min(max(t, a), end)))
     else:
@@ -269,32 +276,73 @@ def segment_rhs(dynamics: NormalFormDynamics, control: ControlCurve,
     return rhs
 
 
+class _MemberSteps:
+    """Member ``b``'s rows of a family segment's RK45 steps, each step's
+    interpolant cut to those rows when read, so that it evaluates only them."""
+
+    def __init__(self, steps: list, b: int, batch: int) -> None:
+        self.steps, self.rows = steps, slice(b, None, batch)
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def __getitem__(self, k: int):
+        d = self.steps[k]
+        return type(d)(d.t_old, d.t, d.y_old[self.rows], d.Q[self.rows])
+
+
+def _member_solution(sol: OdeSolution, b: int, batch: int) -> Callable:
+    """Member ``b``'s dense output on a family segment, made on first call."""
+    made: list = []
+
+    def rows(t):
+        if not made:
+            made.append(OdeSolution(sol.ts, _MemberSteps(sol.interpolants, b, batch)))
+        return made[0](t)
+
+    return rows
+
+
 def integrate(dynamics: NormalFormDynamics, control: ControlCurve, sigma,
               horizon: float, tol: tuple[float, float] = (1e-8, 1e-10),
               start: Optional[tuple[Trajectory, float]] = None) -> Trajectory:
-    """Adaptive Runge-Kutta (RK45) integration with dense output.
+    """Adaptive Runge-Kutta (RK45) integration with dense output: the family
+    of one curve (see :func:`integrate_family`), a 1-D state at ``tol``."""
+    return integrate_family(dynamics, [control], [sigma], horizon, tol, start)[0]
+
+
+def integrate_family(dynamics: NormalFormDynamics, controls: Sequence[ControlCurve],
+                     sigmas: Sequence, horizon: float,
+                     tol: tuple[float, float] = (1e-8, 1e-10),
+                     start: Optional[tuple[Trajectory, float]] = None) -> list[Trajectory]:
+    """The curves (controls[b], sigmas[b]) as one ODE on their stacked states
+    (state_dim, B), one :class:`Trajectory` per member on a shared mesh.
 
     Control breakpoints become integration breakpoints, so the mesh contains
-    every discontinuity exactly.  ``tol = (rtol, atol)``.
+    every discontinuity exactly.  Per segment one RK45 run (Dormand-Prince
+    5(4); Hairer, Norsett and Wanner, *Solving ODEs I*, sec. II.4) takes
+    ``tol = (rtol, atol)`` over sqrt(B): its RMS error norm sqrt(sum_b e_b^2)
+    bounds each member's own.  Its right-hand side runs the plan once per
+    stage on the whole family.
 
-    ``start = (traj, t)`` splices the result onto ``traj``: its segment
+    ``start = (traj, t)`` splices the members onto ``traj``: its segment
     solutions, mesh and states up to the last mesh node ``t_k <= t`` are
     kept, and the integration restarts from the stored state at ``t_k`` (a
     step endpoint, not a dense-output sample).  The caller guarantees that
-    ``control`` equals ``traj.control`` on ``[0, t)`` and that both share
-    ``dynamics`` and the horizon; the splice is skipped, and the curve
-    integrated from 0, unless the packed initial state equals
-    ``traj.initial_state`` bit for bit.
-    """
+    each control equals ``traj.control`` on ``[0, t)`` and that all share
+    ``dynamics`` and the horizon; the splice is skipped, and all members
+    integrated from 0, unless every packed initial state equals
+    ``traj.initial_state`` bit for bit."""
     rtol, atol = tol
-    y0 = dynamics.pack_state(sigma)
+    batch = len(controls)
+    y0s = [dynamics.pack_state(sigma) for sigma in sigmas]
     seg_bounds: list[tuple[float, float]] = []
-    seg_sols: list = []
+    prefix: list = []   # the segment solutions kept from start's curve
     mesh_parts: list[np.ndarray] = []
-    state_parts: list[np.ndarray] = []
+    state_parts: list[np.ndarray] = []   # (nodes, state_dim, B)
 
-    y, t0, splice = y0.copy(), 0.0, None
-    if start is not None and start[0].initial_state.tobytes() == y0.tobytes():
+    y, t0, splice = np.stack(y0s, axis=-1).ravel(), 0.0, None
+    if start is not None and all(y0.tobytes() == start[0].initial_state.tobytes() for y0 in y0s):
         prev = start[0]
         n = int(np.searchsorted(prev.mesh, start[1], side="right"))
         if n > 1:
@@ -304,28 +352,33 @@ def integrate(dynamics: NormalFormDynamics, control: ControlCurve, sigma,
                 if a >= t0:
                     break
                 seg_bounds.append((a, min(b, t0)))
-                seg_sols.append(sol)
+                prefix.append(sol)
             mesh_parts.append(prev.mesh[:n])
-            state_parts.append(prev.states[:n])
-            y = prev.states[n - 1].copy()
+            state_parts.append(np.repeat(prev.states[:n, :, None], batch, axis=2))
+            y = np.repeat(prev.states[n - 1], batch)
 
-    cuts = sorted({t0, float(horizon)}
-                  | {float(b) for b in control.breakpoints if t0 < b < horizon})
+    family = controls[0] if batch == 1 else ControlFamily(controls)
+    cuts = sorted({t0, float(horizon)} | {float(b) for c in controls for b in c.breakpoints
+                                         if t0 < b < horizon})
+    member_sols = [list(prefix) for _ in range(batch)]
     for a, b in zip(cuts[:-1], cuts[1:]):
-        sol = solve_ivp(segment_rhs(dynamics, control, a, b), (a, b), y,
-                        method="RK45", dense_output=True, rtol=rtol, atol=atol)
+        sol = solve_ivp(segment_rhs(dynamics, family, a, b, batch), (a, b), y, method="RK45",
+                        dense_output=True, rtol=rtol / batch ** 0.5, atol=atol / batch ** 0.5)
         if not sol.success:
             raise StepSizeUnderflow(f"integration failed on [{a}, {b}]: {sol.message}")
         seg_bounds.append((a, b))
-        seg_sols.append(sol.sol)
-        mesh_parts.append(sol.t if not mesh_parts else sol.t[1:])
-        state_parts.append(sol.y.T if not state_parts else sol.y.T[1:])
+        for k, sols in enumerate(member_sols):
+            sols.append(sol.sol if batch == 1 else _member_solution(sol.sol, k, batch))
+        skip = 1 if mesh_parts else 0
+        mesh_parts.append(sol.t[skip:])
+        state_parts.append(sol.y.T[skip:].reshape(-1, dynamics.state_dim, batch))
         y = sol.y[:, -1].copy()
 
     mesh = np.concatenate(mesh_parts)
-    states = np.vstack(state_parts)
-    return Trajectory(dynamics, control, y0, horizon, seg_bounds, seg_sols, mesh, states,
-                      splice=splice)
+    states = np.concatenate(state_parts)
+    return [Trajectory(dynamics, control, y0, horizon, seg_bounds, sols, mesh, states[..., k],
+                       splice=splice)
+            for k, (control, y0, sols) in enumerate(zip(controls, y0s, member_sols))]
 
 
 # -- empirical Lipschitz probe ----------------------------------------------

@@ -187,27 +187,38 @@ def build_surface(triple: DefiningTriple, hom: ControlHomotopy,
                   tol=(1e-8, 1e-10),
                   base: Optional[SurfaceSlice] = None,
                   start: Optional[float] = None) -> VariationSurface:
-    """Integrate every slice of the homotopy and solve its auxiliary
-    boundary-value families.  A ``base`` slice, already built for this
-    family's s = 0 curve, is used there instead of integrating it again.
+    """The surface of one homotopy, see :func:`build_surfaces`."""
+    return build_surfaces(triple, [hom], tol=tol, base=base, start=start)[0]
 
-    With a ``base`` and ``start = t``, each slice is spliced onto the base
-    curve at ``t`` by :func:`~hopmp.dynamics.integrate` and reads the base's
-    Lagrangian table on the spliced part; the caller guarantees that every
+
+def build_surfaces(triple: DefiningTriple, homs: Sequence[ControlHomotopy],
+                   tol=(1e-8, 1e-10),
+                   base: Optional[SurfaceSlice] = None,
+                   start: Optional[float] = None) -> list[VariationSurface]:
+    """Integrate every slice of the homotopies as one family
+    (:func:`~hopmp.dynamics.integrate_family`), except a ``base`` slice
+    already built for their common s = 0 curve, and solve the slices'
+    auxiliary boundary-value families.  With a ``base`` and ``start = t``,
+    slices that share the base's initial data are spliced onto it at ``t``
+    and read its Lagrangian table there; the caller guarantees that every
     slice's control equals the base control on ``[0, t)``.  Without a base
-    nothing is spliced, so that all slices the s-differences compare share
+    nothing is spliced, so that the slices the s-differences compare share
     their prefix."""
-    slices = []
-    for s in hom.s_grid:
+    todo = [(hom, float(s)) for hom in homs for s in hom.s_grid if s != 0.0 or base is None]
+    splice = None if base is None or start is None else (base.traj, start)
+    trajs = iter(triple.controlled_curves([hom.slice_curve(s) for hom, s in todo],
+                                          [hom.sigma_path(s) for hom, s in todo],
+                                          tol=tol, start=splice))
+
+    def slice_at(s: float) -> SurfaceSlice:
         if s == 0.0 and base is not None:
-            slices.append(base)
-            continue
-        u = hom.slice_curve(float(s))
-        splice = None if base is None or start is None else (base.traj, start)
-        traj = triple.controlled_curve(u, hom.sigma_path(float(s)), tol=tol, start=splice)
-        ext = ExtendedCurve(traj, triple, prefix=base.ext if traj.splice else None)
-        slices.append(SurfaceSlice(float(s), traj, ext))
-    return VariationSurface(triple, hom, slices)
+            return base
+        traj = next(trajs)
+        return SurfaceSlice(s, traj, ExtendedCurve(traj, triple,
+                                                   prefix=base.ext if traj.splice else None))
+
+    return [VariationSurface(triple, hom, [slice_at(float(s)) for s in hom.s_grid])
+            for hom in homs]
 
 
 def homotopy_lhs(surface: VariationSurface) -> float:

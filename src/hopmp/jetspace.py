@@ -224,12 +224,12 @@ class JetPoint:
     blocks : array_like, shape (n+1, N)
         Row ``beta`` is the beta-th time derivative of the curve at ``t``.
 
-    A batched point holds the jets at every node of a time grid ``t`` of
-    shape (B,): blocks (n+1, N, B), and ``coord`` returns (B,) arrays.  The
-    time and the blocks may also be :class:`TaylorSeries` (the series view a
-    :class:`DerivedField` evaluates its base on, or a dual number; on a
-    batched point, blocks holding one are an (n+1, N) object array of
-    (B,) rows and series).
+    A batched point holds the jets at B nodes: blocks (n+1, N, B), ``t`` of
+    shape (B,) or one float for all of them, and ``coord`` returns (B,)
+    arrays.  The time and the blocks may also be :class:`TaylorSeries` (the
+    series view a :class:`DerivedField` evaluates its base on, or a dual
+    number; on a batched point, blocks holding one are an (n+1, N) object
+    array of (B,) rows and series).
     """
 
     __slots__ = ("t", "blocks")
@@ -259,8 +259,10 @@ class JetPoint:
         return self.blocks[beta, i] if self.blocks.ndim > 2 else self.blocks.item(beta, i)
 
     def node(self, b: int) -> "JetPoint":
-        """The batch-free point at node ``b`` of a batched point."""
-        return JetPoint(self.t[b], self.blocks[..., b])
+        """The batch-free point at node ``b`` of a batched point; a float
+        ``t`` is every node's time."""
+        t = self.t[b] if isinstance(self.t, np.ndarray) else self.t
+        return JetPoint(t, self.blocks[..., b])
 
     def with_coord(self, i: int, beta: int, value) -> "JetPoint":
         """Copy with one jet coordinate replaced (a float or a dual number);
@@ -272,9 +274,6 @@ class JetPoint:
 
     def with_time(self, t) -> "JetPoint":
         return JetPoint(t, self.blocks)
-
-    def __repr__(self) -> str:
-        return f"JetPoint(t={self.t!r}, n={self.n}, dim={self.dim})"
 
 
 def _as_ujet(u, depth: int = 0, batch: tuple = ()) -> np.ndarray:

@@ -22,7 +22,7 @@ from scipy.integrate import simpson
 from .controls import ControlCurve, NeedleOverlayControl, SmoothedNeedleControl
 from .dynamics import Trajectory, segment_rhs
 from .errors import BadParams, NonSolvableForm
-from .homotopy import (SurfaceSlice, VariationSurface, blend_homotopy, build_surface,
+from .homotopy import (SurfaceSlice, VariationSurface, blend_homotopy, build_surfaces,
                        homotopy_lhs)
 from .auxiliary import ExtendedCurve
 from .classical import Violation
@@ -94,23 +94,32 @@ def needle_variation(triple: DefiningTriple, gamma0: Trajectory,
                      s_intervals: int = 4, tol=(1e-8, 1e-10),
                      base: Optional[SurfaceSlice] = None) -> VariationSurface:
     """The interpolating variation u(t, s) = (1-s) u0 + s ustar for one width,
-    led by the spec's initial-data family.  Given gamma0's ``base`` slice,
-    the slices continue gamma0 from its last step before the needle's ramp
-    (see :func:`~hopmp.homotopy.build_surface`)."""
-    spec.validate(triple.horizon)
-    u0 = gamma0.control
-    smoothed = smooth_needle(needle_modification(u0, spec, eps), spec, eps)
-    sigma0 = triple.dynamics.unpack_state(gamma0.initial_state)
-    if spec.sigma_family is not None:
-        anchored = triple.dynamics.pack_state(spec.sigma_family(eps, 0.0))
-        if np.max(np.abs(anchored - gamma0.initial_state)) > 1e-10:
-            raise BadParams("sigma family must anchor the base data at s = 0")
+    led by the spec's initial-data family."""
+    return needle_variations(triple, gamma0, [spec], eps, s_intervals, tol, base)[0]
 
-    hom = blend_homotopy(u0, smoothed, lambda s: spec.sigma(eps, s, sigma0),
-                         s_intervals)
-    # every slice's control is u0 on [0, t_on): with gamma0 as the base
-    # slice, the slices that share its initial data continue it from there
-    return build_surface(triple, hom, tol=tol, base=base, start=smoothed.t_on)
+
+def needle_variations(triple: DefiningTriple, gamma0: Trajectory,
+                      specs: Sequence[NeedleSpec], eps: float,
+                      s_intervals: int = 4, tol=(1e-8, 1e-10),
+                      base: Optional[SurfaceSlice] = None) -> list[VariationSurface]:
+    """The variations of several needles at one width from one family
+    integration; given gamma0's ``base`` slice, they continue gamma0 from
+    its last step before the earliest ramp (see ``build_surfaces``)."""
+    u0 = gamma0.control
+    sigma0 = triple.dynamics.unpack_state(gamma0.initial_state)
+    homs, t_on = [], []
+    for spec in specs:
+        spec.validate(triple.horizon)
+        smoothed = smooth_needle(needle_modification(u0, spec, eps), spec, eps)
+        if spec.sigma_family is not None:
+            anchored = triple.dynamics.pack_state(spec.sigma_family(eps, 0.0))
+            if np.max(np.abs(anchored - gamma0.initial_state)) > 1e-10:
+                raise BadParams("sigma family must anchor the base data at s = 0")
+        homs.append(blend_homotopy(u0, smoothed, lambda s, spec=spec: spec.sigma(eps, s, sigma0),
+                                   s_intervals))
+        t_on.append(smoothed.t_on)
+    # every slice's control is u0 on [0, t_on)
+    return build_surfaces(triple, homs, tol=tol, base=base, start=min(t_on))
 
 
 def _boundary_pairing(triple: DefiningTriple, surface: VariationSurface,
@@ -120,6 +129,8 @@ def _boundary_pairing(triple: DefiningTriple, surface: VariationSurface,
     depth = max(2 * r - 1, r)
     q = surface.q_blocks(np.array([t_star]), depth)[:, 0]   # (ns, depth+1, N)
     Y = surface.s_derivative(q)
+    if not Y[:, :r].any():   # the pairing is exactly 0, as on slices sharing t = 0
+        return 0.0
     # the slices' jets and control stacks at t_star as one batched point
     jets = JetPoint(np.full(surface.n_slices, t_star), np.moveaxis(q, 0, -1))
     ujets = np.stack([sl.traj.control.jet(sl.traj.control.clamp(t_star), r + 1)
@@ -159,9 +170,10 @@ class CorrectiveEstimate:
 def corrective_term(triple: DefiningTriple, gamma0: Trajectory,
                     spec: NeedleSpec, eps_sequence: Sequence[float],
                     s_intervals: int = 4, tol=(1e-8, 1e-10),
-                    base: Optional[SurfaceSlice] = None) -> CorrectiveEstimate:
+                    base: Optional[SurfaceSlice] = None,
+                    gaps: Optional[np.ndarray] = None) -> CorrectiveEstimate:
     """Difference quotients (mu'(T,1) - mu'(T,0)) / eps along shrinking
-    widths, via the closed-form evaluation of the gap.
+    widths, via the closed-form evaluation of the gap (or given ``gaps``).
 
     Reports the sequence, the minimum over its tail as the shrinking-limit
     proxy, and a linear-in-eps extrapolation when the sequence is
@@ -170,14 +182,8 @@ def corrective_term(triple: DefiningTriple, gamma0: Trajectory,
     eps_sequence = np.asarray(list(eps_sequence), dtype=float)
     if eps_sequence.size < 3 or np.any(np.diff(eps_sequence) >= 0):
         raise BadParams("need a strictly decreasing width sequence, length >= 3")
-    if base is None:
-        base = SurfaceSlice(0.0, gamma0, ExtendedCurve(gamma0, triple))
-
-    gaps = np.empty(eps_sequence.size)
-    for j, eps in enumerate(eps_sequence):
-        surface = needle_variation(triple, gamma0, spec, float(eps),
-                                   s_intervals=s_intervals, tol=tol, base=base)
-        gaps[j] = mu_prime_gap_closed(triple, surface)
+    if gaps is None:
+        gaps = _width_gaps(triple, gamma0, [spec], eps_sequence, s_intervals, tol, base)[0]
     estimates = gaps / eps_sequence
 
     tail = estimates[eps_sequence.size // 2:]
@@ -199,6 +205,20 @@ def corrective_term(triple: DefiningTriple, gamma0: Trajectory,
         liminf_proxy=liminf_proxy, richardson=richardson,
         consistent=consistent, goodn_residuals=-gaps,
     )
+
+
+def _width_gaps(triple: DefiningTriple, gamma0: Trajectory, specs: Sequence[NeedleSpec],
+                eps_sequence: np.ndarray, s_intervals: int, tol,
+                base: Optional[SurfaceSlice]) -> np.ndarray:
+    """The closed-form gaps (len(specs), len(eps_sequence)), from one family
+    per width, each dropped once its gaps are read."""
+    if base is None:
+        base = SurfaceSlice(0.0, gamma0, ExtendedCurve(gamma0, triple))
+    gaps = np.empty((len(specs), len(eps_sequence)))
+    for j, eps in enumerate(eps_sequence):
+        surfaces = needle_variations(triple, gamma0, specs, float(eps), s_intervals, tol, base)
+        gaps[:, j] = [mu_prime_gap_closed(triple, surface) for surface in surfaces]
+    return gaps
 
 
 def _goodn_floor(base: ExtendedCurve) -> float:
@@ -420,7 +440,8 @@ def default_eps_sequence(eps0: float = 0.1, count: int = 7) -> np.ndarray:
 def gpmp_verdict(triple: DefiningTriple, gamma0: Trajectory, spec: NeedleSpec,
                  eps_sequence: Optional[Sequence[float]] = None,
                  s_intervals: int = 4, tol=(1e-8, 1e-10),
-                 base: Optional[SurfaceSlice] = None) -> PMPVerdict:
+                 base: Optional[SurfaceSlice] = None,
+                 gaps: Optional[np.ndarray] = None) -> PMPVerdict:
     """Evaluate the pointwise inequality at one needle.
 
     When the boundary sign test passes for every width, the corrective term
@@ -428,7 +449,8 @@ def gpmp_verdict(triple: DefiningTriple, gamma0: Trajectory, spec: NeedleSpec,
 
     ``base`` is the s = 0 slice of every width's variation: gamma0 with its
     extended curve, which caches gamma0's Lagrangian integral.  It is built
-    here when omitted; a scan passes one slice to all of its verdicts.
+    here when omitted; a scan passes one slice to all of its verdicts, and
+    the ``gaps`` per width it integrated in families.
     """
     spec.validate(triple.horizon)
     if eps_sequence is None:
@@ -442,7 +464,7 @@ def gpmp_verdict(triple: DefiningTriple, gamma0: Trajectory, spec: NeedleSpec,
     if base is None:
         base = SurfaceSlice(0.0, gamma0, ExtendedCurve(gamma0, triple))
     est = corrective_term(triple, gamma0, spec, eps_sequence,
-                          s_intervals=s_intervals, tol=tol, base=base)
+                          s_intervals=s_intervals, tol=tol, base=base, gaps=gaps)
     goodn_all = bool(np.all(est.goodn_residuals >= _goodn_floor(base.ext)))
     corrective_used = 0.0 if goodn_all else est.liminf_proxy
 
@@ -493,7 +515,9 @@ def pmp_scan(triple: DefiningTriple, gamma0: Trajectory,
 
     Every verdict of the scan shares one s = 0 slice: gamma0 and its
     extended curve, so gamma0's Lagrangian integral is computed once per
-    scan.  The other slices are integrated afresh for each needle and width.
+    scan.  At each tau and width the other slices of every omega share
+    breakpoints, splice node and the control u0 + s w(t) (omega - u0): they
+    are one family, read for its closed-form gaps and then dropped.
     """
     if certification not in ("subgrid", "full"):
         raise BadParams(f"certification must be 'subgrid' or 'full', got {certification!r}")
@@ -515,18 +539,19 @@ def pmp_scan(triple: DefiningTriple, gamma0: Trajectory,
     certificate: list[PMPVerdict] = []
     certified = True
     if certification == "full":
-        cert_pairs = [(t, w) for t in taus for w in omegas]
+        ct, co = taus, omegas
     else:
         ct = taus[np.unique(np.linspace(0, taus.size - 1, min(cert_taus, taus.size)).astype(int))]
         co = omegas[np.unique(np.linspace(0, omegas.shape[0] - 1,
                                           min(cert_omegas, omegas.shape[0])).astype(int))]
-        cert_pairs = [(t, w) for t in ct for w in co]
 
-    for t, w in cert_pairs:
-        v = gpmp_verdict(triple, gamma0, spec_for(t, w), eps_sequence,
-                         tol=tol, base=base)
-        certificate.append(v)
-        certified = certified and v.goodn_all
+    for t in ct:
+        specs = [spec_for(t, w) for w in co]
+        gaps = _width_gaps(triple, gamma0, specs, eps_sequence, s_intervals=4, tol=tol, base=base)
+        for spec, g in zip(specs, gaps):
+            v = gpmp_verdict(triple, gamma0, spec, eps_sequence, tol=tol, base=base, gaps=g)
+            certificate.append(v)
+            certified = certified and v.goodn_all
 
     violations = []
     r = triple.lagrangian.actual_order
@@ -546,7 +571,7 @@ def pmp_scan(triple: DefiningTriple, gamma0: Trajectory,
                 if margin > tolerance:
                     violations.append(Violation(float(tau), w.copy(), float(margin)))
         note = ("boundary sign test certified on a subgrid of "
-                f"{len(cert_pairs)} needles; corrective term dropped "
+                f"{len(certificate)} needles; corrective term dropped "
                 "accordingly" if certified else
                 "certification FAILED: pointwise margins reported without "
                 "corrective subtraction; rerun with certification='full'")

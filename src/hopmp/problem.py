@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .controls import ControlCurve
-from .dynamics import NormalFormDynamics, Trajectory, integrate
+from .dynamics import NormalFormDynamics, Trajectory, integrate, integrate_family
 from .errors import ConstraintViolation, InsufficientJetOrder
 from .jetspace import DerivedField, JetField, JetPoint, ScalarJetField, audit_actual_order
 
@@ -189,12 +189,21 @@ class DefiningTriple:
                          start: Optional[tuple[Trajectory, float]] = None) -> Trajectory:
         """Integrate the unique solution for (u, sigma); ``start`` is passed
         to :func:`~hopmp.dynamics.integrate`."""
-        if sigma is None:
-            sigma = self.initial_data.make()
-        y0 = self.dynamics.pack_state(sigma)
+        return integrate(self.dynamics, u, self._initial_state(sigma), self.horizon,
+                         tol=tol, start=start)
+
+    def controlled_curves(self, us: Sequence[ControlCurve], sigmas: Sequence,
+                          tol: tuple[float, float] = (1e-8, 1e-10),
+                          start: Optional[tuple[Trajectory, float]] = None) -> list[Trajectory]:
+        """Every pair's solution, as one :func:`~hopmp.dynamics.integrate_family`."""
+        return integrate_family(self.dynamics, us, [self._initial_state(s) for s in sigmas],
+                                self.horizon, tol=tol, start=start)
+
+    def _initial_state(self, sigma) -> np.ndarray:
+        y0 = self.dynamics.pack_state(self.initial_data.make() if sigma is None else sigma)
         if not self.initial_data.admissible(y0):
             raise ConstraintViolation("sigma rejected by the initial-data constraint")
-        return integrate(self.dynamics, u, y0, self.horizon, tol=tol, start=start)
+        return y0
 
     def terminal_cost(self, traj: Trajectory) -> float:
         return self.cost.value(traj.terminal_jet(max(self.cost.actual_order, 1)))

@@ -10,6 +10,7 @@ from hopmp.controls import (
     CallbackControl,
     ConstantControl,
     ControlCurve,
+    ControlFamily,
     HarmonicControl,
     InterpolatedSamplesControl,
     NeedleOverlayControl,
@@ -98,6 +99,31 @@ def test_smoothed_needle_jets_equal_stacked_jets(data, grid, k, depth):
         stacked = np.stack([c.jet(t, depth) for t in c.clamp(times)], axis=-1)
         assert got.shape == stacked.shape
         assert got.tobytes() == stacked.tobytes(), type(c).__name__
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), grid=needle_grids(), k=st.floats(0.01, 0.9),
+       s=st.lists(unit, min_size=1, max_size=4))
+def test_family_values_equal_member_values(data, grid, k, s):
+    # blends of one base with needles of one ramp, with a second ramp and with
+    # a shared curve, and u0 itself: each column of the family's stack is its
+    # member's value bit for bit; a member of another shape reads on its own
+    T, tau, eps, ts = grid
+    u0 = data.draw(harmonics(T))
+    omegas = data.draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=u0.dim,
+                                         max_size=u0.dim), min_size=1, max_size=3))
+    tops = [SmoothedNeedleControl(u0, tau, w, eps, k) for w in omegas]
+    tops += [SmoothedNeedleControl(u0, tau, omegas[0], 0.5 * eps, k),
+             HarmonicControl(-u0.mid, u0.amp, 2.0 * u0.om, u0.ph, T)]
+    blends = [u0] + [BlendControl(u0, top, x) for top in tops for x in s]
+    times = _with_breakpoints(BlendControl(u0, BlendControl(tops[-2], tops[0], 0.5), 0.5), ts)
+    for members in (blends, blends + [tops[0]]):
+        family = ControlFamily(members)
+        for t in times:
+            assert np.array_equal(family.jet(t, 0),
+                                  np.stack([c.value(t) for c in members], axis=-1)[None])
+            assert np.array_equal(family.jet(t, 2),
+                                  np.stack([c.jet(t, 2) for c in members], axis=-1))
 
 
 @settings(deadline=None, max_examples=60)

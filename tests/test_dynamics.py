@@ -15,6 +15,7 @@ from hopmp.controls import (
 from hopmp.dynamics import (
     control_measure_diff,
     integrate,
+    integrate_family,
     lipschitz_probe,
     reduce_to_first_order,
 )
@@ -439,3 +440,82 @@ def test_jets_refuse_nodes_outside_the_horizon():
     for ts in ([0.0, 0.5, 1.5], [-0.1, 0.5]):
         with pytest.raises(TimeOutOfRange):
             traj.jets(np.array(ts), 2)
+
+
+# -- needle families as one integration ------------------------------------------
+
+
+def _moving_family(triple, sigma0, target):
+    """Initial data whose first free coordinate moves linearly in s from
+    sigma0's value to ``target``."""
+    p = triple.initial_data.free[0]
+    start = float(sigma0[p.var][p.index])
+
+    def family(eps, s):
+        sigma = {k: np.array(v, dtype=float) for k, v in sigma0.items()}
+        sigma[p.var][p.index] = start + s * (target - start)
+        return sigma
+
+    return family
+
+
+@pytest.mark.parametrize("problem_id", sorted(BUILTIN_PARAMS))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_needle_family_members_meet_their_own_tolerance(problem_id, data):
+    # every omega's slices at one (tau, eps) integrate as one family: each
+    # member's end state lies within its own tolerance of a tight solve, a
+    # family that shares gamma0's initial data continues gamma0 as a single
+    # slice does, one that moves sigma starts cold, and a family of one is
+    # integrate itself
+    from hopmp.auxiliary import ExtendedCurve
+    from hopmp.homotopy import SurfaceSlice
+    from hopmp.needle import NeedleSpec, needle_variations
+
+    triple, sigma0, gamma0 = _reference_curve(problem_id)
+    T, (rtol, atol) = triple.horizon, (1e-8, 1e-10)
+    eps = data.draw(st.floats(0.01, 0.1))
+    tau = data.draw(st.floats(eps + 0.01, T - 0.01))
+    lo, hi = triple.controls.lower[0], triple.controls.upper[0]
+    omegas = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=5))
+    s_intervals = data.draw(st.sampled_from([2, 4]))
+    free = triple.initial_data.free
+    target = (data.draw(st.floats(free[0].lower, free[0].upper))
+              if free and data.draw(st.booleans()) else None)
+    family = None if target is None else _moving_family(triple, sigma0, target)
+    # a family whose target is the start value moves nothing and is spliced
+    moving = family is not None and target != sigma0[free[0].var][free[0].index]
+    specs = [NeedleSpec(tau, [w], eps, sigma_family=family) for w in omegas]
+    base = SurfaceSlice(0.0, gamma0, ExtendedCurve(gamma0, triple))
+    surfaces = needle_variations(triple, gamma0, specs, eps, s_intervals, base=base)
+
+    t_on = tau - eps - specs[0].k * eps ** 2
+    n = int(np.searchsorted(gamma0.mesh, t_on, side="right"))
+    mesh = surfaces[0].slices[1].traj.mesh
+    for spec, surface in zip(specs, surfaces):
+        assert surface.slices[0] is base and len(surface.slices) == s_intervals + 1
+        for sl in surface.slices[1:]:
+            traj, sigma = sl.traj, spec.sigma(eps, sl.s, sigma0)
+            assert traj.mesh is mesh or np.array_equal(traj.mesh, mesh)
+            tight = triple.controlled_curve(traj.control, sigma, tol=(1e-11, 1e-13)).state(T)
+            bound = 10.0 * (rtol * np.abs(tight) + atol)
+            assert np.all(np.abs(traj.state(T) - tight) <= bound), (sl.s, spec.omega)
+            assert set(traj.control.breakpoints) <= set(traj.mesh)
+            if moving or n < 2:
+                assert traj.splice is None and sl.ext.prefix is None
+                continue
+            assert traj.splice == (gamma0, gamma0.mesh[n - 1])
+            assert traj.mesh[:n].tobytes() == gamma0.mesh[:n].tobytes()
+            assert traj.states[:n].tobytes() == gamma0.states[:n].tobytes()
+            assert traj.mesh[n] > gamma0.mesh[n - 1]
+            assert sl.ext.prefix is base.ext
+
+    u = surfaces[-1].slices[-1].traj.control
+    y0 = triple.dynamics.pack_state(sigma0)
+    (one,) = integrate_family(triple.dynamics, [u], [y0], T, start=(gamma0, t_on))
+    solo = integrate(triple.dynamics, u, y0, T, start=(gamma0, t_on))
+    ts = np.linspace(0.0, T, 41)
+    assert one.mesh.tobytes() == solo.mesh.tobytes()
+    assert one.states.tobytes() == solo.states.tobytes()
+    assert one.state(ts).tobytes() == solo.state(ts).tobytes()
+    assert one.splice == solo.splice

@@ -215,6 +215,40 @@ def test_needle_slices_continue_gamma0():
         assert np.array_equal(ext.lagrangian_cumulative(), plain_sums(ext))
 
 
+def test_boundary_pairing_is_exactly_zero_only_where_the_jacobi_rows_are(triple, monkeypatch):
+    # pendulum-direct's frozen slices share gamma0's data and control at
+    # t = 0, so the Jacobi rows the pairing reads there are exact zeros and
+    # it returns 0.0 without evaluating momenta; on pendulum-r2 the
+    # s-differences at t = 0 leave rounding residue (|Y| ~ 1e-32), which
+    # still takes the momenta
+    import hopmp.needle as needle
+    from hopmp import build, optimal_reference
+
+    momenta, calls = needle.lagrangian_momenta, []
+
+    def counting(*args):
+        calls.append(args)
+        return momenta(*args)
+
+    monkeypatch.setattr(needle, "lagrangian_momenta", counting)
+    direct = build("pendulum-direct", T=PI / 2, v_max=1.0)
+    u0, sigma0, _ = optimal_reference("pendulum-direct", T=PI / 2, v_max=1.0)
+    g0 = direct.controlled_curve(u0, sigma0, tol=(1e-10, 1e-12))
+    injected = triple.controlled_curve(ConstantControl([-1.0], triple.horizon),
+                                       triple.initial_data.make(v=1.0), tol=(1e-10, 1e-12))
+    spec = NeedleSpec(tau=0.7, omega=[-1.0], eps0=0.05)
+    flat = needle_variation(direct, g0, spec, 0.05,
+                            base=SurfaceSlice(0.0, g0, ExtendedCurve(g0, direct)))
+    assert needle._boundary_pairing(direct, flat, 0.0) == 0.0 and not calls
+    assert needle._boundary_pairing(direct, flat, direct.horizon) != 0.0 and len(calls) == 1
+    residue = needle_variation(triple, injected, spec, 0.05,
+                               base=SurfaceSlice(0.0, injected, ExtendedCurve(injected, triple)))
+    rows = residue.jacobi_q(np.array([0.0]), 1)[:, 0]
+    assert 0.0 < np.max(np.abs(rows)) < 1e-30
+    needle._boundary_pairing(triple, residue, 0.0)
+    assert len(calls) == 2
+
+
 def test_moving_sigma_family_integrates_cold(triple, gamma_opt):
     # slices whose initial data move with s start from their own data, and
     # without a base slice no slice is spliced

@@ -243,3 +243,38 @@ def test_rhs_override_matches_chain_fields(name, t, y, u):
     fast = dyn.rhs(t, state, [u])
     slow = generic.rhs(t, state, [u])
     assert np.max(np.abs(fast - slow)) <= 1e-14 * max(1.0, np.max(np.abs(fast))), name
+
+
+BATCHED_DYNAMICS = {
+    **OVERRIDDEN_DYNAMICS,
+    "mth_order": lambda: mth_order(a=[1.0, 0.0, 1.0]).dynamics,
+    "third_order": lambda: third_order().dynamics,
+}
+
+
+@pytest.mark.parametrize("batch", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", sorted(BATCHED_DYNAMICS))
+@settings(max_examples=8, deadline=None)
+@given(t=st.floats(0.0, PI / 2), data=st.data())
+def test_batched_rhs_equals_stacked_member_rhs(name, batch, t, data):
+    # B states side by side take one pass of the evaluation plan, with one
+    # float time or one time per member; each column is that member's own
+    # plan right-hand side, and the hand-written one within rounding (B = 2
+    # is the state dimension of the classical pendulums, where a matrix
+    # product over the batch axis still has the right shape)
+    dyn = BATCHED_DYNAMICS[name]()
+    generic = NormalFormDynamics(dyn.blocks)
+    floats = lambda lo, hi, n: np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n,
+                                                            max_size=n)))
+    y = floats(-3.0, 3.0, dyn.state_dim * batch).reshape(dyn.state_dim, batch)
+    uj = floats(-1.0, 1.0, batch).reshape(1, 1, batch)
+    for ts in (t, floats(0.0, PI / 2, batch)):
+        tk = np.broadcast_to(ts, (batch,))
+        got = dyn.rhs(ts, y, uj)
+        members = np.stack([generic.rhs(float(tk[k]), y[:, k], uj[..., k])
+                            for k in range(batch)], axis=-1)
+        assert got.shape == (dyn.state_dim, batch)
+        assert np.array_equal(got, members), name
+        for k in range(batch):
+            own = dyn.rhs(float(tk[k]), y[:, k], uj[0, :, k])
+            assert np.max(np.abs(own - got[:, k])) <= 1e-14 * max(1.0, np.max(np.abs(own))), name
