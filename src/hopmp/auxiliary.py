@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, jets_of
 from .errors import InsufficientJetOrder, SingularBoundaryMatrix
 from .jetspace import JetPoint
 from .problem import DefiningTriple, full_momenta, lagrangian_momenta
@@ -225,12 +225,14 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a, b):
     """5-point Gauss-Legendre integrals of ``f`` over [a, b], for one interval
     or for arrays ``a``, ``b`` of them.  ``f`` is called once, on the grid of
-    every interval's nodes in turn, and returns its values there.  Each
-    interval sums ``half * (0 + w0 f0 + ... + w4 f4)`` left to right."""
+    every interval's nodes in turn, and returns its values there, or the
+    values of several integrands as rows (whose integrals are rows too).
+    Each interval sums ``half * (0 + w0 f0 + ... + w4 f4)`` left to right."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     nodes = mid[..., None] + half[..., None] * _GL_NODES
-    vals = np.reshape(f(nodes.ravel()), nodes.shape)
+    vals = f(nodes.ravel())
+    vals = vals.reshape(vals.shape[:-1] + nodes.shape)
     acc = 0.0
     for j, w in enumerate(_GL_WEIGHTS):
         acc = acc + w * vals[..., j]
@@ -242,11 +244,47 @@ def cumulative_integral(f: Callable[[np.ndarray], np.ndarray], mesh: np.ndarray,
     """Integrals of ``f`` from mesh[0] to each mesh node, one Gauss-Legendre
     rule per interval (one call of ``f`` for all of them), summed left to
     right; ``head`` holds the values at the first nodes when they are
-    already known."""
+    already known.  Integrands given as rows (see :func:`gauss_legendre`)
+    share the head, and each row is summed on its own."""
     head = np.zeros(1) if head is None else head
     k = head.size - 1
     steps = gauss_legendre(f, mesh[k:-1], mesh[k + 1:])
-    return np.concatenate([head[:-1], np.cumsum(np.concatenate([head[-1:], steps]))])
+    first = np.broadcast_to(head[-1:], steps.shape[:-1] + (1,))
+    sums = np.cumsum(np.concatenate([first, steps], axis=-1), axis=-1)
+    return np.concatenate([np.broadcast_to(head[:-1], sums.shape[:-1] + (k,)), sums], axis=-1)
+
+
+def _lagrangians(curves: Sequence[ExtendedCurve], grid: np.ndarray) -> np.ndarray:
+    """L along each curve at every node of a grid, (len(curves), len(grid)),
+    from one batched jet pass (:func:`~hopmp.dynamics.jets_of`); the
+    controls are read at the right-continuous times."""
+    triple = curves[0].triple
+    jets = jets_of([c.base for c in curves], grid, triple.lagrangian.actual_order)
+    u = np.concatenate([c.base.control.values(c.base.control.clamp(grid)).T for c in curves],
+                       axis=-1)
+    return triple.lagrangian.value(jets, u).reshape(len(curves), grid.size)
+
+
+def lagrangian_cumulatives(curves: Sequence[ExtendedCurve]) -> list[np.ndarray]:
+    """The Lagrangian tables of several curves (see
+    :meth:`ExtendedCurve.lagrangian_cumulative`), computed for those that
+    have none yet and cached on them.  The members of one family (one mesh,
+    and one splice node on one prefix), such as a needle family's s = 1
+    slices, take one batched jet pass over their Gauss-Legendre nodes past
+    the splice, and read the head of their tables from the prefix's."""
+    families: dict = {}
+    for c in dict.fromkeys(curves):
+        if c._lagrangian_cum is None:
+            families.setdefault((id(c.base.mesh), c.prefix), []).append(c)
+    for (_, prefix), family in families.items():
+        mesh, head = family[0]._mesh(), None
+        if prefix is not None:
+            k = int(np.searchsorted(mesh, family[0].base.splice[1]))
+            head = prefix.lagrangian_cumulative()[:k + 1]
+        tables = cumulative_integral(lambda ts: _lagrangians(family, ts), mesh, head)
+        for c, table in zip(family, tables):
+            c._lagrangian_cum = table
+    return [c._lagrangian_cum for c in curves]
 
 
 class ExtendedCurve:
@@ -294,10 +332,7 @@ class ExtendedCurve:
         times from one batched jet pass; the control is read at the
         right-continuous times.  A time is the one-node grid."""
         grid = np.atleast_1d(np.asarray(ts, dtype=float))
-        r = self.triple.lagrangian.actual_order
-        control = self.base.control
-        vals = self.triple.lagrangian.value(self.base.jets(grid, r),
-                                            control.values(control.clamp(grid)).T)
+        vals = _lagrangians([self], grid)[0]
         return vals if np.ndim(ts) else float(vals[0])
 
     def ltilde(self, ts):
@@ -319,15 +354,9 @@ class ExtendedCurve:
 
     def lagrangian_cumulative(self) -> np.ndarray:
         """Integrals of the bare Lagrangian from 0 to each node of the mesh
-        of mu (see :func:`cumulative_integral`)."""
-        if self._lagrangian_cum is None:
-            mesh = self._mesh()
-            head = None
-            if self.prefix is not None:
-                k = int(np.searchsorted(mesh, self.base.splice[1]))
-                head = self.prefix.lagrangian_cumulative()[:k + 1]
-            self._lagrangian_cum = cumulative_integral(self.lagrangian, mesh, head)
-        return self._lagrangian_cum
+        of mu (see :func:`cumulative_integral`): the one-curve case of
+        :func:`lagrangian_cumulatives`."""
+        return lagrangian_cumulatives([self])[0]
 
     def lagrangian_integral(self) -> float:
         """Integral of the bare Lagrangian from 0 to T, on the mesh of mu."""

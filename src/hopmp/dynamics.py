@@ -143,14 +143,14 @@ class NormalFormDynamics:
         for i, (off, m) in enumerate(zip(self.offsets, self.orders)):
             blocks[:m, i] = y[off:off + m]
         for i, beta, fld, depth in plan.steps:
-            blocks[beta, i] = on_batch(fld.value_uj, JetPoint(t, blocks[:depth + 1]), uj)
+            blocks[beta, i] = on_batch(fld.value_uj, JetPoint._wrap(t, blocks[:depth + 1]), uj)
         return blocks
 
     def jets_at(self, t, y: np.ndarray, ujet: np.ndarray, order: int) -> JetPoint:
         """Jet blocks of all variables at (t, y), to the requested order;
         ``ujet`` holds at least ``plan(order).u_depth + 1`` control rows (a
         time grid gives a batched point)."""
-        return JetPoint(t, self._run(self.plan(order), t, y, ujet)[:order + 1])
+        return JetPoint._wrap(t, self._run(self.plan(order), t, y, ujet)[:order + 1])
 
     # -- right-hand side ----------------------------------------------------
 
@@ -213,20 +213,9 @@ class Trajectory:
 
     def state(self, t) -> np.ndarray:
         """The state at ``t``, or at every node of a 1-D grid ``t`` (shape
-        (state_dim, len(t))), one dense-output call per segment."""
-        ts = np.asarray(t, dtype=float)
-        lo, hi = (ts.min(), ts.max()) if ts.ndim else (float(ts), float(ts))
-        if lo < -1e-12 or hi > self.horizon + 1e-12:
-            raise TimeOutOfRange(f"t={t} outside [0, {self.horizon}]")
-        if not ts.ndim:
-            t = min(max(lo, 0.0), self.horizon)
-            return np.atleast_1d(self._seg_sols[self._segment(t)](t))
-        ts = np.clip(ts, 0.0, self.horizon)
-        seg, out = self._segment(ts), np.empty((self.initial_state.size, ts.size))
-        for k in np.unique(seg):
-            at = np.flatnonzero(seg == k)   # a lone node takes the scalar path, as jet does
-            out[:, at] = self._seg_sols[k](ts[at] if at.size > 1 else ts[at[0]]).reshape(-1, at.size)
-        return out
+        (state_dim, len(t))): the one-member case of :func:`states_of`."""
+        y = states_of([self], t)[:, 0]
+        return y if np.ndim(t) else y[:, 0]
 
     def _segment(self, t):
         # right-continuous: a time on a breakpoint reads the segment starting there
@@ -236,18 +225,11 @@ class Trajectory:
         return self.jets(float(t), order)
 
     def jets(self, ts, order: int) -> JetPoint:
-        """The jets at every node of a 1-D time grid from one pass of the
-        evaluation plan: a batched JetPoint with ``t = ts`` and blocks of
-        shape (order+1, N, len(ts)).  A float ``ts`` is the batch-free case,
-        :meth:`jet`.  Raises TimeOutOfRange for a node outside [0, T]."""
-        if not isinstance(ts, float):
-            ts = np.asarray(ts, dtype=float)
-            if ts.shape == (1,):   # a one-node grid takes the batch-free path
-                return JetPoint(ts, self.jets(float(ts[0]), order).blocks[..., None])
-        y, depth = self.state(ts), self.dynamics.plan(order).u_depth
-        ujet = (self.control.jet(self.control.clamp(ts), depth) if isinstance(ts, float)
-                else self.control.jets(ts, depth))
-        return self.dynamics.jets_at(ts, y, ujet, order)
+        """The jets at every node of a 1-D time grid, a batched JetPoint with
+        blocks of shape (order+1, N, len(ts)), or the batch-free jet at a
+        float ``ts``: the one-member case of :func:`jets_of`."""
+        p = jets_of([self], ts, order)
+        return p if np.ndim(ts) else p.node(0)
 
     def terminal_jet(self, order: int) -> JetPoint:
         return self.jet(self.horizon, order)
@@ -276,31 +258,65 @@ def segment_rhs(dynamics: NormalFormDynamics, control, a: float, b: float,
     return rhs
 
 
-class _MemberSteps:
-    """Member ``b``'s rows of a family segment's RK45 steps, each step's
-    interpolant cut to those rows when read, so that it evaluates only them."""
+class _MemberSolution(NamedTuple):
+    """A member's dense output on one segment: its column of the family's
+    solution, whose states are stacked (state_dim, B) and flattened."""
 
-    def __init__(self, steps: list, b: int, batch: int) -> None:
-        self.steps, self.rows = steps, slice(b, None, batch)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __getitem__(self, k: int):
-        d = self.steps[k]
-        return type(d)(d.t_old, d.t, d.y_old[self.rows], d.Q[self.rows])
+    sol: OdeSolution
+    column: int
 
 
-def _member_solution(sol: OdeSolution, b: int, batch: int) -> Callable:
-    """Member ``b``'s dense output on a family segment, made on first call."""
-    made: list = []
+def states_of(trajs: Sequence[Trajectory], ts) -> np.ndarray:
+    """The states of trajectories at a time or at every node of a 1-D grid,
+    shape (state_dim, B, nodes).  Each segment solution is called once per
+    run of nodes on it, for all the members that read it (the members of one
+    family, and the prefix their splice shares), which take their columns;
+    a lone node takes the scalar call.  Raises TimeOutOfRange for a node
+    outside [0, T]."""
+    grid = np.atleast_1d(np.asarray(ts, dtype=float))
+    runs: dict = {}    # (horizon, segment cuts) -> [(segment, its nodes, their times)]
+    reads: dict = {}   # (segment solution, times) -> (nodes, times, members, columns)
+    for b, traj in enumerate(trajs):
+        key = (traj.horizon, traj._seg_cuts.tobytes())
+        if key not in runs:
+            if grid.min() < -1e-12 or grid.max() > traj.horizon + 1e-12:
+                raise TimeOutOfRange(f"t={ts} outside [0, {traj.horizon}]")
+            clipped = np.clip(grid, 0.0, traj.horizon)
+            seg = traj._segment(clipped)
+            runs[key] = []
+            for k in np.unique(seg):
+                at = np.flatnonzero(seg == k)
+                runs[key].append((k, at, clipped[at]))
+        for k, at, t in runs[key]:
+            part = traj._seg_sols[k]
+            entry = reads.setdefault((part.sol, t.tobytes()), (at, t, [], []))
+            entry[2].append(b)
+            entry[3].append(part.column)
+    out = np.empty((trajs[0].initial_state.size, len(trajs), grid.size))
+    for (sol, _), (at, t, members, columns) in reads.items():
+        y = sol(t if at.size > 1 else t[0]).reshape(out.shape[0], -1, at.size)
+        out[:, np.array(members)[:, None], at] = y[:, columns]
+    return out
 
-    def rows(t):
-        if not made:
-            made.append(OdeSolution(sol.ts, _MemberSteps(sol.interpolants, b, batch)))
-        return made[0](t)
 
-    return rows
+def jets_of(trajs: Sequence[Trajectory], ts, order: int) -> JetPoint:
+    """The jets of trajectories of one dynamics at a time or at every node of
+    a 1-D grid: their states from :func:`states_of`, then one pass of the
+    evaluation plan over all members and nodes.  The batched JetPoint holds
+    member b's node j in column b * nodes + j, with ``t`` the time or the
+    grid repeated per member.  Controls are read by ``jet`` at a lone node
+    and by ``jets`` on a grid."""
+    dynamics = trajs[0].dynamics
+    grid = np.atleast_1d(np.asarray(ts, dtype=float))
+    y = states_of(trajs, grid).reshape(dynamics.state_dim, -1)
+    depth = dynamics.plan(order).u_depth
+    if grid.size == 1:
+        node = float(grid[0])
+        ujet = np.stack([tr.control.jet(tr.control.clamp(node), depth) for tr in trajs], axis=-1)
+    else:
+        ujet = np.concatenate([tr.control.jets(grid, depth) for tr in trajs], axis=-1)
+    t = float(ts) if not np.ndim(ts) else np.tile(grid, len(trajs))
+    return dynamics.jets_at(t, y, ujet, order)
 
 
 def integrate(dynamics: NormalFormDynamics, control: ControlCurve, sigma,
@@ -368,7 +384,7 @@ def integrate_family(dynamics: NormalFormDynamics, controls: Sequence[ControlCur
             raise StepSizeUnderflow(f"integration failed on [{a}, {b}]: {sol.message}")
         seg_bounds.append((a, b))
         for k, sols in enumerate(member_sols):
-            sols.append(sol.sol if batch == 1 else _member_solution(sol.sol, k, batch))
+            sols.append(_MemberSolution(sol.sol, k))
         skip = 1 if mesh_parts else 0
         mesh_parts.append(sol.t[skip:])
         state_parts.append(sol.y.T[skip:].reshape(-1, dynamics.state_dim, batch))

@@ -18,7 +18,7 @@ see :func:`select_beta_range`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ from .auxiliary import (
     pc_form_pairing,
 )
 from .controls import BlendControl, ControlCurve
-from .dynamics import Trajectory
+from .dynamics import Trajectory, jets_of
 from .jetspace import JetPoint
 from .problem import DefiningTriple
 
@@ -101,6 +101,24 @@ class SurfaceSlice:
     s: float
     traj: Trajectory
     ext: ExtendedCurve
+    # the deepest jet read at each time, see slice_jets
+    kept: dict = field(default_factory=dict, repr=False, compare=False)
+
+
+def slice_jets(slices: Sequence[SurfaceSlice], t: float, order: int) -> list[JetPoint]:
+    """Each slice's jet at ``t``.  A slice keeps the deepest jet read at each
+    time, and a kept jet gives every shallower order (the blocks below an
+    order do not depend on it), so a slice shared by several surfaces, such
+    as gamma0 in a scan, is read once; the slices that keep none deep enough
+    are read by one :func:`~hopmp.dynamics.jets_of` call."""
+    todo = list({id(sl): sl for sl in slices
+                 if sl.kept.get(t) is None or sl.kept[t].n < order}.values())
+    if todo:
+        batch = jets_of([sl.traj for sl in todo], t, order)
+        for b, sl in enumerate(todo):
+            sl.kept[t] = batch.node(b)
+    return [sl.kept[t] if sl.kept[t].n == order
+            else JetPoint._wrap(t, sl.kept[t].blocks[:order + 1]) for sl in slices]
 
 
 class VariationSurface:
@@ -132,10 +150,16 @@ class VariationSurface:
         return self.slices[k].ext.h_coeffs
 
     def q_blocks(self, ts: np.ndarray, order: int) -> np.ndarray:
-        """Jet blocks of every slice on a time grid (ns, nt, order+1, N)."""
+        """Jet blocks of every slice on a time grid (ns, nt, order+1, N), from
+        one :func:`~hopmp.dynamics.jets_of` call over all slices."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return self._cached(("q", ts.tobytes(), order), lambda: np.stack(
-            [np.moveaxis(sl.traj.jets(ts, order).blocks, -1, 0) for sl in self.slices]))
+
+        def make():
+            blocks = jets_of([sl.traj for sl in self.slices], ts, order).blocks
+            return np.moveaxis(blocks.reshape(blocks.shape[:2] + (self.n_slices, ts.size)),
+                               (2, 3), (0, 1))
+
+        return self._cached(("q", ts.tobytes(), order), make)
 
     # -- s-differencing core ----------------------------------------------------
 
@@ -222,12 +246,12 @@ def build_surfaces(triple: DefiningTriple, homs: Sequence[ControlHomotopy],
 
 
 def homotopy_lhs(surface: VariationSurface) -> float:
-    """Difference of terminal costs between the endpoint slices."""
-    triple = surface.triple
-    order = max(1, triple.cost.actual_order)
-    c1 = triple.cost.value(surface.slices[-1].traj.terminal_jet(order))
-    c0 = triple.cost.value(surface.slices[0].traj.terminal_jet(order))
-    return c1 - c0
+    """Difference of terminal costs between the endpoint slices, read from
+    the jets the slices keep (see :func:`slice_jets`)."""
+    cost = surface.triple.cost
+    top, bottom = slice_jets([surface.slices[-1], surface.slices[0]], surface.triple.horizon,
+                             max(1, cost.actual_order))
+    return cost.value(top) - cost.value(bottom)
 
 
 def _grid_terms(surface: VariationSurface, ts: np.ndarray) -> tuple:

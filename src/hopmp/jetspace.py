@@ -242,6 +242,16 @@ class JetPoint:
         object.__setattr__(self, "t", _as_float(t))
         object.__setattr__(self, "blocks", arr)
 
+    @classmethod
+    def _wrap(cls, t, blocks: np.ndarray) -> "JetPoint":
+        """A point on a float array that its caller made and no longer
+        writes, without the constructor's copy; the array is made read-only."""
+        p = object.__new__(cls)
+        blocks.flags.writeable = False
+        object.__setattr__(p, "t", _as_float(t))
+        object.__setattr__(p, "blocks", blocks)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("JetPoint is immutable")
 
@@ -262,7 +272,7 @@ class JetPoint:
         """The batch-free point at node ``b`` of a batched point; a float
         ``t`` is every node's time."""
         t = self.t[b] if isinstance(self.t, np.ndarray) else self.t
-        return JetPoint(t, self.blocks[..., b])
+        return JetPoint._wrap(t, self.blocks[..., b])
 
     def with_coord(self, i: int, beta: int, value) -> "JetPoint":
         """Copy with one jet coordinate replaced (a float or a dual number);
@@ -295,10 +305,14 @@ def on_batch(fn, p: JetPoint, ujet: np.ndarray):
     the whole batch, which counts only if it raises no TypeError, ValueError
     or floating-point error, has shape () or (B,) and matches the batch-free
     call at the first node to 1e-12 relative (which a reduction over the
-    batch axis fails).  Otherwise every node is evaluated on its own, as for
-    an evaluator with a ``math`` function, a comparison or a reduction over
-    coordinates; values and dual-number partials of numpy-written fields
-    take the one batched call."""
+    batch axis fails).  A product over a coordinate vector (``np.dot``,
+    ``@``) also contracts the batch axis when B equals that vector's length,
+    and then only the first node is right, so a batch no longer than the
+    point's own vectors (N coordinates, n+1 blocks, M controls) must match
+    at the last node too.  Otherwise every node is evaluated on its own, as
+    for an evaluator with a ``math`` function, a comparison or a reduction
+    over coordinates; values and dual-number partials of numpy-written
+    fields take the one batched call."""
     if p.blocks.ndim < 3:
         return fn(p, ujet)
     count = p.blocks.shape[2]
@@ -307,12 +321,18 @@ def on_batch(fn, p: JetPoint, ujet: np.ndarray):
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 v = np.asarray(fn(p, ujet), dtype=float)
-                if v.shape in ((), (count,)) and abs(v.flat[0] - first) <= 1e-12 * abs(first):
+                if v.shape in ((), (count,)) and _agrees(v.flat[0], first) and (
+                        count > max(p.blocks.shape[:2] + ujet.shape[1:2])
+                        or _agrees(v.flat[-1], fn(p.node(count - 1), ujet[..., count - 1]))):
                     return np.full(count, v)
         except (TypeError, ValueError, ArithmeticError):
             pass
     return np.array([first] + [fn(p.node(b), ujet[..., b]) for b in range(1, count)],
                     dtype=float).reshape(count)
+
+
+def _agrees(batched, alone) -> bool:
+    return abs(batched - alone) <= 1e-12 * abs(alone)
 
 
 class JetField:

@@ -23,8 +23,8 @@ from .controls import ControlCurve, NeedleOverlayControl, SmoothedNeedleControl
 from .dynamics import Trajectory, segment_rhs
 from .errors import BadParams, NonSolvableForm
 from .homotopy import (SurfaceSlice, VariationSurface, blend_homotopy, build_surfaces,
-                       homotopy_lhs)
-from .auxiliary import ExtendedCurve
+                       homotopy_lhs, slice_jets)
+from .auxiliary import ExtendedCurve, lagrangian_cumulatives
 from .classical import Violation
 from .jetspace import JetPoint
 from .problem import DefiningTriple, lagrangian_momenta, pontryagin_p
@@ -122,36 +122,51 @@ def needle_variations(triple: DefiningTriple, gamma0: Trajectory,
     return build_surfaces(triple, homs, tol=tol, base=base, start=min(t_on))
 
 
-def _boundary_pairing(triple: DefiningTriple, surface: VariationSurface,
-                      t_star: float) -> float:
-    """integral over s of sum_{i,beta} m^L_{i,beta} Y^i_(beta) at t_star."""
+def _boundary_pairings(triple: DefiningTriple, surfaces: Sequence[VariationSurface],
+                       t_star: float) -> np.ndarray:
+    """integral over s of sum_{i,beta} m^L_{i,beta} Y^i_(beta) at t_star, per
+    surface: every slice's jets from one :func:`slice_jets` call and their
+    momenta from one batched point."""
     r = triple.lagrangian.actual_order
-    depth = max(2 * r - 1, r)
-    q = surface.q_blocks(np.array([t_star]), depth)[:, 0]   # (ns, depth+1, N)
-    Y = surface.s_derivative(q)
-    if not Y[:, :r].any():   # the pairing is exactly 0, as on slices sharing t = 0
-        return 0.0
-    # the slices' jets and control stacks at t_star as one batched point
-    jets = JetPoint(np.full(surface.n_slices, t_star), np.moveaxis(q, 0, -1))
+    slices = [sl for surface in surfaces for sl in surface.slices]
+    q = np.stack([p.blocks for p in slice_jets(slices, t_star, max(2 * r - 1, r))])
+    cuts = np.cumsum([0] + [surface.n_slices for surface in surfaces])
+    Ys = [surface.s_derivative(q[a:b]) for surface, a, b in zip(surfaces, cuts, cuts[1:])]
+    # a surface whose Jacobi rows are exact zeros, as on slices sharing t = 0, pairs to 0.0
+    live = [j for j, Y in enumerate(Ys) if Y[:, :r].any()]
+    out = np.zeros(len(surfaces))
+    if not live:
+        return out
+    jets = JetPoint(np.full(len(slices), t_star), np.moveaxis(q, 0, -1))
     ujets = np.stack([sl.traj.control.jet(sl.traj.control.clamp(t_star), r + 1)
-                      for sl in surface.slices], axis=-1)
-    m = lagrangian_momenta(triple, jets, ujets)           # (N, r, ns)
-    # one (N, r) reduction per slice keeps the rounding of a single node's sum
-    vals = np.array([np.sum(m[..., k] * Y[k, :r].T) for k in range(surface.n_slices)])
-    return float(simpson(vals, x=surface.s_nodes))
+                      for sl in slices], axis=-1)
+    m = lagrangian_momenta(triple, jets, ujets)           # (N, r, len(slices))
+    for j in live:
+        # one (N, r) reduction per slice keeps the rounding of a single node's sum
+        vals = [np.sum(m[..., cuts[j] + k] * Y[:r].T) for k, Y in enumerate(Ys[j])]
+        out[j] = simpson(vals, x=surfaces[j].s_nodes)
+    return out
+
+
+def mu_prime_gaps_closed(triple: DefiningTriple,
+                         surfaces: Sequence[VariationSurface]) -> np.ndarray:
+    """mu'(T,1) - mu'(T,0) of each surface from terminal-cost differences,
+    Lagrangian integrals and the two boundary pairings (no auxiliary
+    functions), read in batched passes over all the surfaces' slices.
+
+    The Lagrangian integrals are read from the end slices' extended curves,
+    which cache them, and the jets at T and 0 from the slices, which keep
+    them (so a shared s = 0 slice is read once)."""
+    bT = _boundary_pairings(triple, surfaces, triple.horizon)
+    b0 = _boundary_pairings(triple, surfaces, 0.0)
+    int_L1 = [table[-1] for table in lagrangian_cumulatives([s.slices[-1].ext for s in surfaces])]
+    int_L0 = [s.slices[0].ext.lagrangian_integral() for s in surfaces]
+    return np.array([homotopy_lhs(s) for s in surfaces]) - int_L1 + int_L0 + bT - b0
 
 
 def mu_prime_gap_closed(triple: DefiningTriple, surface: VariationSurface) -> float:
-    """mu'(T,1) - mu'(T,0) from terminal-cost difference, Lagrangian
-    integrals and the two boundary pairings (no auxiliary functions).
-
-    The Lagrangian integrals are read from the end slices' extended curves,
-    which cache them."""
-    int_L1 = surface.slices[-1].ext.lagrangian_integral()
-    int_L0 = surface.slices[0].ext.lagrangian_integral()
-    bT = _boundary_pairing(triple, surface, triple.horizon)
-    b0 = _boundary_pairing(triple, surface, 0.0)
-    return homotopy_lhs(surface) - int_L1 + int_L0 + bT - b0
+    """The gap of one surface, see :func:`mu_prime_gaps_closed`."""
+    return float(mu_prime_gaps_closed(triple, [surface])[0])
 
 
 @dataclass
@@ -217,7 +232,7 @@ def _width_gaps(triple: DefiningTriple, gamma0: Trajectory, specs: Sequence[Need
     gaps = np.empty((len(specs), len(eps_sequence)))
     for j, eps in enumerate(eps_sequence):
         surfaces = needle_variations(triple, gamma0, specs, float(eps), s_intervals, tol, base)
-        gaps[:, j] = [mu_prime_gap_closed(triple, surface) for surface in surfaces]
+        gaps[:, j] = mu_prime_gaps_closed(triple, surfaces)
     return gaps
 
 
@@ -482,7 +497,7 @@ def gpmp_verdict(triple: DefiningTriple, gamma0: Trajectory, spec: NeedleSpec,
 class ScanReport:
     violations: list
     certified: bool
-    certificate: list    # PMPVerdict records from the certification subgrid
+    certificate: list    # PMPVerdict records: the subgrid's, or every point's when full
     n_points: int
     note: str = ""
 
@@ -510,8 +525,10 @@ def pmp_scan(triple: DefiningTriple, gamma0: Trajectory,
     boundary sign test across the whole width sequence) runs on a corner
     and center subgrid; once every certification point passes the boundary
     test, the remaining grid uses the dropped corrective term, which is what
-    the sign test licenses.  ``certification="full"`` runs the complete
-    verdict at every grid point instead.
+    the sign test licenses.  When a certification point fails the test,
+    the full verdict runs at every other grid point too, and the report's
+    ``certificate`` holds all of them.  ``certification="full"`` runs the
+    complete verdict at every grid point from the start.
 
     Every verdict of the scan shares one s = 0 slice: gamma0 and its
     extended curve, so gamma0's Lagrangian integral is computed once per
@@ -536,31 +553,39 @@ def pmp_scan(triple: DefiningTriple, gamma0: Trajectory,
         return NeedleSpec(tau=float(tau), omega=omega, eps0=float(eps0), k=k,
                           sigma_family=family)
 
-    certificate: list[PMPVerdict] = []
-    certified = True
+    def verdicts_at(tau: float, ws) -> list[PMPVerdict]:
+        # full verdicts at one tau, each width one family over the omegas ws
+        specs = [spec_for(tau, w) for w in ws]
+        if not specs:
+            return []
+        gaps = _width_gaps(triple, gamma0, specs, eps_sequence, s_intervals=4, tol=tol, base=base)
+        return [gpmp_verdict(triple, gamma0, spec, eps_sequence, tol=tol, base=base, gaps=g)
+                for spec, g in zip(specs, gaps)]
+
     if certification == "full":
         ct, co = taus, omegas
     else:
         ct = taus[np.unique(np.linspace(0, taus.size - 1, min(cert_taus, taus.size)).astype(int))]
         co = omegas[np.unique(np.linspace(0, omegas.shape[0] - 1,
                                           min(cert_omegas, omegas.shape[0])).astype(int))]
-
-    for t in ct:
-        specs = [spec_for(t, w) for w in co]
-        gaps = _width_gaps(triple, gamma0, specs, eps_sequence, s_intervals=4, tol=tol, base=base)
-        for spec, g in zip(specs, gaps):
-            v = gpmp_verdict(triple, gamma0, spec, eps_sequence, tol=tol, base=base, gaps=g)
-            certificate.append(v)
-            certified = certified and v.goodn_all
+    certificate = [v for t in ct for v in verdicts_at(float(t), co)]
+    certified = all(v.goodn_all for v in certificate)
 
     violations = []
-    r = triple.lagrangian.actual_order
-    if certification == "full":
-        for v in certificate:
-            if not v.satisfied:
-                violations.append(Violation(v.tau, v.omega, v.margin))
-        note = "full verdict at every grid point"
+    if certification == "full" or not certified:
+        # every point's full verdict; the certificate's are reused
+        kept = {(v.tau, v.omega.tobytes()): v for v in certificate}
+        verdicts = []
+        for t in map(float, taus):
+            fresh = iter(verdicts_at(t, [w for w in omegas if (t, w.tobytes()) not in kept]))
+            verdicts += [kept.get((t, w.tobytes())) or next(fresh) for w in omegas]
+        violations = [Violation(v.tau, v.omega, v.margin) for v in verdicts if not v.satisfied]
+        note = ("full verdict at every grid point" if certification == "full" else
+                f"certification FAILED on a subgrid of {len(certificate)} needles: full "
+                "verdict at every grid point, the subgrid's reused")
+        certificate = verdicts
     else:
+        r = triple.lagrangian.actual_order
         for tau in taus:
             jet = gamma0.jet(float(tau), r)
             P = pontryagin_p(triple, jet)
@@ -571,10 +596,7 @@ def pmp_scan(triple: DefiningTriple, gamma0: Trajectory,
                 if margin > tolerance:
                     violations.append(Violation(float(tau), w.copy(), float(margin)))
         note = ("boundary sign test certified on a subgrid of "
-                f"{len(certificate)} needles; corrective term dropped "
-                "accordingly" if certified else
-                "certification FAILED: pointwise margins reported without "
-                "corrective subtraction; rerun with certification='full'")
+                f"{len(certificate)} needles; corrective term dropped accordingly")
 
     return ScanReport(violations=violations, certified=certified,
                       certificate=certificate,

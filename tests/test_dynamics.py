@@ -435,6 +435,20 @@ def test_jets_of_non_elementwise_fields_run_node_by_node(force):
     assert np.array_equal(traj.jets(ts, 2).blocks, _node_by_node(traj, ts, 2))
 
 
+def test_jets_of_a_field_that_contracts_the_batch_axis_run_node_by_node():
+    # np.dot over the coordinate vector (x, y) also contracts a batch of two
+    # nodes, and is right at the first node only: on a grid no longer than
+    # that vector the last node is checked too
+    def f(p, u):
+        xy = np.array([p.coord(0, 0), p.coord(1, 0)])
+        return np.array([np.dot(xy, [1.0, 0.0]), u[0] - p.coord(0, 0)])
+
+    dyn = reduce_to_first_order(f, order=1, state_dim=2, names=["x", "y"])
+    traj = integrate(dyn, HarmonicControl([0.0], [0.8], 3.0, 0.0, 1.0), np.array([0.3, -0.2]), 1.0)
+    ts = np.array([0.2, 0.9])
+    assert np.array_equal(traj.jets(ts, 2).blocks, _node_by_node(traj, ts, 2))
+
+
 def test_jets_refuse_nodes_outside_the_horizon():
     traj = integrate(chain_2nd_order(), ConstantControl([0.0], 1.0), np.array([0.0, 1.0]), 1.0)
     for ts in ([0.0, 0.5, 1.5], [-0.1, 0.5]):
@@ -519,3 +533,87 @@ def test_needle_family_members_meet_their_own_tolerance(problem_id, data):
     assert one.states.tobytes() == solo.states.tobytes()
     assert one.state(ts).tobytes() == solo.state(ts).tobytes()
     assert one.splice == solo.splice
+
+
+def _reference_gap(triple, surface):
+    """mu'(T,1) - mu'(T,0) of one surface read slice by slice: each slice's
+    own jets at T and 0 and its momenta there, and the end slices'
+    Lagrangian tables from fresh extended curves (gamma0's too)."""
+    from scipy.integrate import simpson
+
+    from hopmp.auxiliary import ExtendedCurve
+    from hopmp.jetspace import JetPoint
+    from hopmp.problem import lagrangian_momenta
+
+    r, T = triple.lagrangian.actual_order, triple.horizon
+    depth = max(2 * r - 1, r)
+
+    def pairing(t):
+        q = np.stack([sl.traj.jet(t, depth).blocks for sl in surface.slices])
+        Y = surface.s_derivative(q)
+        if not Y[:, :r].any():
+            return 0.0
+        vals = []
+        for k, sl in enumerate(surface.slices):
+            u = sl.traj.control
+            m = lagrangian_momenta(triple, JetPoint(t, q[k]), u.jet(u.clamp(t), r + 1))
+            vals.append(np.sum(m * Y[k, :r].T))
+        return float(simpson(vals, x=surface.s_nodes))
+
+    def integral(traj):
+        prefix = ExtendedCurve(traj.splice[0], triple) if traj.splice else None
+        return ExtendedCurve(traj, triple, prefix).lagrangian_integral()
+
+    order = max(1, triple.cost.actual_order)
+    top, bottom = surface.slices[-1].traj, surface.slices[0].traj
+    lhs = triple.cost.value(top.jet(T, order)) - triple.cost.value(bottom.jet(T, order))
+    return lhs - integral(top) + integral(bottom) + pairing(T) - pairing(0.0)
+
+
+@pytest.mark.parametrize("problem_id", sorted(BUILTIN_PARAMS))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_batched_needle_gaps_equal_slice_by_slice_gaps(problem_id, data):
+    # a family's gaps, read in batched passes over all its surfaces, equal
+    # each surface's gap read slice by slice, bit for bit; the grouped jet
+    # reads equal each member's own, and each member reads its own column
+    from hopmp.auxiliary import ExtendedCurve
+    from hopmp.dynamics import jets_of, states_of
+    from hopmp.homotopy import SurfaceSlice
+    from hopmp.needle import (NeedleSpec, mu_prime_gap_closed, mu_prime_gaps_closed,
+                              needle_variations)
+
+    triple, sigma0, gamma0 = _reference_curve(problem_id)
+    T = triple.horizon
+    eps = data.draw(st.floats(0.01, 0.1))
+    tau = data.draw(st.floats(eps + 0.01, T - 0.01))
+    lo, hi = triple.controls.lower[0], triple.controls.upper[0]
+    omegas = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=4))
+    s_intervals = data.draw(st.sampled_from([2, 4]))
+    free = triple.initial_data.free
+    family = None
+    if free and data.draw(st.booleans()):
+        family = _moving_family(triple, sigma0, data.draw(st.floats(free[0].lower, free[0].upper)))
+    specs = [NeedleSpec(tau, [w], eps, sigma_family=family) for w in omegas]
+    base = SurfaceSlice(0.0, gamma0, ExtendedCurve(gamma0, triple))
+    surfaces = needle_variations(triple, gamma0, specs, eps, s_intervals, base=base)
+
+    gaps = mu_prime_gaps_closed(triple, surfaces)
+    assert [mu_prime_gap_closed(triple, s) for s in surfaces] == list(gaps)   # kept reads
+    assert list(gaps) == [_reference_gap(triple, s) for s in surfaces]
+
+    members = [sl.traj for s in surfaces for sl in s.slices[1:]]
+    trajs = [gamma0] + members
+    order = data.draw(st.integers(0, 2 * triple.order))
+    grid = np.array(sorted({0.0, T, tau, *(T * x for x in data.draw(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)))}))
+    for ts in (T, 0.0, tau, grid):
+        grouped = jets_of(trajs, ts, order).blocks
+        nodes = np.size(ts)
+        for b, traj in enumerate(trajs):
+            own = traj.jets(ts, order).blocks
+            own = own.reshape(grouped.shape[:2] + (nodes,))
+            assert np.array_equal(grouped[..., b * nodes:(b + 1) * nodes], own)
+    states = states_of(members, members[0].mesh)   # the ends of the shared steps
+    for b, traj in enumerate(members):
+        np.testing.assert_allclose(states[:, b], traj.states.T, rtol=0, atol=1e-13)

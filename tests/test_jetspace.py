@@ -36,6 +36,17 @@ def test_jetpoint_immutable():
         p.t = 1.0
     with pytest.raises(ValueError):
         p.blocks[0, 0] = 3.0
+    # the constructor copies what it is given; the points the evaluation
+    # plan makes on its own arrays are read-only too
+    source = np.ones((3, 2))
+    q = JetPoint(0.5, source)
+    source[0, 0] = 7.0
+    assert q.blocks[0, 0] == 1.0 and not np.shares_memory(q.blocks, source)
+    batched = JetPoint(np.array([0.1, 0.2]), np.ones((3, 2, 2)))
+    for view in (batched.node(1), JetPoint._wrap(0.3, np.ones((3, 2)))):
+        with pytest.raises(ValueError):
+            view.blocks[0, 0] = 3.0
+    assert np.shares_memory(batched.node(1).blocks, batched.blocks)
 
 
 def test_total_derivative_of_coordinate_function():

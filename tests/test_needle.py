@@ -239,13 +239,13 @@ def test_boundary_pairing_is_exactly_zero_only_where_the_jacobi_rows_are(triple,
     spec = NeedleSpec(tau=0.7, omega=[-1.0], eps0=0.05)
     flat = needle_variation(direct, g0, spec, 0.05,
                             base=SurfaceSlice(0.0, g0, ExtendedCurve(g0, direct)))
-    assert needle._boundary_pairing(direct, flat, 0.0) == 0.0 and not calls
-    assert needle._boundary_pairing(direct, flat, direct.horizon) != 0.0 and len(calls) == 1
+    assert needle._boundary_pairings(direct, [flat], 0.0)[0] == 0.0 and not calls
+    assert needle._boundary_pairings(direct, [flat], direct.horizon)[0] != 0.0 and len(calls) == 1
     residue = needle_variation(triple, injected, spec, 0.05,
                                base=SurfaceSlice(0.0, injected, ExtendedCurve(injected, triple)))
     rows = residue.jacobi_q(np.array([0.0]), 1)[:, 0]
     assert 0.0 < np.max(np.abs(rows)) < 1e-30
-    needle._boundary_pairing(triple, residue, 0.0)
+    needle._boundary_pairings(triple, [residue], 0.0)
     assert len(calls) == 2
 
 
@@ -357,6 +357,25 @@ def test_gpmp_verdict_shared_base_matches_own(triple, gamma_opt):
     assert shared.goodn_all == own.goodn_all
 
 
+def _count_jet_reads(monkeypatch, counted):
+    """Record ``(trajs, ts, order)`` of each jet read that ``counted`` accepts
+    (every module that reads jets calls ``jets_of``)."""
+    import hopmp.auxiliary
+    import hopmp.dynamics
+    import hopmp.homotopy
+
+    jets_of, reads = hopmp.dynamics.jets_of, []
+
+    def counting(trajs, ts, order):
+        if counted(trajs, ts, order):
+            reads.append((trajs, ts, order))
+        return jets_of(trajs, ts, order)
+
+    for module in (hopmp.auxiliary, hopmp.dynamics, hopmp.homotopy):
+        monkeypatch.setattr(module, "jets_of", counting)
+    return reads
+
+
 def test_pmp_scan_integrates_base_lagrangian_once(triple, monkeypatch):
     u0 = ConstantControl([-1.0], triple.horizon)
     g0 = triple.controlled_curve(u0, triple.initial_data.make(v=1.0),
@@ -367,19 +386,56 @@ def test_pmp_scan_integrates_base_lagrangian_once(triple, monkeypatch):
     a, b = g0.mesh[0], g0.mesh[1]
     x, _ = np.polynomial.legendre.leggauss(5)
     nodes = set(0.5 * (a + b) + 0.5 * (b - a) * x)
-    jets = g0.jets
-    hits = []
-
-    def counting_jets(ts, order):
-        if nodes <= set(np.atleast_1d(ts)):
-            hits.append(ts)
-        return jets(ts, order)
-
-    monkeypatch.setattr(g0, "jets", counting_jets)
+    hits = _count_jet_reads(monkeypatch, lambda trajs, ts, order: any(
+        tr is g0 for tr in trajs) and nodes <= set(np.atleast_1d(ts)))
     report = pmp_scan(triple, g0, [0.5, 1.0], np.array([[-1.0], [1.0]]),
                       eps0=0.05, certification="full")
     assert len(report.certificate) == 4
     assert len(hits) == 1
+
+
+def test_pmp_scan_reads_gamma0_boundary_jets_once(triple, monkeypatch):
+    # the s = 0 slice every verdict shares keeps gamma0's jets at T and 0
+    # from the first family on, and each family's momenta at T and at 0 are
+    # one batched pass over all its slices
+    import hopmp.needle as needle
+
+    u0 = ConstantControl([-1.0], triple.horizon)
+    g0 = triple.controlled_curve(u0, triple.initial_data.make(v=1.0), tol=(1e-10, 1e-12))
+    T = triple.horizon
+    reads = _count_jet_reads(monkeypatch, lambda trajs, ts, order: any(
+        tr is g0 for tr in trajs) and np.ndim(ts) == 0 and float(ts) in (0.0, T))
+    momenta, calls = needle.lagrangian_momenta, []
+
+    def counting(*args):
+        calls.append(args)
+        return momenta(*args)
+
+    monkeypatch.setattr(needle, "lagrangian_momenta", counting)
+    taus, widths = [0.5, 1.0], default_eps_sequence(0.05)
+    report = pmp_scan(triple, g0, taus, np.array([[-1.0], [0.0], [1.0]]),
+                      eps_sequence=widths, eps0=0.05, certification="full")
+    assert len(report.certificate) == 6
+    assert sorted(float(ts) for _, ts, _ in reads) == [0.0, T]
+    assert 0 < len(calls) <= 2 * len(taus) * len(widths)
+
+
+def test_pmp_scan_runs_full_verdicts_where_certification_fails():
+    # the subgrid's boundary sign test fails on pendulum-direct's optimum
+    # u = 1, where the uncorrected margins are false violations: every grid
+    # point gets its full verdict instead, the subgrid's reused
+    from hopmp import build, optimal_reference
+
+    direct = build("pendulum-direct", T=PI / 2, v_max=1.0)
+    u0, sigma0, _ = optimal_reference("pendulum-direct", T=PI / 2, v_max=1.0)
+    g0 = direct.controlled_curve(u0, sigma0, tol=(1e-10, 1e-12))
+    taus = np.linspace(0.4, 1.4, 3)
+    omegas = np.linspace(-1.0, 1.0, 3).reshape(-1, 1)
+    report = pmp_scan(direct, g0, taus, omegas, eps0=0.05, cert_taus=2, cert_omegas=2)
+    assert report.empty
+    assert not report.certified and "FAILED" in report.note
+    assert [(v.tau, v.omega[0]) for v in report.certificate] == [
+        (t, w) for t in taus for w in omegas[:, 0]]
 
 
 def test_pmp_scan_optimal_empty(triple, gamma_opt):
