@@ -14,6 +14,7 @@ from .jetspace import (  # noqa: F401
     total_derivative,
 )
 from .problem import (  # noqa: F401
+    Check,
     ControlSet,
     ControlledLagrangian,
     CostFunction,

@@ -260,8 +260,7 @@ def _lagrangians(curves: Sequence[ExtendedCurve], grid: np.ndarray) -> np.ndarra
     controls are read at the right-continuous times."""
     triple = curves[0].triple
     jets = jets_of([c.base for c in curves], grid, triple.lagrangian.actual_order)
-    u = np.concatenate([c.base.control.values(c.base.control.clamp(grid)).T for c in curves],
-                       axis=-1)
+    u = np.concatenate([c.base.control.jets(grid, 0)[0] for c in curves], axis=-1)
     return triple.lagrangian.value(jets, u).reshape(len(curves), grid.size)
 
 

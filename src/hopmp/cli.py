@@ -6,8 +6,10 @@ estimates, maximum-principle scans, classical cross-checks, the empirical
 boundedness probe, the initial-velocity surjectivity probe), and writes a
 deterministic text report plus plot-ready trajectory data.
 
-Exit codes: 0 all checks pass, 1 a violation or refutation was found,
-2 configuration error, 3 numerical failure.
+Every check is a :class:`~hopmp.problem.Check` record, and the exit code
+comes from the records: 0 all checks pass, 1 a failed record (a violation
+or refutation), 2 a failed record of the validate suite or another
+configuration error, 3 numerical failure or internal error.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import configparser
 import math
 import sys
 import traceback
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -48,7 +50,7 @@ from .needle import (
     pmp_scan,
     transversality_synthesize,
 )
-from .problem import validate_triple
+from .problem import Check, validate_triple
 from .problems import build, optimal_reference
 
 SUITES = ("validate", "homotopy", "needle", "pmp-scan", "classical-cross",
@@ -137,24 +139,6 @@ def load_config(path: Path) -> RunConfig:
     return cfg
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    lines: list = dc_field(default_factory=list)
-    violation: bool = False
-    config_error: bool = False
-
-    def check(self, label: str, ok: bool, detail: str = "") -> bool:
-        status = "PASS" if ok else "FAIL"
-        self.lines.append(f"  [{status}] {label}" + (f": {detail}" if detail else ""))
-        if not ok:
-            self.violation = True
-        return ok
-
-    def info(self, text: str) -> None:
-        self.lines.append(f"  {text}")
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -187,22 +171,22 @@ def _tau_range(cfg: RunConfig, triple):
     return np.linspace(lo, hi, cfg.tau_points)
 
 
-def _suite_validate(cfg, triple, gamma0) -> SuiteResult:
-    res = SuiteResult("validate")
-    report = validate_triple(triple, seed=cfg.seed)
-    for c in report.checks:
-        res.check(c.name, c.passed, c.detail)
-    res.config_error = not report.ok
-    if report.ok:
+# A suite returns its report entries in order: info lines (str) and Check records.
+
+
+def _suite_validate(cfg, triple, gamma0) -> list:
+    checks = validate_triple(triple, seed=cfg.seed)
+    res = [f"declared orders: r={triple.lagrangian.actual_order}, n={triple.jet_order}, "
+           f"cost {triple.cost.actual_order}"] + checks
+    if all(c.ok for c in checks):
         from .auxiliary import solve_h
 
         coeffs = solve_h(gamma0, triple)
-        res.info(f"boundary matrix condition number: {_fmt(coeffs.cond)}")
+        res.append(f"boundary matrix condition number: {_fmt(coeffs.cond)}")
     return res
 
 
-def _suite_homotopy(cfg, triple, gamma0) -> SuiteResult:
-    res = SuiteResult("homotopy")
+def _suite_homotopy(cfg, triple, gamma0) -> list:
     u0 = gamma0.control
     # deform toward the box corner farthest from the reference control
     mid = triple.controls.midpoint()
@@ -214,35 +198,31 @@ def _suite_homotopy(cfg, triple, gamma0) -> SuiteResult:
     surface = build_surface(triple, hom, tol=cfg.tol)
 
     selection = select_beta_range(surface, t_nodes=max(100, cfg.t_nodes // 2))
-    res.info(_convention_line(selection))
     mode = selection["selected"]
 
     lhs = homotopy_lhs(surface)
     rhs = homotopy_rhs(surface, t_nodes=cfg.t_nodes, beta_range=mode)
     gap = abs(lhs - rhs)
     tol = 1e-3 * (abs(lhs) + 1.0)
-    res.info(f"lhs={_fmt(lhs)} rhs={_fmt(rhs)}")
-    res.check("terminal-cost identity", gap <= tol,
-              f"gap={_fmt(gap)} tol={_fmt(tol)}")
-
     gap_coarse = abs(lhs - homotopy_rhs(surface, t_nodes=cfg.t_nodes // 2,
                                         beta_range=mode))
-    res.info("grid convergence table (t-nodes, gap): "
-             f"({cfg.t_nodes // 2}, {_fmt(gap_coarse)}) "
-             f"({cfg.t_nodes}, {_fmt(gap)})")
-
     vmax = max(abs(vertical_pairing(surface, 0.0, k))
                for k in range(0, surface.n_slices, max(1, surface.n_slices // 8)))
-    res.check("vertical side at t=0 vanishes", vmax <= 1e-8, f"max={_fmt(vmax)}")
-
-    kmid = surface.n_slices // 2
-    cres = conservation_residual(surface, kmid, t_nodes=cfg.t_nodes // 2,
-                                 beta_range=mode)
-    res.check("per-slice balance", abs(cres) <= 5e-4, f"residual={_fmt(cres)}")
-
+    cres = conservation_residual(surface, surface.n_slices // 2,
+                                 t_nodes=cfg.t_nodes // 2, beta_range=mode)
     w1 = minimal_labour_W(surface, 1.0, t_nodes=cfg.t_nodes, beta_range=mode)
-    res.check("labour functional endpoint", abs(w1 - (-lhs)) <= 2 * tol,
-              f"W(1)={_fmt(w1)} C0-C1={_fmt(-lhs)}")
+    res = [
+        _convention_line(selection),
+        f"lhs={_fmt(lhs)} rhs={_fmt(rhs)}",
+        Check("terminal-cost identity", gap, tol),
+        "grid convergence table (t-nodes, gap): "
+        f"({cfg.t_nodes // 2}, {_fmt(gap_coarse)}) ({cfg.t_nodes}, {_fmt(gap)})",
+        Check("vertical side at t=0 vanishes", vmax, 1e-8),
+        f"per-slice balance residual={_fmt(cres)}",
+        Check("per-slice balance", abs(cres), 5e-4),
+        f"W(1)={_fmt(w1)} C0-C1={_fmt(-lhs)}",
+        Check("labour functional endpoint", abs(w1 - (-lhs)), 2 * tol),
+    ]
 
     if cfg.dump_mu_grid:
         _dump_mu_grid(cfg, surface, mode)
@@ -270,8 +250,7 @@ def _dump_mu_grid(cfg, surface, mode) -> None:
                 fh.write(f"{_fmt(t)},{_fmt(s)},{_fmt(mu_prime(surface, float(t), k, mode))}\n")
 
 
-def _suite_needle(cfg, triple, gamma0) -> SuiteResult:
-    res = SuiteResult("needle")
+def _suite_needle(cfg, triple, gamma0) -> list:
     T = triple.horizon
     tau = 0.45 * T
     omega = triple.controls.lower.copy()
@@ -280,15 +259,14 @@ def _suite_needle(cfg, triple, gamma0) -> SuiteResult:
 
     v = gpmp_verdict(triple, gamma0, spec, eps_seq, tol=cfg.tol)
     est = v.corrective
-    res.info("corrective-term table (eps, estimate, boundary residual):")
-    for e, q, g in zip(est.eps, est.estimates, est.goodn_residuals):
-        res.info(f"    {_fmt(e)}  {_fmt(q)}  {_fmt(g)}")
-    res.info(f"shrinking-limit proxy: {_fmt(est.liminf_proxy)}; "
-             f"extrapolated: {_fmt(est.richardson) if est.richardson is not None else 'n/a'}; "
-             f"trend consistent: {est.consistent}")
-    res.check("pointwise inequality at the probe needle", v.satisfied,
-              f"margin={_fmt(v.margin)} tol={_fmt(v.tolerance)} "
-              f"boundary-sign test: {'pass' if v.goodn_all else 'fail'}")
+    res = ["corrective-term table (eps, estimate, boundary residual):"]
+    res += [f"    {_fmt(e)}  {_fmt(q)}  {_fmt(g)}"
+            for e, q, g in zip(est.eps, est.estimates, est.goodn_residuals)]
+    res += [f"shrinking-limit proxy: {_fmt(est.liminf_proxy)}; "
+            f"extrapolated: {_fmt(est.richardson) if est.richardson is not None else 'n/a'}; "
+            f"trend consistent: {est.consistent}",
+            f"boundary-sign test: {'pass' if v.goodn_all else 'fail'}",
+            Check("pointwise inequality at the probe needle", v.margin, v.tolerance)]
 
     for eps in (eps_seq[0], eps_seq[len(eps_seq) // 2]):
         surface = needle_variation(triple, gamma0, spec, float(eps),
@@ -297,42 +275,34 @@ def _suite_needle(cfg, triple, gamma0) -> SuiteResult:
         direct = mu_prime_gap_direct(surface, "full")
         # relative agreement, with an absolute floor for gaps that vanish
         # identically (both evaluations are then pure quadrature noise)
-        ok = abs(closed - direct) <= 1e-4 * max(abs(closed), abs(direct)) + 1e-8
-        res.check(f"two-method gap agreement at eps={_fmt(eps)}", ok,
-                  f"closed={_fmt(closed)} direct={_fmt(direct)}")
+        res += [f"eps={_fmt(eps)}: closed={_fmt(closed)} direct={_fmt(direct)}",
+                Check(f"two-method gap agreement at eps={_fmt(eps)}", abs(closed - direct),
+                      1e-4 * max(abs(closed), abs(direct)) + 1e-8)]
     return res
 
 
-def _suite_pmp_scan(cfg, triple, gamma0) -> SuiteResult:
-    res = SuiteResult("pmp-scan")
+def _suite_pmp_scan(cfg, triple, gamma0) -> list:
     taus = _tau_range(cfg, triple)
     lo, hi = triple.controls.lower[0], triple.controls.upper[0]
     omegas = np.linspace(lo, hi, cfg.omega_points).reshape(-1, 1)
     report = pmp_scan(triple, gamma0, taus, omegas,
                       eps_sequence=default_eps_sequence(cfg.eps0, cfg.eps_count),
                       eps0=cfg.eps0, k=cfg.needle_k, tol=cfg.tol)
-    res.info(report.note)
-    res.info(f"grid: {len(taus)} tau x {len(omegas)} omega = {report.n_points} points")
-    if report.empty:
-        res.check("no violations on the scan grid", True)
-    else:
-        res.violation = True
-        top = report.sorted_violations()[:10]
-        res.lines.append(f"  [FAIL] {len(report.violations)} violations; worst:")
-        for v in top:
-            res.info(f"    tau={_fmt(v.tau)} omega={_fmt(v.omega[0])} "
-                     f"margin={_fmt(v.margin)}")
-    return res
+    res = [report.note,
+           f"grid: {len(taus)} tau x {len(omegas)} omega = {report.n_points} points",
+           Check("no violations on the scan grid", len(report.violations), 0)]
+    worst = report.sorted_violations()[:10]
+    if worst:
+        res.append("worst violations:")
+    return res + [f"    tau={_fmt(v.tau)} omega={_fmt(v.omega[0])} margin={_fmt(v.margin)}"
+                  for v in worst]
 
 
-def _suite_classical_cross(cfg, triple, gamma0) -> SuiteResult:
+def _suite_classical_cross(cfg, triple, gamma0) -> list:
     from .classical import chain_reduction_problem, classical_pmp_check
 
-    res = SuiteResult("classical-cross")
     if len(triple.state_vars) != 1 or not triple.adjoint_vars:
-        res.info("chain oracle needs a single state variable and an adjoint "
-                 "variable; skipped")
-        return res
+        return ["chain oracle needs a single state variable and an adjoint variable; skipped"]
 
     taus = np.linspace(0.1, 0.9, 7) * triple.horizon
     conds = transversality_synthesize(
@@ -341,66 +311,47 @@ def _suite_classical_cross(cfg, triple, gamma0) -> SuiteResult:
         validate_with=gamma0, tau_grid=taus)
     name = triple.dynamics.names[triple.adjoint_vars[0]]
     vals = " ".join(_fmt(v) for v in conds.terminal_values[name])
-    res.info(f"synthesized terminal adjoint jet ({name}): {vals}")
+    res = [f"synthesized terminal adjoint jet ({name}): {vals}"]
     if conds.paper_sign_note:
-        res.info("NOTE: " + conds.paper_sign_note)
-    res.check("annihilation residuals", float(np.max(conds.residuals)) < 1e-8,
-              f"max={_fmt(float(np.max(conds.residuals)))}")
-
-    res.check("argmax agreement with the chain-reduction oracle",
-              conds.oracle_agreement)
+        res.append("NOTE: " + conds.paper_sign_note)
 
     cp = chain_reduction_problem(triple, gamma0)
     rep = classical_pmp_check(cp, gamma0.control, taus,
                               np.linspace(cp.controls.lower[0],
                                           cp.controls.upper[0], 9))
-    if rep.empty:
-        res.check("first-order check on the reference control", True)
-    else:
-        res.violation = True
-        res.lines.append(f"  [FAIL] classical check found {len(rep.violations)} "
-                         "violations")
-    return res
+    return res + [
+        Check("annihilation residuals", float(np.max(conds.residuals)), 1e-8),
+        Check("argmax agreement with the chain-reduction oracle", conds.oracle_argmax_gap, 1e-9),
+        Check("first-order check on the reference control", len(rep.violations), 0),
+    ]
 
 
-def _suite_lipschitz(cfg, triple, gamma0) -> SuiteResult:
-    res = SuiteResult("lipschitz")
+def _suite_lipschitz(cfg, triple, gamma0) -> list:
     report = lipschitz_probe(triple, n_pairs=cfg.lipschitz_pairs, seed=cfg.seed)
-    res.info(f"pairs={cfg.lipschitz_pairs} seed={cfg.seed} "
-             f"skipped={report.n_skipped}")
-    res.info(report.note)
-    res.check("finite boundedness ratio",
-              bool(np.isfinite(report.max_ratio)),
-              f"max={_fmt(report.max_ratio)} mean={_fmt(report.mean_ratio)}")
-    return res
+    return [f"pairs={cfg.lipschitz_pairs} seed={cfg.seed} skipped={report.n_skipped}",
+            report.note,
+            f"boundedness ratio: max={_fmt(report.max_ratio)} mean={_fmt(report.mean_ratio)}",
+            Check("finite boundedness ratio", int(not np.isfinite(report.max_ratio)), 0)]
 
 
-def _suite_phi_probe(cfg, triple, gamma0) -> SuiteResult:
+def _suite_phi_probe(cfg, triple, gamma0) -> list:
     from .classical import phi_surjectivity_probe
     from .errors import DegenerateHorizon
     from .problems import pendulum_direct
 
-    res = SuiteResult("phi-probe")
     try:
         probe_triple = triple if triple.name == "pendulum-direct" \
             else pendulum_direct(T=cfg.T, v_max=cfg.v_max)
     except HopmpError as exc:
-        res.info(f"probe problem rejected: {exc}")
-        res.check("degenerate horizon rejected", True)
-        return res
+        return [f"probe problem rejected: {exc}", Check("degenerate horizon rejected", 0, 0)]
     try:
         report = phi_surjectivity_probe(probe_triple, np.linspace(-cfg.v_max,
                                                                   cfg.v_max, 9))
     except DegenerateHorizon as exc:
-        res.info(f"degenerate horizon: {exc}")
-        res.check("degenerate horizon rejected", True)
-        return res
-    res.check("slope equals sin(T)",
-              abs(report.slope - report.expected_slope) <= 1e-9,
-              f"slope={_fmt(report.slope)} expected={_fmt(report.expected_slope)}")
-    res.check("affine residual", report.residual <= 1e-9,
-              f"residual={_fmt(report.residual)}")
-    return res
+        return [f"degenerate horizon: {exc}", Check("degenerate horizon rejected", 0, 0)]
+    return [f"slope={_fmt(report.slope)} expected={_fmt(report.expected_slope)}",
+            Check("slope equals sin(T)", abs(report.slope - report.expected_slope), 1e-9),
+            Check("affine residual", report.residual, 1e-9)]
 
 
 _SUITE_FUNCS = {
@@ -471,14 +422,12 @@ def run(cfg: RunConfig) -> int:
         csv_path = _write_trajectory_csv(cfg, triple, gamma0)
 
         for name in cfg.suites:
-            result = _SUITE_FUNCS[name](cfg, triple, gamma0)
+            entries = _SUITE_FUNCS[name](cfg, triple, gamma0)
             lines.append(f"[{name}]")
-            lines.extend(result.lines)
+            lines += ["  " + (e.line() if isinstance(e, Check) else e) for e in entries]
             lines.append("")
-            if result.config_error:
-                exit_code = max(exit_code, 2)
-            elif result.violation:
-                exit_code = max(exit_code, 1)
+            if any(isinstance(e, Check) and not e.ok for e in entries):
+                exit_code = max(exit_code, 2 if name == "validate" else 1)
         lines.append(f"trajectory data: {csv_path.name}")
     except ConfigError as exc:
         lines.append(f"CONFIG ERROR: {exc}")

@@ -48,10 +48,6 @@ class ControlCurve:
     def value(self, t: float) -> np.ndarray:
         return self.jet(t, 0)[0]
 
-    def values(self, ts) -> np.ndarray:
-        """Values on a grid of times, shape (len(ts), dim)."""
-        return np.vstack([self.value(t) for t in ts])
-
     def jet(self, t: float, depth: int) -> np.ndarray:
         """Value and time derivatives at ``t``, shape (depth+1, dim)."""
         raise NotImplementedError
@@ -82,9 +78,6 @@ class ConstantControl(ControlCurve):
         out = np.zeros((depth + 1, self.dim))
         out[0] = self._v
         return out
-
-    def values(self, ts) -> np.ndarray:
-        return np.tile(self._v, (len(ts), 1))
 
     def jets(self, ts, depth: int) -> np.ndarray:
         out = np.zeros((depth + 1, self.dim, len(ts)))
@@ -119,10 +112,6 @@ class HarmonicControl(ControlCurve):
         for k in range(depth + 1):
             out[k] = self._layer(k, x)
         return out
-
-    def values(self, ts) -> np.ndarray:
-        x = self.om * np.asarray(ts, dtype=float)[:, None] + self.ph
-        return self.mid + self.amp * np.sin(x)
 
     def jets(self, ts, depth: int) -> np.ndarray:
         x = self.om * self.clamp(np.asarray(ts, dtype=float))[:, None] + self.ph
@@ -197,11 +186,6 @@ class NeedleOverlayControl(ControlCurve):
             out[0] = self.omega
             return out
         return self.base.jet(t, depth)
-
-    def values(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        inside = (self.tau - self.eps <= ts) & (ts < self.tau)
-        return np.where(inside[:, None], self.omega, self.base.values(ts))
 
     def jets(self, ts, depth: int) -> np.ndarray:
         ts = self.clamp(np.asarray(ts, dtype=float))
@@ -286,11 +270,6 @@ class SmoothedNeedleControl(ControlCurve):
             out[m] = acc
         return out
 
-    def values(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        b, w = self.base.values(ts), self._weight_jets(ts, 0)[0][:, None]
-        return np.where(w != 0.0, b + w * (self.omega - b), b)
-
     def jets(self, ts, depth: int) -> np.ndarray:
         ts = self.clamp(np.asarray(ts, dtype=float))
         b, w = self.base.jets(ts, depth), self._weight_jets(ts, depth)
@@ -320,9 +299,6 @@ class BlendControl(ControlCurve):
 
     def jet(self, t: float, depth: int) -> np.ndarray:
         return (1.0 - self.s) * self.u0.jet(t, depth) + self.s * self.u1.jet(t, depth)
-
-    def values(self, ts) -> np.ndarray:
-        return (1.0 - self.s) * self.u0.values(ts) + self.s * self.u1.values(ts)
 
     def jets(self, ts, depth: int) -> np.ndarray:
         return (1.0 - self.s) * self.u0.jets(ts, depth) + self.s * self.u1.jets(ts, depth)

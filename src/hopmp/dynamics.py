@@ -493,10 +493,10 @@ def control_measure_diff(u1: ControlCurve, u2: ControlCurve) -> float:
     """Lebesgue measure of {t : u1(t) != u2(t)} on the curves' shared
     horizon, estimated on a uniform grid: the share of 4001 nodes where some
     component differs by more than 1e-12, each curve evaluated by one
-    ``values`` call."""
+    ``jets`` call (right-continuous at T)."""
     if abs(u1.horizon - u2.horizon) > 1e-12:
         raise ValueError("control curves must share the horizon")
     horizon = u1.horizon
     ts = np.linspace(0.0, horizon, _MEASURE_NODES)
-    gap = np.max(np.abs(u1.values(ts) - u2.values(ts)), axis=1)
+    gap = np.max(np.abs(u1.jets(ts, 0)[0] - u2.jets(ts, 0)[0]), axis=0)
     return horizon * np.count_nonzero(gap > 1e-12) / _MEASURE_NODES

@@ -85,8 +85,7 @@ def blend_homotopy(u0: ControlCurve, u1: ControlCurve,
     right-continuous times)."""
 
     def du_ds(ts, s):
-        tt = u0.clamp(ts)
-        return u1.values(tt) - u0.values(tt)
+        return u1.jets(ts, 0)[0].T - u0.jets(ts, 0)[0].T
 
     return ControlHomotopy(
         slice_curve=lambda s: u0 if s == 0.0 else BlendControl(u0, u1, s),
@@ -192,7 +191,7 @@ class VariationSurface:
         """(ns, nt, M) control values at the right-continuous times."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         return self._cached(("u", ts.tobytes()), lambda: np.stack(
-            [sl.traj.control.values(sl.traj.control.clamp(ts)) for sl in self.slices]))
+            [sl.traj.control.jets(ts, 0)[0].T for sl in self.slices]))
 
     def jacobi_u(self, ts: np.ndarray) -> np.ndarray:
         """Y^a on the grid, analytic when the homotopy provides du_ds."""
@@ -202,9 +201,6 @@ class VariationSurface:
             return np.stack([np.broadcast_to(self.hom.du_ds(ts, float(s)), shape)
                              for s in self.s_nodes])
         return self.s_derivative(self.u_values(ts))
-
-    def mu_values(self, t: float) -> np.ndarray:
-        return np.array([sl.ext.mu(t) for sl in self.slices])
 
 
 def build_surface(triple: DefiningTriple, hom: ControlHomotopy,
@@ -459,7 +455,10 @@ def jacobi_tangent(surface: VariationSurface, t: float, k: int) -> ExtendedTange
     Yq = surface.jacobi_q(np.array([t]), order)[k, 0]   # (order+1, N)
     dcoeffs = surface.coeff_derivatives()[k]
     dh, dhp, dhpp = dcoeffs.rows(t, 3)
-    dmu0 = float(surface.s_derivative(surface.mu_values(t))[k])
+    # the s-difference at k reads mu on three slices only (one-sided at the ends)
+    lo = min(max(k - 1, 0), surface.n_slices - 3)
+    mus = np.array([sl.ext.mu(t) for sl in surface.slices[lo:lo + 3]])
+    dmu0 = float(surface.s_derivative(mus)[k - lo])
     du = surface.jacobi_u(np.array([t]))[k, 0]
     return ExtendedTangent(dt=0.0, dq=Yq, dh=dh, dhp=dhp, dhpp=dhpp,
                            dmu0=dmu0, du=du)

@@ -269,7 +269,7 @@ class TransversalityConditions:
     terminal_values: dict
     residuals: np.ndarray
     paper_sign_note: Optional[str] = None
-    oracle_agreement: Optional[bool] = None
+    oracle_argmax_gap: Optional[float] = None
 
 
 def transversality_synthesize(triple: DefiningTriple,
@@ -355,7 +355,7 @@ def transversality_synthesize(triple: DefiningTriple,
         paper_sign_note=note,
     )
     if validate_with is not None:
-        conds.oracle_agreement = _validate_against_classical(
+        conds.oracle_argmax_gap = _validate_against_classical(
             triple, conds, validate_with, tau_grid)
     return conds
 
@@ -409,10 +409,11 @@ def adjoint_branch(triple: DefiningTriple, gamma0: Trajectory,
 def _validate_against_classical(triple: DefiningTriple,
                                 conds: TransversalityConditions,
                                 gamma0: Trajectory,
-                                tau_grid: Optional[np.ndarray]) -> bool:
-    """Cross-check: the maximizers of the higher-order function P along the
-    synthesized adjoint branch match the classical chain-reduction
-    Hamiltonian's maximizers at every probe time."""
+                                tau_grid: Optional[np.ndarray]) -> float:
+    """Cross-check of the maximizers of the higher-order function P along the
+    synthesized adjoint branch against the classical chain-reduction
+    Hamiltonian's: the largest componentwise distance between the two
+    argmaxes over the probe times."""
     from .classical import classical_chain_oracle
 
     taus = (np.asarray(tau_grid, dtype=float) if tau_grid is not None
@@ -421,12 +422,11 @@ def _validate_against_classical(triple: DefiningTriple,
     omegas = triple.controls.grid(5)
     oracle = classical_chain_oracle(triple, gamma0, taus, omegas)
     r = triple.lagrangian.actual_order
+    gaps = []
     for row, tau in enumerate(taus):
-        P = pontryagin_p(triple, branch.jet(float(tau), r))
-        w_p, _ = P.argmax_on_grid(omegas)
-        if np.max(np.abs(w_p - oracle[row])) > 1e-9:
-            return False
-    return True
+        w_p, _ = pontryagin_p(triple, branch.jet(float(tau), r)).argmax_on_grid(omegas)
+        gaps.append(float(np.max(np.abs(w_p - oracle[row]))))
+    return max(gaps)
 
 
 # -- verdicts and scans ----------------------------------------------------------

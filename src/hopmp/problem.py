@@ -9,7 +9,7 @@ and the pointwise maximization function ``P(u) = -L(jet, u)`` live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -113,13 +113,11 @@ class CostFunction:
         """Total derivative dC/dt as a field (control independent)."""
         return DerivedField(self.field, 1)
 
-    def vanishes_at_zero(self, dim: int, order: int, rng, trials: int = 16,
-                         scale: float = 2.0, tol: float = 1e-10) -> bool:
-        for _ in range(trials):
-            blocks = rng.normal(scale=scale, size=(order + 1, dim))
-            if abs(self.value(JetPoint(0.0, blocks))) > tol:
-                return False
-        return True
+    def max_at_zero(self, dim: int, order: int, rng, trials: int = 16,
+                    scale: float = 2.0) -> float:
+        """Largest |C| over ``trials`` random jets at t = 0."""
+        return max(abs(self.value(JetPoint(0.0, rng.normal(scale=scale, size=(order + 1, dim)))))
+                   for _ in range(trials))
 
 
 @dataclass
@@ -292,64 +290,58 @@ def pontryagin_p(triple: DefiningTriple, jet: JetPoint) -> PontryaginFunction:
     return PontryaginFunction(triple.lagrangian, jet)
 
 
-@dataclass
-class ValidationCheck:
-    name: str
-    passed: bool
-    detail: str = ""
+@dataclass(frozen=True)
+class Check:
+    """One verdict with its numbers: it passes when ``achieved <= bound``.  A
+    yes/no check counts its failures in ``achieved`` against a bound of 0."""
 
-
-@dataclass
-class ValidationReport:
-    checks: list[ValidationCheck] = dc_field(default_factory=list)
+    label: str
+    achieved: float
+    bound: float
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return bool(self.achieved <= self.bound)
 
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(ValidationCheck(name, bool(passed), detail))
+    def line(self) -> str:
+        """``[PASS] label: achieved=a bound=b ratio=a/b``, without the ratio
+        when the bound is 0."""
+        text = (f"[{'PASS' if self.ok else 'FAIL'}] {self.label}: "
+                f"achieved={_num(self.achieved)} bound={_num(self.bound)}")
+        return text + (f" ratio={_num(self.achieved / self.bound)}" if self.bound else "")
 
-    def lines(self) -> list[str]:
-        return [f"{'PASS' if c.passed else 'FAIL'}  {c.name}"
-                + (f"  [{c.detail}]" if c.detail else "")
-                for c in self.checks]
+
+def _num(x) -> str:
+    return repr(int(x)) if isinstance(x, (int, np.integer)) else repr(float(x))
 
 
 def validate_triple(triple: DefiningTriple, seed: int = 0,
-                    residual_tol: float = 1e-6) -> ValidationReport:
+                    residual_tol: float = 1e-6) -> list[Check]:
     """Diagnostics: order inequality, cost vanishing at t = 0, actual-order
     audits, dynamics consistency (EL residual on a probe trajectory), box
     sanity.  Failures are reported, not raised."""
     rng = np.random.default_rng(seed)
-    rep = ValidationReport()
     r = triple.lagrangian.actual_order
     n = triple.jet_order
     N = triple.lagrangian.state_dim
-
-    rep.add("order inequality 2r+1 <= n", 2 * r + 1 <= n, f"r={r}, n={n}")
-
-    rep.add(
-        "cost vanishes on jets at t=0",
-        triple.cost.vanishes_at_zero(N, min(n, triple.cost.actual_order + 1), rng),
-    )
+    cost_order = min(n, triple.cost.actual_order + 1)
+    checks = [
+        Check("order inequality 2r+1 <= n", 2 * r + 1, n),
+        Check("cost vanishes on jets at t=0", triple.cost.max_at_zero(N, cost_order, rng), 1e-10),
+    ]
 
     probe = JetPoint(0.3 * triple.horizon, rng.normal(size=(n + 1, N)))
     u_mid = triple.controls.midpoint()
-    rep.add(
-        "Lagrangian actual-order audit",
-        audit_actual_order(triple.lagrangian.field, probe, u_mid, rng),
-        f"declared r={r}",
-    )
-    rep.add(
-        "cost actual-order audit",
-        audit_actual_order(triple.cost.field, probe, np.zeros(1), rng),
-        f"declared {triple.cost.actual_order}",
-    )
+    checks += [
+        Check("Lagrangian actual-order audit",
+              int(not audit_actual_order(triple.lagrangian.field, probe, u_mid, rng)), 0),
+        Check("cost actual-order audit",
+              int(not audit_actual_order(triple.cost.field, probe, np.zeros(1), rng)), 0),
+        Check("control box sanity", int(np.sum(triple.controls.lower > triple.controls.upper))
+              + int(triple.controls.margin < 0.0), 0),
+    ]
 
-    box_ok = bool(np.all(triple.controls.lower <= triple.controls.upper))
-    rep.add("control box sanity", box_ok and triple.controls.margin >= 0.0)
-
+    label = "dynamics realizes the Euler-Lagrange constraints"
     try:
         from .controls import ConstantControl
 
@@ -358,12 +350,7 @@ def validate_triple(triple: DefiningTriple, seed: int = 0,
         ts = np.linspace(0.12 * triple.horizon, 0.93 * triple.horizon, 5)
         worst = max(float(np.max(np.abs(el_residual(triple, traj, u, t)))) for t in ts)
         scale = 1.0 + float(np.max(np.abs(traj.states)))
-        rep.add(
-            "dynamics realizes the Euler-Lagrange constraints",
-            worst <= residual_tol * scale,
-            f"max residual {worst:.3e}",
-        )
+        checks.append(Check(label, worst, residual_tol * scale))
     except Exception as exc:  # report, never raise
-        rep.add("dynamics realizes the Euler-Lagrange constraints", False, repr(exc))
-
-    return rep
+        checks.append(Check(f"{label} ({type(exc).__name__})", float("inf"), residual_tol))
+    return checks

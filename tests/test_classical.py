@@ -102,8 +102,8 @@ def test_embed_classical_lagrangian_vanishes_along_solutions():
 
 
 def test_embed_classical_validates():
-    rep = validate_triple(pendulum_classical(T=PI / 2))
-    assert rep.ok, "\n".join(rep.lines())
+    checks = validate_triple(pendulum_classical(T=PI / 2))
+    assert all(c.ok for c in checks), "\n".join(c.line() for c in checks)
 
 
 def test_embed_constant_when_f_zero():
@@ -268,7 +268,7 @@ def test_mth_order_bang_bang_odd_order_with_velocity_coupling():
                                       validate_with=g0)
     assert np.allclose(conds.terminal_values["p"], [0.0, 0.0, 1.0], atol=1e-10)
     assert conds.paper_sign_note is not None
-    assert conds.oracle_agreement is True
+    assert conds.oracle_argmax_gap <= 1e-9
 
     u_opt, adj = mth_order_bang_bang(a, T)
     assert len(u_opt.breakpoints) == 0

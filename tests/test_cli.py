@@ -1,4 +1,5 @@
 import math
+import re
 import textwrap
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from hopmp import cli
 from hopmp.cli import RunConfig, load_config, main, run
 from hopmp.errors import ConfigError
+from hopmp.problem import Check
 
 PI = math.pi
 
@@ -103,6 +105,38 @@ def test_odd_s_nodes_exit_two(tmp_path, capsys):
         load_config(path)
     assert main(["--config", str(path), "--quiet"]) == 2
     assert "Simpson" in capsys.readouterr().err
+
+
+ALL_SUITES = " ".join(cli.SUITES)
+CHECK_LINE = re.compile(r"  \[(PASS|FAIL)\] ([^:]+): achieved=(\S+) bound=(\S+)(?: ratio=(\S+))?")
+
+
+def test_every_check_line_carries_achieved_bound_and_ratio(tmp_path):
+    main(["--config", str(small_cfg(tmp_path, suites=ALL_SUITES)), "--quiet"])
+    report = (tmp_path / "out" / "report.txt").read_text()
+    checks = [ln for ln in report.splitlines() if ln.startswith("  [")]
+    assert len(checks) >= 20
+    for ln in checks:
+        m = CHECK_LINE.fullmatch(ln)
+        assert m, ln
+        status, _, a, b, r = m.groups()
+        a, b = float(a), float(b)
+        assert (status == "PASS") == (a <= b), ln
+        assert (r is None) == (b == 0), ln
+        if b > 0:
+            assert float(r) == a / b, ln
+
+
+@pytest.mark.parametrize("suite, code", [("phi-probe", 1), ("validate", 2)])
+def test_exit_code_comes_from_the_records(tmp_path, monkeypatch, suite, code):
+    def one_failed(cfg, triple, gamma0):
+        return ["an info line", Check("passes", 1.0, 2.0), Check("fails", 3.0, 2.0)]
+
+    monkeypatch.setitem(cli._SUITE_FUNCS, suite, one_failed)
+    assert main(["--config", str(small_cfg(tmp_path, suites=suite)), "--quiet"]) == code
+    lines = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    assert "  [FAIL] fails: achieved=3.0 bound=2.0 ratio=1.5" in lines
+    assert "  [PASS] passes: achieved=1.0 bound=2.0 ratio=0.5" in lines
 
 
 def test_internal_error_exit_three(tmp_path, monkeypatch):

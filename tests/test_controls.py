@@ -57,8 +57,11 @@ def _with_breakpoints(c, ts):
 
 
 @settings(deadline=None, max_examples=60)
-@given(data=st.data(), grid=needle_grids(), k=st.floats(0.01, 0.9))
-def test_values_equal_stacked_scalar_values(data, grid, k):
+@given(data=st.data(), grid=needle_grids(), k=st.floats(0.01, 0.9), depth=st.integers(0, 5))
+def test_jets_equal_stacked_jets(data, grid, k, depth):
+    # every curve with a vectorised ``jets``: on the ramps and needle edges,
+    # next to them, and at T (clamped); at depth 0 the rows are the stacked
+    # scalar values
     T, tau, eps, ts = grid
     sine = data.draw(harmonics(T))
     const = ConstantControl(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=sine.dim,
@@ -74,31 +77,16 @@ def test_values_equal_stacked_scalar_values(data, grid, k):
         BlendControl(const, NeedleOverlayControl(sine, tau, omega, eps), 0.3),
         smoothed,
         SmoothedNeedleControl(const, tau, omega, eps, k),
+        SmoothedNeedleControl(sine, tau, omega, eps, k),
         BlendControl(sine, smoothed, 1.0),
     ]
     for c in curves:
         times = _with_breakpoints(c, ts)
-        got = c.values(times)
-        assert got.shape == (times.size, c.dim)
-        assert np.array_equal(got, _stacked(c, times)), type(c).__name__
-
-
-@settings(deadline=None, max_examples=60)
-@given(data=st.data(), grid=needle_grids(), k=st.floats(0.01, 0.9), depth=st.integers(0, 5))
-def test_smoothed_needle_jets_equal_stacked_jets(data, grid, k, depth):
-    # on the ramps, at their edges and next to them, and at T (clamped)
-    T, tau, eps, ts = grid
-    sine = data.draw(harmonics(T))
-    omega = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=sine.dim, max_size=sine.dim))
-    smoothed = SmoothedNeedleControl(NeedleOverlayControl(sine, tau, omega, eps),
-                                     tau, omega, eps, k)
-    for c in (smoothed, SmoothedNeedleControl(sine, tau, omega, eps, k),
-              BlendControl(sine, smoothed, 1.0)):
-        times = _with_breakpoints(c, ts)
         got = c.jets(times, depth)
         stacked = np.stack([c.jet(t, depth) for t in c.clamp(times)], axis=-1)
-        assert got.shape == stacked.shape
+        assert got.shape == (depth + 1, c.dim, times.size)
         assert got.tobytes() == stacked.tobytes(), type(c).__name__
+        assert np.array_equal(got[0].T, _stacked(c, c.clamp(times))), type(c).__name__
 
 
 @settings(deadline=None, max_examples=60)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hopmp.auxiliary import ExtendedCurve
 from hopmp.controls import ConstantControl
 from hopmp.homotopy import (
     ControlHomotopy,
@@ -11,6 +12,7 @@ from hopmp.homotopy import (
     homotopy_lhs,
     homotopy_rhs,
     infinitesimal_conditions,
+    jacobi_tangent,
     minimal_labour_W,
     mu_prime,
     mu_prime_correction,
@@ -181,6 +183,27 @@ def test_conservation_residual(triple, ramp_surface):
     for k in (0, 8, 16):
         res = conservation_residual(ramp_surface, k, t_nodes=200)
         assert abs(res) < 5e-4
+
+
+@pytest.mark.parametrize("k", [0, 1, 8, 16])
+def test_conservation_residual_builds_only_the_stencils_mu_tables(triple, monkeypatch, k):
+    # the s-difference of mu at slice k reads three slices' tables, and gives
+    # the bits of the difference taken over every slice
+    surface = build_surface(triple, hom_control_ramp(triple))
+    built = []
+    ensure = ExtendedCurve._ensure_mu
+
+    def counting(self):
+        if self._mu_nodes is None:
+            built.append(self)
+        ensure(self)
+
+    monkeypatch.setattr(ExtendedCurve, "_ensure_mu", counting)
+    conservation_residual(surface, k, t_nodes=50)
+    assert 1 <= len(built) <= 3
+    T = triple.horizon
+    every = surface.s_derivative(np.array([sl.ext.mu(T) for sl in surface.slices]))
+    assert jacobi_tangent(surface, T, k).dmu0 == every[k]
 
 
 def test_mu_prime_at_base_slice_is_mu(triple, ramp_surface):

@@ -30,15 +30,14 @@ def test_control_set_box():
 
 
 def test_validate_pendulum_r2_passes():
-    rep = validate_triple(pendulum_r2(T=PI / 2, v_max=1.0))
-    assert rep.ok, "\n".join(rep.lines())
+    checks = validate_triple(pendulum_r2(T=PI / 2, v_max=1.0))
+    assert all(c.ok for c in checks), "\n".join(c.line() for c in checks)
 
 
 def test_validate_order_inequality_failure():
     triple = pendulum_r2(T=PI / 2)
     triple.jet_order = 2   # 2r+1 = 5 > 2
-    rep = validate_triple(triple)
-    failed = [c.name for c in rep.checks if not c.passed]
+    failed = [c.label for c in validate_triple(triple) if not c.ok]
     assert "order inequality 2r+1 <= n" in failed
 
 
@@ -50,8 +49,7 @@ def test_validate_cost_vanishing_failure():
     bad = ScalarJetField(lambda p, u: p.coord(0, 0), actual_order=0,
                          reads={0: 0})
     triple.cost = CostFunction(field=bad, actual_order=0)
-    rep = validate_triple(triple)
-    failed = [c.name for c in rep.checks if not c.passed]
+    failed = [c.label for c in validate_triple(triple) if not c.ok]
     assert "cost vanishes on jets at t=0" in failed
 
 

@@ -33,8 +33,8 @@ PI = math.pi
     ("third-order", dict(T=1.0)),
 ])
 def test_builtins_validate(pid, kwargs):
-    rep = validate_triple(build(pid, **kwargs))
-    assert rep.ok, f"{pid}: " + "; ".join(rep.lines())
+    checks = validate_triple(build(pid, **kwargs))
+    assert all(c.ok for c in checks), f"{pid}: " + "; ".join(c.line() for c in checks)
 
 
 def test_pendulum_direct_el_reproduces_constraint():
@@ -214,8 +214,8 @@ def test_elementary_function_fields_give_jets(lib):
             assert jet[4] == pytest.approx(-math.cos(jet[0]) * jet[1], abs=tol)
 
         for triple in (swinging, third):
-            rep = validate_triple(triple)
-            assert rep.ok, "; ".join(rep.lines())
+            checks = validate_triple(triple)
+            assert all(c.ok for c in checks), "; ".join(c.line() for c in checks)
     fell_back = any("difference quotients" in str(w.message) for w in caught)
     assert fell_back == (lib is math)
 

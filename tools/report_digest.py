@@ -4,6 +4,7 @@ Usage::
 
     python3 tools/report_digest.py OUT [ID ...]
     python3 tools/report_digest.py --diff A B [ID ...]
+    python3 tools/report_digest.py --checks A B [ID ...]
 
 Runs ``hopmp`` with the default suites on each builtin problem named (all of
 them when none is), writing into ``OUT/<id>/``, and prints one line per
@@ -23,12 +24,19 @@ so the digests on standard output stay comparable across runs.
 wrote into the ``OUT`` directories ``A`` and ``B`` and prints, per problem,
 the report lines that differ (a unified diff without context, ``generated:``
 lines left out).  It exits 1 when some line differs.
+
+``--checks A B`` runs nothing either: per problem it prints both exit codes
+and, for every check label of either report, its status in ``A`` and in
+``B`` and ``B``'s ratio (``-`` where the line has none), marking with
+``!`` each label whose status differs.  It exits 1 when a status or an
+exit code differs.
 """
 
 from __future__ import annotations
 
 import difflib
 import hashlib
+import re
 import sys
 import time
 from pathlib import Path
@@ -75,18 +83,52 @@ def diff(a: Path, b: Path, problem_ids) -> int:
     return 1 if moved else 0
 
 
+_CHECK = re.compile(r"^  \[(PASS|FAIL)\] ([^:\n]+)(.*)$")
+_RATIO = re.compile(r" ratio=(\S+)")
+
+
+def _statuses(out: Path, problem_id: str) -> tuple[str, dict]:
+    """The exit code and {label: (status, ratio)} of one report."""
+    code, checks = "missing", {}
+    for line in _report_lines(out, problem_id):
+        if line.startswith("exit code: "):
+            code = line.split()[-1]
+        m = _CHECK.match(line.rstrip("\n"))
+        if m:
+            ratio = _RATIO.search(m.group(3))
+            checks[m.group(2)] = (m.group(1), ratio.group(1) if ratio else "-")
+    return code, checks
+
+
+def compare_checks(a: Path, b: Path, problem_ids) -> int:
+    changed = False
+    for problem_id in problem_ids:
+        code_a, checks_a = _statuses(a, problem_id)
+        code_b, checks_b = _statuses(b, problem_id)
+        changed = changed or code_a != code_b
+        print(f"{problem_id} exit={code_a} -> {code_b}{' !' if code_a != code_b else ''}")
+        for label in dict.fromkeys([*checks_b, *checks_a]):
+            status_a = checks_a.get(label, ("missing",))[0]
+            status_b, ratio = checks_b.get(label, ("missing", "-"))
+            changed = changed or status_a != status_b
+            mark = "!" if status_a != status_b else " "
+            print(f"  {mark} {status_a} -> {status_b} ratio={ratio} {label}")
+    return 1 if changed else 0
+
+
 def run(argv: list[str]) -> int:
-    comparing = argv[:1] == ["--diff"]
-    if comparing:
+    mode = argv[0] if argv[:1] in (["--diff"], ["--checks"]) else None
+    if mode:
         argv = argv[1:]
-    ids = argv[2:] if comparing else argv[1:]
+    ids = argv[2:] if mode else argv[1:]
     unknown = [arg for arg in ids if arg not in BUILTIN_IDS]
-    if len(argv) < (2 if comparing else 1) or unknown:
-        sys.stderr.write("usage: report_digest.py OUT [ID ...] | --diff A B [ID ...], "
-                         f"ID in {', '.join(BUILTIN_IDS)}\n")
+    if len(argv) < (2 if mode else 1) or unknown:
+        sys.stderr.write("usage: report_digest.py OUT [ID ...] | --diff A B [ID ...] | "
+                         f"--checks A B [ID ...], ID in {', '.join(BUILTIN_IDS)}\n")
         return 2
-    if comparing:
-        return diff(Path(argv[0]), Path(argv[1]), ids or BUILTIN_IDS)
+    if mode:
+        compare = diff if mode == "--diff" else compare_checks
+        return compare(Path(argv[0]), Path(argv[1]), ids or BUILTIN_IDS)
     out = Path(argv[0])
     for problem_id in ids or BUILTIN_IDS:
         print(digest(out, problem_id), flush=True)
