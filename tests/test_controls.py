@@ -56,20 +56,16 @@ def _with_breakpoints(c, ts):
     return np.array(sorted(x for x in times if 0.0 <= x <= c.horizon))
 
 
-@settings(deadline=None, max_examples=60)
-@given(data=st.data(), grid=needle_grids(), k=st.floats(0.01, 0.9), depth=st.integers(0, 5))
-def test_jets_equal_stacked_jets(data, grid, k, depth):
-    # every curve with a vectorised ``jets``: on the ramps and needle edges,
-    # next to them, and at T (clamped); at depth 0 the rows are the stacked
-    # scalar values
-    T, tau, eps, ts = grid
+def _vectorised_curves(data, grid, k):
+    """Every curve with a vectorised ``jets``, smoothed needles among them."""
+    T, tau, eps, _ = grid
     sine = data.draw(harmonics(T))
     const = ConstantControl(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=sine.dim,
                                                max_size=sine.dim)), T)
     omega = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=sine.dim, max_size=sine.dim))
     smoothed = SmoothedNeedleControl(NeedleOverlayControl(sine, tau, omega, eps),
                                      tau, omega, eps, k)
-    curves = [
+    return [
         const,
         sine,
         NeedleOverlayControl(const, tau, omega, eps),
@@ -80,13 +76,31 @@ def test_jets_equal_stacked_jets(data, grid, k, depth):
         SmoothedNeedleControl(sine, tau, omega, eps, k),
         BlendControl(sine, smoothed, 1.0),
     ]
-    for c in curves:
-        times = _with_breakpoints(c, ts)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), grid=needle_grids(), k=st.floats(0.01, 0.9))
+def test_values_equal_stacked_scalar_values(data, grid, k):
+    # a grid read of values is the value row of ``jets(ts, 0)``: it equals
+    # the stacked scalar values, with T clamped like every other grid read
+    for c in _vectorised_curves(data, grid, k):
+        times = _with_breakpoints(c, grid[3])
+        got = c.jets(times, 0)[0].T
+        assert got.shape == (times.size, c.dim)
+        assert np.array_equal(got, _stacked(c, c.clamp(times))), type(c).__name__
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), grid=needle_grids(), k=st.floats(0.01, 0.9), depth=st.integers(0, 5))
+def test_smoothed_needle_jets_equal_stacked_jets(data, grid, k, depth):
+    # on the ramps and needle edges, next to them, and at T (clamped); the
+    # smoothed needles sit among the other vectorised ``jets`` overrides
+    for c in _vectorised_curves(data, grid, k):
+        times = _with_breakpoints(c, grid[3])
         got = c.jets(times, depth)
         stacked = np.stack([c.jet(t, depth) for t in c.clamp(times)], axis=-1)
         assert got.shape == (depth + 1, c.dim, times.size)
         assert got.tobytes() == stacked.tobytes(), type(c).__name__
-        assert np.array_equal(got[0].T, _stacked(c, c.clamp(times))), type(c).__name__
 
 
 @settings(deadline=None, max_examples=60)
