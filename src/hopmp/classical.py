@@ -52,18 +52,14 @@ class ClassicalProblem:
         return np.atleast_1d(np.asarray(self.x0)).size
 
     def state_dynamics(self) -> NormalFormDynamics:
-        def rhs(t, y, u):
-            return np.asarray(self.f(t, y, u), dtype=float)
+        """x' = f(t, x, u), one order-1 chain per coordinate: the embedding's x."""
+        n = self.dim
 
-        blocks = [ChainBlock(f"x{i+1}", 1, _state_top(self, i)) for i in range(self.dim)]
-        return NormalFormDynamics(blocks, rhs_override=rhs)
+        def top(i: int) -> ScalarJetField:
+            return ScalarJetField(lambda p, u: np.atleast_1d(self.f(p.t, p.blocks[0, :n], u))[i],
+                                  actual_order=0, name=f"f{i+1}", reads={j: 0 for j in range(n)})
 
-
-def _state_top(cp: ClassicalProblem, i: int) -> ScalarJetField:
-    """The top field x^i' = f^i(t, x, u), with x the first ``cp.dim`` variables."""
-    n = cp.dim
-    return ScalarJetField(lambda p, u: np.atleast_1d(cp.f(p.t, p.blocks[0, :n], u))[i],
-                          actual_order=0, name=f"f{i+1}", reads={j: 0 for j in range(n)})
+        return NormalFormDynamics([ChainBlock(f"x{i+1}", 1, top(i)) for i in range(n)])
 
 
 def smoothness_probe(cp: ClassicalProblem, rng, trials: int = 12,
@@ -128,14 +124,9 @@ def embed_classical(cp: ClassicalProblem) -> DefiningTriple:
         return ScalarJetField(g, actual_order=0, name=f"g{i+1}",
                               reads={j: 0 for j in range(2 * n)})
 
-    def rhs(t, y, u):
-        x, pp = y[:n], y[n:]
-        jac = np.atleast_2d(cp.dfdx(t, x, u))
-        return np.concatenate([np.asarray(cp.f(t, x, u), dtype=float), -pp @ jac])
-
-    blocks = [ChainBlock(f"x{i+1}", 1, _state_top(cp, i)) for i in range(n)]
+    blocks = list(cp.state_dynamics().blocks)
     blocks += [ChainBlock(f"p{i+1}", 1, make_top_p(i)) for i in range(n)]
-    dyn = NormalFormDynamics(blocks, rhs_override=rhs)
+    dyn = NormalFormDynamics(blocks)
 
     base = {f"x{i+1}": [float(np.asarray(cp.x0).ravel()[i])] for i in range(n)}
     base.update({f"p{i+1}": [0.0] for i in range(n)})
@@ -376,10 +367,6 @@ class SurjectivityReport:
     intercept: float
     residual: float
     expected_slope: float
-
-    @property
-    def ok(self) -> bool:
-        return abs(self.slope) > 1e-9
 
 
 def phi_surjectivity_probe(triple: DefiningTriple, v_grid,

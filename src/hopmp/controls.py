@@ -37,7 +37,8 @@ def smoothstep5(theta: float, deriv: int = 0) -> float:
 
 
 class ControlCurve:
-    """Base class; subclasses implement ``jet`` and may give ``value`` a
+    """Base class; subclasses implement ``jet(t, depth)``, the value and time
+    derivatives at ``t``, shape (depth+1, dim), and may give ``value`` a
     direct path, which must return ``jet(t, 0)[0]`` bit for bit."""
 
     def __init__(self, horizon: float, dim: int) -> None:
@@ -47,10 +48,6 @@ class ControlCurve:
 
     def value(self, t: float) -> np.ndarray:
         return self.jet(t, 0)[0]
-
-    def jet(self, t: float, depth: int) -> np.ndarray:
-        """Value and time derivatives at ``t``, shape (depth+1, dim)."""
-        raise NotImplementedError
 
     def jets(self, ts, depth: int) -> np.ndarray:
         """``jet`` at every node of a grid, clamped: (depth+1, dim, len(ts))."""
@@ -85,6 +82,17 @@ class ConstantControl(ControlCurve):
         return out
 
 
+def _sine_layer(k: int, x, mid, amp, om, om_k):
+    """d^k/dt^k of ``mid + amp * sin(om * t + ph)`` at phase ``x``, ``om_k =
+    om ** k``: one expression for a sine and a family's parameter arrays."""
+    if k == 0:
+        return mid + amp * np.sin(x)
+    if k == 2:  # (-a * om) * om rounds apart from -a * om**2; tests pin these bits
+        return -amp * om * om * np.sin(x)
+    sign = 1.0 if k % 4 < 2 else -1.0
+    return sign * amp * om_k * (np.sin(x) if k % 2 == 0 else np.cos(x))
+
+
 class HarmonicControl(ControlCurve):
     """``mid + amp * sin(om * t + ph)`` with exact derivatives of every order."""
 
@@ -95,16 +103,7 @@ class HarmonicControl(ControlCurve):
         self.om, self.ph = float(om), float(ph)
 
     def _layer(self, k: int, x: float) -> np.ndarray:
-        a, om = self.amp, self.om
-        if k == 0:
-            return self.mid + a * np.sin(x)
-        if k == 2:  # (-a * om) * om rounds apart from -a * om**2; tests pin these bits
-            return -a * om * om * np.sin(x)
-        sign = 1.0 if k % 4 < 2 else -1.0
-        return sign * a * om ** k * (np.sin(x) if k % 2 == 0 else np.cos(x))
-
-    def value(self, t: float) -> np.ndarray:
-        return self._layer(0, self.om * t + self.ph)
+        return _sine_layer(k, x, self.mid, self.amp, self.om, self.om ** k)
 
     def jet(self, t: float, depth: int) -> np.ndarray:
         x = self.om * t + self.ph
@@ -174,11 +173,6 @@ class NeedleOverlayControl(ControlCurve):
         self.omega = np.atleast_1d(np.asarray(omega, dtype=float))
         pts = set(base.breakpoints) | {self.tau - self.eps, self.tau}
         self.breakpoints = tuple(sorted(p for p in pts if 0.0 < p < self.horizon))
-
-    def value(self, t: float) -> np.ndarray:
-        if self.tau - self.eps <= t < self.tau:
-            return self.omega.copy()
-        return self.base.value(t)
 
     def jet(self, t: float, depth: int) -> np.ndarray:
         if self.tau - self.eps <= t < self.tau:
@@ -304,19 +298,51 @@ class BlendControl(ControlCurve):
         return (1.0 - self.s) * self.u0.jets(ts, depth) + self.s * self.u1.jets(ts, depth)
 
 
+class _HarmonicStack:
+    """Sines, or needle overlays on sines, as parameter arrays: ``mid``, ``amp``
+    (M, B), ``om``, ``ph`` (B,) and each needle's window ``[tau - eps, tau)``
+    and ``omega`` (a bare sine's window is empty).  The powers ``om ** k``
+    are Python's: numpy's array power rounds apart from them."""
+
+    def __init__(self, curves: Sequence[ControlCurve], sines: Sequence[HarmonicControl]) -> None:
+        self.mid = np.stack([c.mid for c in sines], axis=-1)
+        self.amp = np.stack([np.broadcast_to(c.amp, c.mid.shape) for c in sines], axis=-1)
+        self.om, self.ph = np.array([c.om for c in sines]), np.array([c.ph for c in sines])
+        needles = [c if c is not sine else None for c, sine in zip(curves, sines)]
+        self.window = np.array([(c.tau - c.eps, c.tau) if c else (np.inf,) * 2 for c in needles]).T
+        self.omega = np.stack([c.omega if c else sine.mid for c, sine in zip(needles, sines)], -1)
+
+    def jet(self, t: float, depth: int) -> np.ndarray:
+        x = self.om * t + self.ph
+        out = np.empty((depth + 1,) + self.mid.shape)
+        for k in range(depth + 1):
+            om_k = np.array([om ** k for om in self.om.tolist()]) if k % 2 or k > 2 else None
+            out[k] = _sine_layer(k, x, self.mid, self.amp, self.om, om_k)
+        inside = (self.window[0] <= t) & (t < self.window[1])
+        if inside.any():
+            out[:, :, inside] = 0.0
+            out[0][:, inside] = self.omega[:, inside]
+        return out
+
+
 class ControlFamily:
     """Curves read together: ``jet(t, depth)`` stacks their jets side by side,
     (depth+1, M, B), each column its member's ``jet`` (``value`` at depth 0)
-    bit for bit.  At depth 0, blends (1 - s) u0 + s u1 of one base u0 (u0
-    itself is s = 0) read u0 once, each other top curve once and one weight
-    per needle ramp on u0; any other family reads member by member."""
+    bit for bit.  Sines and needle overlays on sines are read as parameter
+    arrays (:class:`_HarmonicStack`).  At depth 0, blends (1 - s) u0 + s u1
+    of one base u0 (u0 itself is s = 0) read u0 once, each other top curve
+    once and one weight per needle ramp on u0; any other family reads member
+    by member."""
 
     def __init__(self, curves: Sequence[ControlCurve]) -> None:
         self.curves = list(curves)
+        sines = [c.base if type(c) is NeedleOverlayControl else c for c in self.curves]
+        self._stack = (_HarmonicStack(self.curves, sines)
+                       if all(type(c) is HarmonicControl for c in sines) else None)
         u0 = next((c.u0 for c in self.curves if isinstance(c, BlendControl)), self.curves[0])
         tops = [u0 if c is u0 else c.u1 for c in self.curves
                 if c is u0 or isinstance(c, BlendControl) and c.u0 is u0]
-        self._base = u0 if len(tops) == len(self.curves) else None
+        self._base = u0 if self._stack is None and len(tops) == len(self.curves) else None
         if self._base is None:
             return
         self._s = np.array([0.0 if c is u0 else c.s for c in self.curves])
@@ -333,6 +359,8 @@ class ControlFamily:
             self._groups.append((top, at, omega))
 
     def jet(self, t: float, depth: int) -> np.ndarray:
+        if self._stack is not None:
+            return self._stack.jet(t, depth)
         if depth or self._base is None:
             return np.stack([c.jet(t, depth) if depth else c.value(t)[None]
                              for c in self.curves], axis=-1)

@@ -51,8 +51,7 @@ class NormalFormDynamics:
     ``u_depth`` tells callers how deep a control stack to pass.
     """
 
-    def __init__(self, blocks: Sequence[ChainBlock],
-                 rhs_override: Optional[Callable] = None) -> None:
+    def __init__(self, blocks: Sequence[ChainBlock]) -> None:
         self.blocks = tuple(blocks)
         self.names = tuple(b.name for b in self.blocks)
         self.orders = tuple(b.order for b in self.blocks)
@@ -60,7 +59,6 @@ class NormalFormDynamics:
         self.offsets = tuple(int(o) for o in np.cumsum([0] + [b.order for b in self.blocks])[:-1])
         self.state_dim = int(sum(self.orders))
         self.order = 2 * max(self.orders)  # order of the realized constraints
-        self._rhs_override = rhs_override
         self._plans: dict = {}
 
     # -- state packing ------------------------------------------------------
@@ -158,10 +156,7 @@ class NormalFormDynamics:
         """dy/dt for the chain system; ``ujet`` is a control-derivative stack
         of at least ``plan().u_depth + 1`` rows (or a bare control value).
         B states, y (state_dim, B) with ujet (k+1, M, B), take one pass of the
-        plan; a hand-written right-hand side serves a single state."""
-        if self._rhs_override is not None and np.ndim(y) == 1:
-            uj = np.atleast_2d(np.asarray(ujet, dtype=float))
-            return np.asarray(self._rhs_override(t, y, uj[0]), dtype=float)
+        plan."""
         blocks = self._run(self.plan(), t, y, ujet)
         return np.concatenate([blocks[1:m + 1, i] for i, m in enumerate(self.orders)])
 
@@ -216,10 +211,6 @@ class Trajectory:
         (state_dim, len(t))): the one-member case of :func:`states_of`."""
         y = states_of([self], t)[:, 0]
         return y if np.ndim(t) else y[:, 0]
-
-    def _segment(self, t):
-        # right-continuous: a time on a breakpoint reads the segment starting there
-        return self._seg_cuts.searchsorted(t, side="right")
 
     def jet(self, t: float, order: int) -> JetPoint:
         return self.jets(float(t), order)
@@ -282,7 +273,8 @@ def states_of(trajs: Sequence[Trajectory], ts) -> np.ndarray:
             if grid.min() < -1e-12 or grid.max() > traj.horizon + 1e-12:
                 raise TimeOutOfRange(f"t={ts} outside [0, {traj.horizon}]")
             clipped = np.clip(grid, 0.0, traj.horizon)
-            seg = traj._segment(clipped)
+            # right-continuous: a time on a breakpoint reads the segment starting there
+            seg = traj._seg_cuts.searchsorted(clipped, side="right")
             runs[key] = []
             for k in np.unique(seg):
                 at = np.flatnonzero(seg == k)
@@ -425,6 +417,9 @@ def _random_smooth_control(rng, box_lower, box_upper, horizon: float) -> Control
 
 # Range of the needle widths the probe draws; the report note prints it.
 _NEEDLE_WIDTHS = (0.01, 0.2)
+# Pairs integrated together: a needle family's mesh is the union of its
+# members' breakpoints, so its dense output grows with members x segments.
+_PROBE_CHUNK = 25
 
 
 def lipschitz_probe(triple, n_pairs: int, seed: int, grid: int = 201) -> LipschitzReport:
@@ -436,41 +431,38 @@ def lipschitz_probe(triple, n_pairs: int, seed: int, grid: int = 201) -> Lipschi
     sup-norm-over-jets ratios.  The trajectory metric uses jet blocks up to
     order 2r-1; the control metric is :func:`control_measure_diff`; the
     initial-data metric rho is Euclidean on the state coordinates.
-    Zero-denominator pairs are skipped.
+    Zero-denominator pairs are skipped.  Every pair is drawn first; then
+    each chunk of at most 25 pairs is integrated as two families, the sines
+    and the needle overlays, each read by one :func:`jets_of` call.
     """
     rng = np.random.default_rng(seed)
-    r = triple.lagrangian.actual_order
-    T = triple.horizon
-    jet_depth = 2 * r - 1
+    dyn, T = triple.dynamics, triple.horizon
+    jet_depth = 2 * triple.lagrangian.actual_order - 1
     ts = np.linspace(0.0, T, grid)
     lo, hi = triple.controls.lower, triple.controls.upper
 
-    ratios = []
-    skipped = 0
+    pairs = []   # (u, u', y, y')
     for _ in range(n_pairs):
         u = _random_smooth_control(rng, lo, hi, T)
         tau = rng.uniform(0.25 * T, 0.85 * T)
         eps = rng.uniform(*_NEEDLE_WIDTHS)
-        omega = rng.uniform(lo, hi)
-        u2 = NeedleOverlayControl(u, tau, omega, eps)
+        u2 = NeedleOverlayControl(u, tau, rng.uniform(lo, hi), eps)
+        y1, y2 = (dyn.pack_state(triple.initial_data.sample(rng)) for _ in range(2))
+        pairs.append((u, u2, y1, y2))
 
-        s1 = triple.initial_data.sample(rng)
-        s2 = triple.initial_data.sample(rng)
-        y1 = triple.dynamics.pack_state(s1)
-        y2 = triple.dynamics.pack_state(s2)
-
-        t1 = integrate(triple.dynamics, u, y1, T, tol=(1e-8, 1e-10))
-        t2 = integrate(triple.dynamics, u2, y2, T, tol=(1e-8, 1e-10))
-
-        diff = float(np.max(np.abs(t1.jets(ts, jet_depth).blocks
-                                   - t2.jets(ts, jet_depth).blocks)))
-        du = control_measure_diff(u, u2)
-        rho = float(np.linalg.norm(y1 - y2))
-        den = du + rho
-        if den < 1e-14:
-            skipped += 1
-            continue
-        ratios.append(diff / den)
+    ratios, skipped = [], 0
+    for at in range(0, n_pairs, _PROBE_CHUNK):
+        chunk = pairs[at:at + _PROBE_CHUNK]
+        us, u2s, y1s, y2s = zip(*chunk)
+        gap = np.abs(jets_of(integrate_family(dyn, us, y1s, T), ts, jet_depth).blocks
+                     - jets_of(integrate_family(dyn, u2s, y2s, T), ts, jet_depth).blocks)
+        diffs = gap.reshape(gap.shape[:2] + (len(chunk), grid)).max(axis=(0, 1, 3))
+        for (u, u2, y1, y2), diff in zip(chunk, diffs.tolist()):
+            den = control_measure_diff(u, u2) + float(np.linalg.norm(y1 - y2))
+            if den < 1e-14:
+                skipped += 1
+                continue
+            ratios.append(diff / den)
 
     ratios = np.asarray(ratios)
     note = ("rho: Euclidean metric on initial state coordinates; "

@@ -272,29 +272,32 @@ def _grid_terms(surface: VariationSurface, ts: np.ndarray) -> tuple:
 
 def _mixed_mu_integrand(surface: VariationSurface, ts: np.ndarray,
                         beta_range: str) -> np.ndarray:
-    """G(t, s) = d2 mu'/dt ds on the (s, t) grid, shape (ns, nt).
+    """G(t, s) = d2 mu'/dt ds on the (s, t) grid, shape (ns, nt), computed
+    once per grid and beta range; callers must not write into it.
 
     The t-derivative of mu' is -Ltilde plus the auxiliary product sum; both
     are closed-form along slices, and only they are differenced in s.
     """
     triple = surface.triple
-    r = triple.lagrangian.actual_order
     ts = np.atleast_1d(ts)
-    G = -_grid_terms(surface, ts)[1]
-    idx = list(beta_indices(r, beta_range))
-    if idx:
-        k4 = (math.pi / (2.0 * triple.horizon)) ** 4
-        dcoeffs = surface.coeff_derivatives()
-        for k in range(surface.n_slices):
-            c = surface.coeffs(k)
-            d = dcoeffs[k]
-            # d/dt [h'_(3) Y'_(0) + h''_(3) Y''_(0)]
-            term = (k4 * c.hp(ts, 0) * d.hp(ts, 0)
-                    + c.hp(ts, 3) * d.hp(ts, 1)
-                    + k4 * c.hpp(ts, 0) * d.hpp(ts, 0)
-                    + c.hpp(ts, 3) * d.hpp(ts, 1))
-            G[k] += np.sum(term[:, idx, :], axis=(0, 1))
-    return G
+
+    def make():
+        G = -_grid_terms(surface, ts)[1]
+        idx = list(beta_indices(triple.lagrangian.actual_order, beta_range))
+        if idx:
+            k4 = (math.pi / (2.0 * triple.horizon)) ** 4
+            dcoeffs = surface.coeff_derivatives()
+            for k in range(surface.n_slices):
+                c, d = surface.coeffs(k), dcoeffs[k]
+                # d/dt [h'_(3) Y'_(0) + h''_(3) Y''_(0)]
+                term = (k4 * c.hp(ts, 0) * d.hp(ts, 0)
+                        + c.hp(ts, 3) * d.hp(ts, 1)
+                        + k4 * c.hpp(ts, 0) * d.hpp(ts, 0)
+                        + c.hpp(ts, 3) * d.hpp(ts, 1))
+                G[k] += np.sum(term[:, idx, :], axis=(0, 1))
+        return G
+
+    return surface._cached(("G", ts.tobytes(), beta_range), make)
 
 
 def _rhs_integrand(surface: VariationSurface, ts: np.ndarray,

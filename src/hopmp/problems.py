@@ -75,17 +75,9 @@ def pendulum_r2(T: float = math.pi / 2, v_max: float = 1.0) -> DefiningTriple:
     )
     lag = ControlledLagrangian(field=L, actual_order=2, state_dim=2)
 
-    top_x = _pendulum_top_x()
     top_p = ScalarJetField(lambda p, u: -p.coord(P, 0), actual_order=0,
                            name="f_p", reads={P: 0})
-
-    def rhs(t, y, u):
-        return np.array([y[1], u[0] - y[0], y[3], -y[2]])
-
-    dyn = NormalFormDynamics(
-        [ChainBlock("x", 2, top_x), ChainBlock("p", 2, top_p)],
-        rhs_override=rhs,
-    )
+    dyn = NormalFormDynamics([ChainBlock("x", 2, _pendulum_top_x()), ChainBlock("p", 2, top_p)])
 
     init = InitialData(
         base={"x": [0.0, 0.0], "p": [math.sin(T), -math.cos(T)]},
@@ -126,10 +118,7 @@ def pendulum_direct(T: float = math.pi / 2, v_max: float = 1.0) -> DefiningTripl
     )
     lag = ControlledLagrangian(field=L, actual_order=1, state_dim=1)
 
-    def rhs(t, y, u):
-        return np.array([y[1], u[0] - y[0]])
-
-    dyn = NormalFormDynamics([ChainBlock("x", 2, _pendulum_top_x())], rhs_override=rhs)
+    dyn = NormalFormDynamics([ChainBlock("x", 2, _pendulum_top_x())])
     init = InitialData(
         base={"x": [0.0, 0.0]},
         free=[FreeParam("v", "x", 1, -v_max, v_max)],

@@ -35,8 +35,8 @@ def needle_grids(draw):
 
 
 @st.composite
-def harmonics(draw, T):
-    dim = draw(st.integers(1, 2))
+def harmonics(draw, T, dim=None):
+    dim = dim or draw(st.integers(1, 2))
     mid = draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim))
     amp = draw(st.lists(st.floats(0.0, 2.0), min_size=dim, max_size=dim))
     om = draw(st.floats(0.1, 5.0))
@@ -76,6 +76,35 @@ def _vectorised_curves(data, grid, k):
         SmoothedNeedleControl(sine, tau, omega, eps, k),
         BlendControl(sine, smoothed, 1.0),
     ]
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), T=st.floats(0.1, 6.0), batch=st.integers(1, 7), dim=st.integers(1, 2),
+       needles=st.booleans())
+def test_harmonic_family_columns_equal_member_jets(data, T, batch, dim, needles):
+    # sines, or needle overlays on sines, are read as parameter arrays: each
+    # column is its member's jet, and its value at depth 0, bit for bit on
+    # every needle edge, one ulp left of each, and at T
+    members = []
+    for _ in range(batch):
+        sine = data.draw(harmonics(T, dim))
+        if needles:
+            tau = T * data.draw(st.floats(0.05, 0.95))
+            omega = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim))
+            sine = NeedleOverlayControl(sine, tau, omega, tau * data.draw(st.floats(0.01, 1.0)))
+        members.append(sine)
+    family = ControlFamily(members)
+    assert family._stack is not None
+    times = {T}
+    for c in members:
+        if needles:
+            times |= {edge for e in (c.tau - c.eps, c.tau) for edge in (e, np.nextafter(e, 0.0))}
+    for t in sorted(times):
+        for depth in range(4):
+            got = family.jet(t, depth)
+            assert got.shape == (depth + 1, dim, batch)
+            assert np.array_equal(got, np.stack([c.jet(t, depth) for c in members], axis=-1))
+        assert np.array_equal(family.jet(t, 0)[0], np.stack([c.value(t) for c in members], -1))
 
 
 @settings(deadline=None, max_examples=60)

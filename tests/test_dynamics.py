@@ -13,6 +13,9 @@ from hopmp.controls import (
     PiecewiseConstantControl,
 )
 from hopmp.dynamics import (
+    _NEEDLE_WIDTHS,
+    _PROBE_CHUNK,
+    _random_smooth_control,
     control_measure_diff,
     integrate,
     integrate_family,
@@ -296,6 +299,49 @@ def test_shallow_control_stack_refused():
 
 BUILTIN_PARAMS = {"pendulum-classical": {}, "pendulum-r2": {}, "pendulum-direct": {},
                   "mth-order": {"a": [1.0, 0.0, 1.0], "T": PI / 2}, "third-order": {}}
+
+
+def _pair_by_pair_probe(triple, n_pairs, seed, grid):
+    """The Lipschitz probe's ratios and skip count from the same draws, each
+    curve integrated alone by ``integrate`` and read by its own ``jets``."""
+    rng = np.random.default_rng(seed)
+    dyn, T = triple.dynamics, triple.horizon
+    depth = 2 * triple.lagrangian.actual_order - 1
+    ts = np.linspace(0.0, T, grid)
+    lo, hi = triple.controls.lower, triple.controls.upper
+    ratios, skipped = [], 0
+    for _ in range(n_pairs):
+        u = _random_smooth_control(rng, lo, hi, T)
+        tau = rng.uniform(0.25 * T, 0.85 * T)
+        eps = rng.uniform(*_NEEDLE_WIDTHS)
+        u2 = NeedleOverlayControl(u, tau, rng.uniform(lo, hi), eps)
+        y1 = dyn.pack_state(triple.initial_data.sample(rng))
+        y2 = dyn.pack_state(triple.initial_data.sample(rng))
+        t1, t2 = integrate(dyn, u, y1, T), integrate(dyn, u2, y2, T)
+        diff = float(np.max(np.abs(t1.jets(ts, depth).blocks - t2.jets(ts, depth).blocks)))
+        den = control_measure_diff(u, u2) + float(np.linalg.norm(y1 - y2))
+        if den < 1e-14:
+            skipped += 1
+            continue
+        ratios.append(diff / den)
+    return np.array(ratios), skipped
+
+
+@pytest.mark.parametrize("problem_id, n_pairs", [("pendulum-r2", 27)] + [
+    (pid, 4) for pid in sorted(BUILTIN_PARAMS) if pid != "pendulum-r2"])
+def test_lipschitz_probe_matches_pair_by_pair_integration(problem_id, n_pairs):
+    # the probe integrates its pairs as chunked families, 27 pairs crossing a
+    # chunk boundary; each member meets its own tolerance, so the ratios
+    # agree with lone integrations within the integrator's resolution
+    from hopmp.problems import build
+
+    assert _PROBE_CHUNK < 27
+    triple = build(problem_id, **BUILTIN_PARAMS[problem_id])
+    report = lipschitz_probe(triple, n_pairs=n_pairs, seed=11, grid=41)
+    ratios, skipped = _pair_by_pair_probe(triple, n_pairs, seed=11, grid=41)
+    assert report.n_skipped == skipped
+    assert report.ratios.shape == ratios.shape
+    np.testing.assert_allclose(report.ratios, ratios, rtol=1e-6, atol=0)
 
 
 @functools.lru_cache(maxsize=None)

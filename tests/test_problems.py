@@ -220,33 +220,50 @@ def test_elementary_function_fields_give_jets(lib):
     assert fell_back == (lib is math)
 
 
-OVERRIDDEN_DYNAMICS = {
-    "pendulum_r2": lambda: pendulum_r2().dynamics,
-    "pendulum_direct": lambda: pendulum_direct().dynamics,
-    "embed_classical(pendulum)": lambda: pendulum_classical().dynamics,
-    "embed_classical(swinging)": lambda: embed_classical(_swinging_pendulum()).dynamics,
-    "ClassicalProblem.state_dynamics": lambda: _swinging_pendulum().state_dynamics(),
+def _embedded_rhs(cp: ClassicalProblem):
+    """The first-order embedding's dynamics in closed form: x' = f, p' = -p df/dx."""
+    def rhs(t, y, u):
+        x, p = y[:cp.dim], y[cp.dim:]
+        return np.concatenate([np.asarray(cp.f(t, x, u), dtype=float),
+                               -p @ np.atleast_2d(cp.dfdx(t, x, u))])
+
+    return rhs
+
+
+# name -> (dynamics built from chain blocks, the same dynamics in closed form)
+CLOSED_FORM_DYNAMICS = {
+    "pendulum_r2": (lambda: pendulum_r2().dynamics,
+                    lambda t, y, u: np.array([y[1], u[0] - y[0], y[3], -y[2]])),
+    "pendulum_direct": (lambda: pendulum_direct().dynamics,
+                        lambda t, y, u: np.array([y[1], u[0] - y[0]])),
+    "embed_classical(pendulum)": (lambda: pendulum_classical().dynamics,
+                                  lambda t, y, u: np.array([y[1], u[0] - y[0], y[3], -y[2]])),
+    "embed_classical(swinging)": (lambda: embed_classical(_swinging_pendulum()).dynamics,
+                                  _embedded_rhs(_swinging_pendulum())),
+    "ClassicalProblem.state_dynamics": (
+        lambda: _swinging_pendulum().state_dynamics(),
+        lambda t, y, u: np.asarray(_swinging_pendulum().f(t, y, u), dtype=float)),
 }
 
 
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(sorted(OVERRIDDEN_DYNAMICS)),
+@given(name=st.sampled_from(sorted(CLOSED_FORM_DYNAMICS)),
        t=st.floats(0.0, PI / 2),
        y=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
        u=st.floats(-1.0, 1.0))
 def test_rhs_override_matches_chain_fields(name, t, y, u):
-    # the hand-written right-hand side and the one assembled from the chain
-    # blocks' top fields are two definitions of the same dynamics
-    dyn = OVERRIDDEN_DYNAMICS[name]()
-    generic = NormalFormDynamics(dyn.blocks)
+    # the right-hand side assembled from the chain blocks' top fields and the
+    # problem's closed form are two definitions of the same dynamics
+    make, closed_form = CLOSED_FORM_DYNAMICS[name]
+    dyn = make()
     state = np.array(y[:dyn.state_dim])
-    fast = dyn.rhs(t, state, [u])
-    slow = generic.rhs(t, state, [u])
-    assert np.max(np.abs(fast - slow)) <= 1e-14 * max(1.0, np.max(np.abs(fast))), name
+    ref = closed_form(t, state, [u])
+    got = dyn.rhs(t, state, [u])
+    assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref))), name
 
 
 BATCHED_DYNAMICS = {
-    **OVERRIDDEN_DYNAMICS,
+    **{name: make for name, (make, _) in CLOSED_FORM_DYNAMICS.items()},
     "mth_order": lambda: mth_order(a=[1.0, 0.0, 1.0]).dynamics,
     "third_order": lambda: third_order().dynamics,
 }
@@ -259,9 +276,9 @@ BATCHED_DYNAMICS = {
 def test_batched_rhs_equals_stacked_member_rhs(name, batch, t, data):
     # B states side by side take one pass of the evaluation plan, with one
     # float time or one time per member; each column is that member's own
-    # plan right-hand side, and the hand-written one within rounding (B = 2
-    # is the state dimension of the classical pendulums, where a matrix
-    # product over the batch axis still has the right shape)
+    # plan right-hand side, and its batch-free right-hand side within
+    # rounding (B = 2 is the state dimension of the classical pendulums, where
+    # a matrix product over the batch axis still has the right shape)
     dyn = BATCHED_DYNAMICS[name]()
     generic = NormalFormDynamics(dyn.blocks)
     floats = lambda lo, hi, n: np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n,
