@@ -13,11 +13,10 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .controls import ConstantControl, ControlCurve, PiecewiseConstantControl
-from .dynamics import ChainBlock, NormalFormDynamics, Trajectory, integrate
+from .dynamics import ChainBlock, NormalFormDynamics, Trajectory, integrate, integrate_backward
 from .errors import DegenerateAdjoint, DegenerateHorizon
 from .jetspace import JetPoint, ScalarJetField
 from .problem import (
@@ -33,16 +32,17 @@ from .problem import (
 class ClassicalProblem:
     """dx/dt = f(t, x, u), fixed x(0), terminal cost C(x(T)), box controls.
 
-    ``f`` returns the components of dx/dt as an array or a list.  A list of
-    elementwise expressions also holds a dual number beside the rows of a
-    time grid, which ``np.array`` cannot stack, so the embedding's
-    Lagrangian then takes its partials on whole grids.
+    Write ``f`` and ``cost`` with numpy (elementwise arithmetic, ``np.sin``
+    and the like): the embedding takes their partials on dual numbers, so
+    p(T) = -grad C is its cost's partials.  ``f`` returns dx/dt as an array
+    or a list; a list of elementwise expressions also holds a dual number
+    beside the rows of a time grid, which ``np.array`` cannot stack.
+    ``dfdx`` closes the embedding's adjoint chain p' = -p df/dx.
     """
 
     f: Callable[[float, np.ndarray, np.ndarray], Sequence]
     dfdx: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     cost: Callable[[np.ndarray], float]
-    cost_grad: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
     controls: ControlSet
     horizon: float
@@ -147,33 +147,22 @@ def embed_classical(cp: ClassicalProblem) -> DefiningTriple:
     )
 
 
-class AdjointTrajectory:
-    """Backward-integrated adjoint with dense output on [0, T]."""
-
-    def __init__(self, sol, horizon: float) -> None:
-        self._sol = sol
-        self.horizon = float(horizon)
-
-    def p(self, t: float) -> np.ndarray:
-        return np.atleast_1d(self._sol(t))
-
-
-def adjoint_integrate(cp: ClassicalProblem, x_traj: Trajectory, u: ControlCurve,
-                      p_terminal, tol=(1e-10, 1e-12)) -> AdjointTrajectory:
-    """Integrate dp_j/dt = -sum_i p_i df^i/dx^j backward from p(T)."""
-    T = cp.horizon
-    n = cp.dim
-
-    def rhs(t, p):
-        x = x_traj.state(t)[:n]
-        jac = np.atleast_2d(cp.dfdx(t, x, u.value(u.clamp(t))))
-        return -p @ jac
-
-    sol = solve_ivp(rhs, (T, 0.0), np.asarray(p_terminal, dtype=float),
-                    method="RK45", dense_output=True, rtol=tol[0], atol=tol[1])
-    if not sol.success:
-        raise DegenerateAdjoint(f"adjoint integration failed: {sol.message}")
-    return AdjointTrajectory(sol.sol, T)
+def adjoint_integrate(cp: ClassicalProblem, u: ControlCurve, p_terminal=None,
+                      tol=(1e-10, 1e-12)) -> Trajectory:
+    """The embedding's curve of (x, p) under ``u``: x from x0, and the
+    adjoint p' = -p df/dx closed by ``p_terminal`` at T, by default
+    p(T) = -grad C(x(T)).  x runs forward, then (x, p) back from T, then
+    both forward from the p(0) found, with x(0) restored exactly."""
+    triple = embed_classical(cp)
+    dyn, T, n = triple.dynamics, cp.horizon, cp.dim
+    y = np.concatenate([np.asarray(cp.x0, dtype=float).ravel(), np.zeros(n)])
+    # x alone through the embedding's x-chains, which read no p
+    x_T = integrate(cp.state_dynamics(), u, y[:n], T, tol=tol).state(T)
+    if p_terminal is None:
+        jet_T = JetPoint(T, np.concatenate([x_T, np.zeros(n)]))
+        p_terminal = [-triple.cost.partial(jet_T, ("q", i, 0)) for i in range(n)]
+    y[n:] = integrate_backward(dyn, u, np.concatenate([x_T, p_terminal]), T, tol)[n:]
+    return integrate(dyn, u, y, T, tol=tol)
 
 
 def hamiltonian(cp: ClassicalProblem, t: float, x, p) -> Callable:
@@ -203,16 +192,24 @@ class ViolationReport:
         return not self.violations
 
 
-def _state_and_adjoint(cp: ClassicalProblem, u: ControlCurve,
-                       tol) -> tuple[Trajectory, AdjointTrajectory]:
-    """The state under ``u`` from x0 and the adjoint closed by
+def hamiltonian_table(cp: ClassicalProblem, u: ControlCurve, tau_grid, omega_grid,
+                      tol=(1e-10, 1e-12)) -> tuple[np.ndarray, np.ndarray]:
+    """H at every (tau, omega), a (tau x omega) table, and H(u(tau)) per
+    tau, along the state under ``u`` and the adjoint closed by
     p(T) = -grad C(x(T))."""
-    dyn = cp.state_dynamics()
-    x0 = {f"x{i+1}": [float(np.asarray(cp.x0).ravel()[i])] for i in range(cp.dim)}
-    x_traj = integrate(dyn, u, dyn.pack_state(x0), cp.horizon, tol=tol)
-    xT = x_traj.state(cp.horizon)
-    p_traj = adjoint_integrate(cp, x_traj, u, -np.asarray(cp.cost_grad(xT)), tol=tol)
-    return x_traj, p_traj
+    traj, n = adjoint_integrate(cp, u, tol=tol), cp.dim
+    table, at_u = [], []
+    for tau in np.atleast_1d(tau_grid):
+        y = traj.state(float(tau))
+        H = hamiltonian(cp, tau, y[:n], y[n:])
+        at_u.append(H(u.value(tau)))
+        table.append([H(w) for w in _omega_rows(omega_grid)])
+    return np.array(table), np.array(at_u)
+
+
+def _omega_rows(omega_grid) -> np.ndarray:
+    """One control value per row."""
+    return np.atleast_2d(np.asarray(omega_grid, dtype=float).reshape(len(omega_grid), -1))
 
 
 def classical_pmp_check(cp: ClassicalProblem, u0: ControlCurve,
@@ -220,19 +217,14 @@ def classical_pmp_check(cp: ClassicalProblem, u0: ControlCurve,
                         tol_scale: float = 1e-6,
                         tol=(1e-10, 1e-12)) -> ViolationReport:
     """Report every (tau, omega) with H(omega) > H(u0(tau)) + tolerance,
-    with the adjoint closed by p(T) = -grad C(x(T))."""
-    x_traj, p_traj = _state_and_adjoint(cp, u0, tol)
-
+    read from :func:`hamiltonian_table`."""
+    table, at_u = hamiltonian_table(cp, u0, tau_grid, omega_grid, tol)
+    omegas = _omega_rows(omega_grid)
     report = ViolationReport()
-    omegas = np.atleast_2d(np.asarray(omega_grid, dtype=float).reshape(len(omega_grid), -1))
-    for tau in np.atleast_1d(tau_grid):
-        x = x_traj.state(tau)
-        p = p_traj.p(tau)
-        H = hamiltonian(cp, tau, x, p)
-        href = H(u0.value(tau))
+    for tau, row, href in zip(np.atleast_1d(tau_grid), table, at_u):
         tol_here = tol_scale * (1.0 + abs(href))
-        for w in omegas:
-            gap = H(w) - href
+        for w, h in zip(omegas, row):
+            gap = h - href
             if gap > tol_here:
                 report.violations.append(Violation(float(tau), w.copy(), float(gap)))
     return report
@@ -242,25 +234,27 @@ def mth_order_bang_bang(a: Sequence[float], T: float, tol: float = 1e-10,
                         samples: int = 2001):
     """Bang-bang rule u(t) = sign(p(t)) for sum_l a_l x^(l) = u with cost -x(T).
 
-    The adjoint solves sum_l (-1)^l a_l p^(l) = 0 backward from the
-    annihilating terminal conditions (synthesized and oracle-validated), and
-    switch times are located by bisection on its dense output.
+    The adjoint solves sum_l (-1)^l a_l p^(l) = 0: the mth-order triple's own
+    p-chain, run back from the synthesized (and oracle-validated)
+    annihilating terminal conditions and then forward, so p is read from
+    the returned curve's state.  Switch times are located by bisection on
+    its dense output.
     """
     from .needle import transversality_synthesize
-    from .problems import mth_order, solve_adjoint_chain
+    from .problems import mth_order
 
     a = np.asarray(a, dtype=float)
+    m = a.size - 1
     triple = mth_order(a, T)
+    dyn = triple.dynamics
     conds = transversality_synthesize(triple)
-    term = conds.terminal_values[triple.dynamics.names[1]]
-
-    sol = solve_adjoint_chain(a, T, term)
-    if not sol.success:
-        raise DegenerateAdjoint(sol.message)
-    adjoint = AdjointTrajectory(sol.sol, T)
+    u0 = ConstantControl([0.0], T)
+    y_T = dyn.pack_state({"x": np.zeros(m), "p": conds.terminal_values["p"]})
+    tight = (1e-12, 1e-14)
+    adjoint = integrate(dyn, u0, integrate_backward(dyn, u0, y_T, T, tight), T, tight)
 
     ts = np.linspace(0.0, T, samples)
-    ps = np.array([adjoint.p(t)[0] for t in ts])
+    ps = adjoint.state(ts)[m]
     scale = float(np.max(np.abs(ps))) or 1.0
     # flag stretches where the adjoint is numerically zero
     dead = np.abs(ps) < 1e-12 * scale
@@ -275,14 +269,14 @@ def mth_order_bang_bang(a: Sequence[float], T: float, tol: float = 1e-10,
         if ps[k] == 0.0:
             continue
         if ps[k] * ps[k + 1] < 0.0:
-            root = brentq(lambda t: adjoint.p(t)[0], ts[k], ts[k + 1], xtol=tol)
+            root = brentq(lambda t: adjoint.state(t)[m], ts[k], ts[k + 1], xtol=tol)
             switches.append(float(root))
 
     nodes = [0.0] + switches + [T]
     values = []
     for lo, hi in zip(nodes[:-1], nodes[1:]):
         mid = 0.5 * (lo + hi)
-        values.append([1.0 if adjoint.p(mid)[0] > 0 else -1.0])
+        values.append([1.0 if adjoint.state(mid)[m] > 0 else -1.0])
     u_opt = PiecewiseConstantControl(switches, values, T)
     return u_opt, adjoint
 
@@ -294,8 +288,6 @@ def chain_reduction_problem(triple, gamma0=None) -> ClassicalProblem:
     last component of f.  Used as the brute-force oracle for the
     higher-order formulations.
     """
-    from .jetspace import JetPoint
-
     if len(triple.state_vars) != 1:
         raise ValueError("chain reduction oracle needs a single state variable")
     xi = triple.state_vars[0]
@@ -306,7 +298,8 @@ def chain_reduction_problem(triple, gamma0=None) -> ClassicalProblem:
     T = triple.horizon
 
     def jet_from_y(t, y, order):
-        blocks = np.zeros((order + 1, N_full))
+        # y may hold a dual number, which the embedding's cost partials seed
+        blocks = np.zeros((order + 1, N_full), dtype=np.result_type(y, float))
         blocks[:min(m, order + 1), xi] = y[:min(m, order + 1)]
         return JetPoint(t, blocks)
 
@@ -319,9 +312,7 @@ def chain_reduction_problem(triple, gamma0=None) -> ClassicalProblem:
 
     def dfdx(t, y, u):
         jet = jet_from_y(t, y, max(m - 1, top.actual_order))
-        jac = np.zeros((m, m))
-        for k in range(m - 1):
-            jac[k, k + 1] = 1.0
+        jac = np.eye(m, k=1)
         for l in range(m):
             jac[m - 1, l] = top.partial(jet, u, ("q", xi, l))
         return jac
@@ -330,35 +321,35 @@ def chain_reduction_problem(triple, gamma0=None) -> ClassicalProblem:
         jet = jet_from_y(T, y, max(triple.cost.actual_order, m - 1))
         return triple.cost.value(jet)
 
-    def cost_grad(y):
-        jet = jet_from_y(T, y, max(triple.cost.actual_order, m - 1))
-        return np.array([triple.cost.partial(jet, ("q", xi, l))
-                         for l in range(m)])
-
     off = dyn.offsets[xi]
-    x0 = None
-    if gamma0 is not None:
-        x0 = gamma0.initial_state[off:off + m].copy()
-    return ClassicalProblem(
-        f=f, dfdx=dfdx, cost=cost, cost_grad=cost_grad,
-        x0=x0 if x0 is not None else np.zeros(m),
-        controls=triple.controls, horizon=T,
-    )
+    x0 = np.zeros(m) if gamma0 is None else gamma0.initial_state[off:off + m].copy()
+    return ClassicalProblem(f=_last_node_memo(f), dfdx=_last_node_memo(dfdx), cost=cost, x0=x0,
+                            controls=triple.controls, horizon=T)
+
+
+def _last_node_memo(fn: Callable) -> Callable:
+    """``fn(t, y, u)`` keeping its value, which callers only read, at the
+    latest float node: the embedding's m x-tops ask for f, and its m
+    adjoint tops for df/dx, at one node in turn, and each value of the
+    chain reduction builds a jet and takes dual-number partials."""
+    last = [None, None]
+
+    def at(t, y, u):
+        node = (t, y.tobytes(), np.asarray(u).tobytes()) if isinstance(t, float) \
+            and isinstance(y, np.ndarray) and y.dtype == float else None
+        if node is None or node != last[0]:
+            last[:] = node, fn(t, y, u)
+        return last[1]
+
+    return at
 
 
 def classical_chain_oracle(triple, gamma0, tau_grid, omega_grid) -> np.ndarray:
     """Argmax table of the chain-reduction Hamiltonian along gamma0's state,
-    one control row per probe time."""
-    cp = chain_reduction_problem(triple, gamma0)
-    x_traj, p_traj = _state_and_adjoint(cp, gamma0.control, (1e-10, 1e-12))
-    omegas = np.atleast_2d(np.asarray(omega_grid, dtype=float))
-    out = np.empty((len(np.atleast_1d(tau_grid)), omegas.shape[1]))
-    for row, tau in enumerate(np.atleast_1d(tau_grid)):
-        H = hamiltonian(cp, float(tau), x_traj.state(float(tau)),
-                        p_traj.p(float(tau)))
-        vals = [H(w) for w in omegas]
-        out[row] = omegas[int(np.argmax(vals))]
-    return out
+    one control row per probe time, read from :func:`hamiltonian_table`."""
+    table, _ = hamiltonian_table(chain_reduction_problem(triple, gamma0), gamma0.control,
+                                 tau_grid, omega_grid)
+    return _omega_rows(omega_grid)[np.argmax(table, axis=1)]
 
 
 @dataclass

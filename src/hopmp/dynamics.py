@@ -389,6 +389,23 @@ def integrate_family(dynamics: NormalFormDynamics, controls: Sequence[ControlCur
             for k, (control, y0, sols) in enumerate(zip(controls, y0s, member_sols))]
 
 
+def integrate_backward(dynamics: NormalFormDynamics, control: ControlCurve, y_T,
+                       horizon: float, tol: tuple[float, float] = (1e-8, 1e-10)) -> np.ndarray:
+    """The state at t = 0 of the curve under ``control`` that ends at ``y_T``
+    at ``horizon``: one RK45 run per control segment, from T down to 0,
+    through :func:`segment_rhs`.  Raises StepSizeUnderflow when a run fails."""
+    cuts = sorted({0.0, float(horizon)} | {float(b) for b in control.breakpoints
+                                          if 0.0 < b < horizon})
+    y = np.asarray(y_T, dtype=float)
+    for a, b in zip(cuts[-2::-1], cuts[:0:-1]):
+        sol = solve_ivp(segment_rhs(dynamics, control, a, b), (b, a), y, method="RK45",
+                        rtol=tol[0], atol=tol[1])
+        if not sol.success:
+            raise StepSizeUnderflow(f"backward integration failed on [{a}, {b}]: {sol.message}")
+        y = sol.y[:, -1]
+    return y
+
+
 # -- empirical Lipschitz probe ----------------------------------------------
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .controls import ControlCurve, NeedleOverlayControl, SmoothedNeedleControl
-from .dynamics import Trajectory, segment_rhs
+from .dynamics import Trajectory, integrate_backward
 from .errors import BadParams, NonSolvableForm
 from .homotopy import (SurfaceSlice, VariationSurface, blend_homotopy, build_surfaces,
                        homotopy_lhs, slice_jets)
@@ -382,8 +382,6 @@ def adjoint_branch(triple: DefiningTriple, gamma0: Trajectory,
                    tol=(1e-10, 1e-12)) -> Trajectory:
     """Re-integrate the full system so the adjoint block meets the terminal
     conditions while the state block reproduces gamma0."""
-    from scipy.integrate import solve_ivp
-
     dyn = triple.dynamics
     T = triple.horizon
     yT = gamma0.state(T).copy()
@@ -392,12 +390,7 @@ def adjoint_branch(triple: DefiningTriple, gamma0: Trajectory,
         off, m = dyn.offsets[i], dyn.orders[i]
         yT[off:off + m] = conds.terminal_values[name][:m]
 
-    cuts = sorted({0.0, T, *[float(b) for b in gamma0.control.breakpoints]})
-    y = yT.copy()
-    for b, a in zip(cuts[::-1][:-1], cuts[::-1][1:]):
-        sol = solve_ivp(segment_rhs(dyn, gamma0.control, a, b), (b, a), y,
-                        method="RK45", rtol=tol[0], atol=tol[1])
-        y = sol.y[:, -1]
+    y = integrate_backward(dyn, gamma0.control, yT, T, tol)
     # the state block reproduces gamma0 by uniqueness; reuse its exact data
     for i in triple.state_vars:
         off, m = dyn.offsets[i], dyn.orders[i]

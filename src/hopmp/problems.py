@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .controls import ConstantControl, ControlCurve
-from .dynamics import ChainBlock, NormalFormDynamics
+from .dynamics import ChainBlock, NormalFormDynamics, integrate_backward
 from .errors import BadParams, NoClosedForm
 from .jetspace import DerivedField, JetField, ScalarJetField
 from .problem import (
@@ -152,7 +152,6 @@ def pendulum_classical(T: float = math.pi / 2, v_max: float = 1.0) -> DefiningTr
         f=lambda t, x, u: [x[1], -x[0] + u[0]],
         dfdx=lambda t, x, u: np.array([[0.0, 1.0], [-1.0, 0.0]]),
         cost=lambda x: -x[0],
-        cost_grad=lambda x: np.array([-1.0, 0.0]),
         x0=np.array([0.0, 0.0]),
         controls=ControlSet([-1.0], [1.0]),
         horizon=T,
@@ -211,7 +210,7 @@ def mth_order(a: Sequence[float], T: float = 1.0) -> DefiningTriple:
 
     dyn = NormalFormDynamics([ChainBlock("x", m, top_x), ChainBlock("p", m, top_p)])
 
-    sigma_p = _adjoint_terminal_chain(a, T)
+    sigma_p = _adjoint_terminal_chain(dyn, a, T)
     init = InitialData(
         base={"x": np.zeros(m), "p": sigma_p},
         free=[],
@@ -231,38 +230,15 @@ def mth_order(a: Sequence[float], T: float = 1.0) -> DefiningTriple:
     )
 
 
-def solve_adjoint_chain(a: np.ndarray, T: float, terminal: np.ndarray):
-    """Integrate the adjoint equation sum_l (-1)^l a_l p^(l) = 0, in first-order
-    form on the chain y = (p, p', ..., p^(m-1)), backward from y(T) =
-    ``terminal`` to t = 0; returns the ``solve_ivp`` result with dense output."""
-    from scipy.integrate import solve_ivp
-
-    m = a.size - 1
-    sgn = (-1.0) ** m
-
-    def rhs(t, y):
-        out = np.empty(m)
-        out[:-1] = y[1:]
-        out[-1] = -sum(((-1.0) ** b) * a[b] * y[b] for b in range(m)) / (sgn * a[m])
-        return out
-
-    return solve_ivp(rhs, (T, 0.0), terminal, method="DOP853", dense_output=True,
-                     rtol=1e-12, atol=1e-14)
-
-
-def _adjoint_terminal_chain(a: np.ndarray, T: float) -> np.ndarray:
+def _adjoint_terminal_chain(dyn: NormalFormDynamics, a: np.ndarray, T: float) -> np.ndarray:
     """Initial values (at t = 0) of the adjoint chain that meets the
     annihilating terminal conditions p^(k)(T) = 0 (k < m-1),
-    p^(m-1)(T) = (-1)^(m-1)/a_m."""
+    p^(m-1)(T) = (-1)^(m-1)/a_m: the triple's own dynamics run back from
+    x = 0 under a zero control (the p-chain reads neither)."""
     m = a.size - 1
-    term = np.zeros(m)
-    term[m - 1] = (-1.0) ** (m - 1) / a[m]
-
-    if m == 1:
-        # first-order adjoint is autonomous in closed form only when a0 = 0
-        if a[0] == 0.0:
-            return term.copy()
-    return solve_adjoint_chain(a, T, term).y[:, -1]
+    y_T = np.zeros(2 * m)
+    y_T[2 * m - 1] = (-1.0) ** (m - 1) / a[m]
+    return integrate_backward(dyn, ConstantControl([0.0], T), y_T, T, tol=(1e-12, 1e-14))[m:]
 
 
 # -- third-order problem x''' = f ---------------------------------------------

@@ -23,7 +23,7 @@ from hopmp.classical import (
     phi_surjectivity_probe,
 )
 from hopmp.controls import CallbackControl, ConstantControl
-from hopmp.dynamics import integrate, lipschitz_probe
+from hopmp.dynamics import lipschitz_probe
 from hopmp.errors import BadParams, DegenerateHorizon
 from hopmp.homotopy import (
     ControlHomotopy,
@@ -70,14 +70,11 @@ def test_criterion_01_pendulum_adjoint_closed_form():
     from tests_support import pendulum_classical_cp
     t0 = time.perf_counter()
     cp = pendulum_classical_cp(T_REF, v=1.0)
-    dyn = cp.state_dynamics()
     u = ConstantControl([1.0], T_REF)
-    x0 = {f"x{i+1}": [float(cp.x0[i])] for i in range(2)}
-    x_traj = integrate(dyn, u, dyn.pack_state(x0), T_REF, tol=(1e-10, 1e-12))
-    adj = adjoint_integrate(cp, x_traj, u, [1.0, 0.0])
+    adj = adjoint_integrate(cp, u, [1.0, 0.0])
     ts = np.linspace(0.0, T_REF, 181)
-    err = max(max(abs(adj.p(t)[0] - math.cos(T_REF - t)),
-                  abs(adj.p(t)[1] - math.sin(T_REF - t))) for t in ts)
+    err = max(max(abs(adj.state(t)[2] - math.cos(T_REF - t)),
+                  abs(adj.state(t)[3] - math.sin(T_REF - t))) for t in ts)
     elapsed = time.perf_counter() - t0
     crit(1, "classical adjoint reproduces cos/sin closed forms",
          err <= 1e-8 and elapsed < 1.0,
@@ -330,10 +327,8 @@ def test_criterion_10_third_order_oracle_cross_check():
     # classical chain reduction: p3(t) = (T-t)^2/2 and the maximizer is +1
     from tests_support import third_order_chain_cp
     cp = third_order_chain_cp(T)
-    dyn = cp.state_dynamics()
-    x_traj = integrate(dyn, u_plus, np.zeros(3), T, tol=(1e-11, 1e-13))
-    adj = adjoint_integrate(cp, x_traj, u_plus, [1.0, 0.0, 0.0])
-    p3_ok = all(abs(adj.p(t)[2] - (T - t) ** 2 / 2.0) < 1e-9
+    adj = adjoint_integrate(cp, u_plus, [1.0, 0.0, 0.0])
+    p3_ok = all(abs(adj.state(t)[5] - (T - t) ** 2 / 2.0) < 1e-9
                 for t in np.linspace(0, T, 9))
 
     conds = transversality_synthesize(triple, jet_T=g_plus.jet(T, 6),

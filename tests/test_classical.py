@@ -29,7 +29,6 @@ def pendulum_cp(T=PI / 2, v=0.0):
         f=lambda t, x, u: np.array([x[1], -x[0] + u[0]]),
         dfdx=lambda t, x, u: np.array([[0.0, 1.0], [-1.0, 0.0]]),
         cost=lambda x: -x[0],
-        cost_grad=lambda x: np.array([-1.0, 0.0]),
         x0=np.array([0.0, v]),
         controls=ControlSet([-1.0], [1.0]),
         horizon=T,
@@ -46,11 +45,10 @@ def test_adjoint_closed_form_pendulum():
     T = PI / 2
     cp = pendulum_cp(T)
     u = ConstantControl([1.0], T)
-    xt = x_trajectory(cp, u)
-    adj = adjoint_integrate(cp, xt, u, [1.0, 0.0])
+    adj = adjoint_integrate(cp, u, [1.0, 0.0])
     ts = np.linspace(0, T, 101)
-    err1 = max(abs(adj.p(t)[0] - math.cos(T - t)) for t in ts)
-    err2 = max(abs(adj.p(t)[1] - math.sin(T - t)) for t in ts)
+    err1 = max(abs(adj.state(t)[2] - math.cos(T - t)) for t in ts)
+    err2 = max(abs(adj.state(t)[3] - math.sin(T - t)) for t in ts)
     assert err1 <= 1e-8 and err2 <= 1e-8
 
 
@@ -59,16 +57,14 @@ def test_adjoint_constant_when_jacobian_vanishes():
         f=lambda t, x, u: np.array([u[0]]),
         dfdx=lambda t, x, u: np.array([[0.0]]),
         cost=lambda x: -x[0],
-        cost_grad=lambda x: np.array([-1.0]),
         x0=np.array([0.0]),
         controls=ControlSet([-1.0], [1.0]),
         horizon=1.0,
     )
     u = ConstantControl([0.5], 1.0)
-    xt = x_trajectory(cp, u)
-    adj = adjoint_integrate(cp, xt, u, [2.5])
+    adj = adjoint_integrate(cp, u, [2.5])
     for t in (0.0, 0.4, 1.0):
-        assert adj.p(t)[0] == pytest.approx(2.5, abs=1e-10)
+        assert adj.state(t)[1] == pytest.approx(2.5, abs=1e-10)
 
 
 def test_adjoint_third_order_chain_closed_form():
@@ -78,16 +74,36 @@ def test_adjoint_third_order_chain_closed_form():
         f=lambda t, x, u: np.array([x[1], x[2], u[0]]),
         dfdx=lambda t, x, u: np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0.0]]),
         cost=lambda x: -x[0],
-        cost_grad=lambda x: np.array([-1.0, 0.0, 0.0]),
         x0=np.zeros(3),
         controls=ControlSet([-1.0], [1.0]),
         horizon=T,
     )
     u = ConstantControl([1.0], T)
-    xt = x_trajectory(cp, u)
-    adj = adjoint_integrate(cp, xt, u, [1.0, 0.0, 0.0])
+    adj = adjoint_integrate(cp, u, [1.0, 0.0, 0.0])
     for t in (0.0, 0.3, 0.8):
-        assert adj.p(t)[2] == pytest.approx((T - t) ** 2 / 2, abs=1e-9)
+        assert adj.state(t)[5] == pytest.approx((T - t) ** 2 / 2, abs=1e-9)
+
+
+def test_default_terminal_adjoint_is_minus_the_cost_gradient():
+    # p(T) = -grad C(x(T)) from the embedding cost's dual-number partials;
+    # a difference-quotient fallback would warn, which fails the run
+    T = PI / 2
+    cp = pendulum_cp(T, v=0.4)
+    cp.cost = lambda x: -x[0] + 0.5 * x[1] ** 2
+    adj = adjoint_integrate(cp, ConstantControl([0.3], T), tol=(1e-12, 1e-14))
+    y = adj.state(T)
+    assert np.max(np.abs(y[2:] - np.array([1.0, -y[1]]))) <= 1e-12
+
+
+def test_chain_reduction_terminal_adjoint_matches_the_triple_cost():
+    # the chain reduction's cost takes the dual number through its jet blocks
+    T = 1.0
+    triple = third_order(T=T)
+    g0 = triple.controlled_curve(ConstantControl([1.0], T), tol=(1e-11, 1e-13))
+    cp = chain_reduction_problem(triple, g0)
+    adj = adjoint_integrate(cp, g0.control, tol=(1e-12, 1e-14))
+    want = [-triple.cost.partial(g0.terminal_jet(2), ("q", 0, l)) for l in range(3)]
+    assert np.max(np.abs(adj.state(T)[3:] - want)) <= 1e-12
 
 
 def test_embed_classical_lagrangian_vanishes_along_solutions():
@@ -111,7 +127,6 @@ def test_embed_constant_when_f_zero():
         f=lambda t, x, u: np.zeros(1),
         dfdx=lambda t, x, u: np.zeros((1, 1)),
         cost=lambda x: -x[0],
-        cost_grad=lambda x: np.array([-1.0]),
         x0=np.array([0.3]),
         controls=ControlSet([-1.0], [1.0]),
         horizon=1.0,
@@ -189,7 +204,7 @@ def test_mth_order_bang_bang_pendulum_no_switch():
     assert u_opt.value(0.7)[0] == 1.0
     # adjoint reproduces sin(T - t)
     for t in (0.2, 1.0):
-        assert adj.p(t)[0] == pytest.approx(math.sin(PI / 2 - t), abs=1e-9)
+        assert adj.state(t)[2] == pytest.approx(math.sin(PI / 2 - t), abs=1e-9)
 
 
 def test_mth_order_bang_bang_switch_detection():
@@ -205,7 +220,7 @@ def test_mth_order_bang_bang_first_order():
     u_opt, adj = mth_order_bang_bang([0.0, 1.0], 1.0)
     assert len(u_opt.breakpoints) == 0
     assert u_opt.value(0.5)[0] == 1.0
-    assert adj.p(0.2)[0] == pytest.approx(1.0, abs=1e-10)
+    assert adj.state(0.2)[1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_chain_reduction_oracle_third_order():
@@ -274,4 +289,4 @@ def test_mth_order_bang_bang_odd_order_with_velocity_coupling():
     assert len(u_opt.breakpoints) == 0
     assert u_opt.value(0.5)[0] == 1.0
     for t in (0.0, 0.4, 0.9):
-        assert adj.p(t)[0] == pytest.approx(1 - math.cos(T - t), abs=1e-10)
+        assert adj.state(t)[3] == pytest.approx(1 - math.cos(T - t), abs=1e-10)

@@ -14,15 +14,19 @@ from hopmp.problems import pendulum_direct, pendulum_r2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_blowup_raises_step_size_underflow():
-    from hopmp.dynamics import ChainBlock, NormalFormDynamics
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_blowup_raises_step_size_underflow(direction):
+    # y' = y^2 blows up at t = 1 from y(0) = 1 forward and from y(2) = -1 backward
+    from hopmp.dynamics import ChainBlock, NormalFormDynamics, integrate_backward
     from hopmp.jetspace import ScalarJetField
 
     top = ScalarJetField(lambda p, u: p.coord(0, 0) ** 2, actual_order=0,
                          reads={0: 0})
     dyn = NormalFormDynamics([ChainBlock("x", 1, top)])
+    run = integrate if direction == "forward" else integrate_backward
+    y = np.array([1.0 if direction == "forward" else -1.0])
     with np.errstate(over="ignore"), pytest.raises(StepSizeUnderflow):
-        integrate(dyn, ConstantControl([0.0], 2.0), np.array([1.0]), 2.0)
+        run(dyn, ConstantControl([0.0], 2.0), y, 2.0)
 
 
 def test_singular_boundary_matrix_guard():

@@ -106,6 +106,29 @@ def test_mth_order_adjoint_initialization():
     assert jet.coord(1, 1) == pytest.approx(-1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("T", [0.5, 1.0, PI / 2, 2.5])
+def test_mth_order_pendulum_adjoint_at_zero(T):
+    # p'' = -p back from p(T) = 0, p'(T) = -1 gives p(t) = sin(T - t)
+    p = mth_order([1.0, 0.0, 1.0], T).initial_data.make()["p"]
+    assert np.max(np.abs(p - [math.sin(T), -math.cos(T)])) <= 5e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), T=st.floats(0.2, 2.0))
+def test_mth_order_p_chain_ends_on_the_synthesized_terminal_jet(data, m, T):
+    # one p-chain serves the construction and the synthesis: the builder's
+    # p(0), run forward, ends on transversality_synthesize's terminal jet
+    from hopmp.needle import transversality_synthesize
+
+    a = [data.draw(st.floats(-2.0, 2.0)) for _ in range(m)]
+    a.append(data.draw(st.floats(0.5, 2.0)) * data.draw(st.sampled_from([-1.0, 1.0])))
+    triple = mth_order(a, T)
+    traj = triple.controlled_curve(ConstantControl([0.0], T), tol=(1e-11, 1e-13))
+    p = traj.states[:, m:]
+    want = transversality_synthesize(triple).terminal_values["p"]
+    assert np.max(np.abs(p[-1] - want)) <= 1e-8 * (1.0 + np.max(np.abs(p)))
+
+
 def test_third_order_default_instance():
     triple = third_order(T=1.0)
     u = ConstantControl([1.0], 1.0)
@@ -179,7 +202,6 @@ def _swinging_pendulum(lib=math) -> ClassicalProblem:
         f=lambda t, x, u: np.array([x[1], -lib.sin(x[0]) + u[0]]),
         dfdx=lambda t, x, u: np.array([[0.0, 1.0], [-lib.cos(x[0]), 0.0]]),
         cost=lambda x: -x[0],
-        cost_grad=lambda x: np.array([-1.0, 0.0]),
         x0=np.array([0.0, 0.0]),
         controls=ControlSet([-1.0], [1.0]),
         horizon=PI / 2,

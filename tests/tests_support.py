@@ -33,7 +33,6 @@ def pendulum_classical_cp(T, v=0.0):
         f=lambda t, x, u: np.array([x[1], -x[0] + u[0]]),
         dfdx=lambda t, x, u: np.array([[0.0, 1.0], [-1.0, 0.0]]),
         cost=lambda x: -x[0],
-        cost_grad=lambda x: np.array([-1.0, 0.0]),
         x0=np.array([0.0, v]),
         controls=ControlSet([-1.0], [1.0]),
         horizon=T,
@@ -47,7 +46,6 @@ def third_order_chain_cp(T):
                                        [0.0, 0.0, 1.0],
                                        [0.0, 0.0, 0.0]]),
         cost=lambda x: -x[0],
-        cost_grad=lambda x: np.array([-1.0, 0.0, 0.0]),
         x0=np.zeros(3),
         controls=ControlSet([-1.0], [1.0]),
         horizon=T,
