@@ -95,31 +95,38 @@ def needle_variation(triple: DefiningTriple, gamma0: Trajectory,
                      base: Optional[SurfaceSlice] = None) -> VariationSurface:
     """The interpolating variation u(t, s) = (1-s) u0 + s ustar for one width,
     led by the spec's initial-data family."""
-    return needle_variations(triple, gamma0, [spec], eps, s_intervals, tol, base)[0]
+    return needle_variations(triple, gamma0, [spec], [eps], s_intervals, tol, base)[0]
 
 
 def needle_variations(triple: DefiningTriple, gamma0: Trajectory,
-                      specs: Sequence[NeedleSpec], eps: float,
+                      specs: Sequence[NeedleSpec], eps_sequence: Sequence[float],
                       s_intervals: int = 4, tol=(1e-8, 1e-10),
                       base: Optional[SurfaceSlice] = None) -> list[VariationSurface]:
-    """The variations of several needles at one width from one family
-    integration; given gamma0's ``base`` slice, they continue gamma0 from
-    its last step before the earliest ramp (see ``build_surfaces``)."""
+    """The variations of several needles at several widths, width-major
+    (every spec at the first width, then at the next), from one family
+    integration at ``tol / W`` for W widths; given gamma0's ``base`` slice,
+    they continue gamma0 from its last step before the widest needle (see
+    ``build_surfaces``).  A needle's mirror-image ramps, integrated alone,
+    cancel their RK45 errors; in a family the narrower needles' breakpoints
+    split the wider ones' down-ramps and the errors add up."""
     u0 = gamma0.control
     sigma0 = triple.dynamics.unpack_state(gamma0.initial_state)
-    homs, t_on = [], []
     for spec in specs:
         spec.validate(triple.horizon)
-        smoothed = smooth_needle(needle_modification(u0, spec, eps), spec, eps)
-        if spec.sigma_family is not None:
-            anchored = triple.dynamics.pack_state(spec.sigma_family(eps, 0.0))
-            if np.max(np.abs(anchored - gamma0.initial_state)) > 1e-10:
-                raise BadParams("sigma family must anchor the base data at s = 0")
-        homs.append(blend_homotopy(u0, smoothed, lambda s, spec=spec: spec.sigma(eps, s, sigma0),
-                                   s_intervals))
-        t_on.append(smoothed.t_on)
-    # every slice's control is u0 on [0, t_on)
-    return build_surfaces(triple, homs, tol=tol, base=base, start=min(t_on))
+    homs, t_on = [], []
+    for eps in map(float, eps_sequence):
+        for spec in specs:
+            smoothed = smooth_needle(needle_modification(u0, spec, eps), spec, eps)
+            if spec.sigma_family is not None:
+                anchored = triple.dynamics.pack_state(spec.sigma_family(eps, 0.0))
+                if np.max(np.abs(anchored - gamma0.initial_state)) > 1e-10:
+                    raise BadParams("sigma family must anchor the base data at s = 0")
+            homs.append(blend_homotopy(
+                u0, smoothed, lambda s, spec=spec, eps=eps: spec.sigma(eps, s, sigma0),
+                s_intervals))
+            t_on.append(smoothed.t_on)
+    w = len(eps_sequence)
+    return build_surfaces(triple, homs, (tol[0] / w, tol[1] / w), base=base, start=min(t_on))
 
 
 def _boundary_pairings(triple: DefiningTriple, surfaces: Sequence[VariationSurface],
@@ -225,15 +232,12 @@ def corrective_term(triple: DefiningTriple, gamma0: Trajectory,
 def _width_gaps(triple: DefiningTriple, gamma0: Trajectory, specs: Sequence[NeedleSpec],
                 eps_sequence: np.ndarray, s_intervals: int, tol,
                 base: Optional[SurfaceSlice]) -> np.ndarray:
-    """The closed-form gaps (len(specs), len(eps_sequence)), from one family
-    per width, each dropped once its gaps are read."""
+    """The closed-form gaps (len(specs), len(eps_sequence)), every width of
+    every spec from one family and read in one batched pass."""
     if base is None:
         base = SurfaceSlice(0.0, gamma0, ExtendedCurve(gamma0, triple))
-    gaps = np.empty((len(specs), len(eps_sequence)))
-    for j, eps in enumerate(eps_sequence):
-        surfaces = needle_variations(triple, gamma0, specs, float(eps), s_intervals, tol, base)
-        gaps[:, j] = mu_prime_gaps_closed(triple, surfaces)
-    return gaps
+    surfaces = needle_variations(triple, gamma0, specs, eps_sequence, s_intervals, tol, base)
+    return mu_prime_gaps_closed(triple, surfaces).reshape(len(eps_sequence), len(specs)).T
 
 
 def _goodn_floor(base: ExtendedCurve) -> float:
@@ -458,7 +462,7 @@ def gpmp_verdict(triple: DefiningTriple, gamma0: Trajectory, spec: NeedleSpec,
     ``base`` is the s = 0 slice of every width's variation: gamma0 with its
     extended curve, which caches gamma0's Lagrangian integral.  It is built
     here when omitted; a scan passes one slice to all of its verdicts, and
-    the ``gaps`` per width it integrated in families.
+    the ``gaps`` per width it read from one family per tau.
     """
     spec.validate(triple.horizon)
     if eps_sequence is None:
@@ -525,9 +529,10 @@ def pmp_scan(triple: DefiningTriple, gamma0: Trajectory,
 
     Every verdict of the scan shares one s = 0 slice: gamma0 and its
     extended curve, so gamma0's Lagrangian integral is computed once per
-    scan.  At each tau and width the other slices of every omega share
-    breakpoints, splice node and the control u0 + s w(t) (omega - u0): they
-    are one family, read for its closed-form gaps and then dropped.
+    scan.  At each tau the other slices of every omega and width are one
+    family at ``tol`` over the width count (see ``needle_variations``): they
+    share a mesh and the splice node before the widest needle, and are read
+    for their closed-form gaps in one pass and then dropped.
     """
     if certification not in ("subgrid", "full"):
         raise BadParams(f"certification must be 'subgrid' or 'full', got {certification!r}")
@@ -547,7 +552,7 @@ def pmp_scan(triple: DefiningTriple, gamma0: Trajectory,
                           sigma_family=family)
 
     def verdicts_at(tau: float, ws) -> list[PMPVerdict]:
-        # full verdicts at one tau, each width one family over the omegas ws
+        # full verdicts at one tau: the omegas ws at every width are one family
         specs = [spec_for(tau, w) for w in ws]
         if not specs:
             return []

@@ -1,10 +1,11 @@
 import functools
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hopmp.controls import (
     ConstantControl,
@@ -505,6 +506,26 @@ def test_jets_refuse_nodes_outside_the_horizon():
 # -- needle families as one integration ------------------------------------------
 
 
+def _widths(data):
+    """A strictly decreasing list of 1-3 needle widths in [0.01, 0.1]."""
+    return sorted(data.draw(st.lists(st.floats(0.01, 0.1), min_size=1, max_size=3,
+                                     unique=True), label="widths"), reverse=True)
+
+
+class _RecordedDraws:
+    """Stands in for ``st.data()`` in an explicit example: each ``draw``
+    returns the next recorded value, whatever the strategy, and the draw of
+    the widths, a run's first, starts the record over."""
+
+    def __init__(self, *values):
+        self.recorded = values
+
+    def draw(self, strategy, label=None):
+        if label == "widths":
+            self.values = iter(self.recorded)
+        return next(self.values)
+
+
 def _moving_family(triple, sigma0, target):
     """Initial data whose first free coordinate moves linearly in s from
     sigma0's value to ``target``."""
@@ -522,19 +543,28 @@ def _moving_family(triple, sigma0, target):
 @pytest.mark.parametrize("problem_id", sorted(BUILTIN_PARAMS))
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
+# two widths whose family, integrated at tol rather than tol / W, left
+# pendulum-r2's x(T) at 2.1 times the bound: the wider needle's down-ramp,
+# split by the narrower one's breakpoints, no longer cancels its up-ramp's error
+@example(data=_RecordedDraws(
+    [0.020038300706344173, 0.012747924227213303], 0.15202761050390476,
+    [-0.0837771739241151, 0.3884494101185987, -0.9113220836824463], 2, True,
+    -0.9629084028154888))
 def test_needle_family_members_meet_their_own_tolerance(problem_id, data):
-    # every omega's slices at one (tau, eps) integrate as one family: each
-    # member's end state lies within its own tolerance of a tight solve, a
-    # family that shares gamma0's initial data continues gamma0 as a single
-    # slice does, one that moves sigma starts cold, and a family of one is
-    # integrate itself
+    # every omega's slices at one tau and every width integrate as one
+    # family: each member's end state lies within its own tolerance of a
+    # tight solve, a family that shares gamma0's initial data continues
+    # gamma0 from the node before the widest needle as a single slice does,
+    # one that moves sigma starts cold, and a family of one is integrate
+    # itself
     from hopmp.auxiliary import ExtendedCurve
     from hopmp.homotopy import SurfaceSlice
     from hopmp.needle import NeedleSpec, needle_variations
 
     triple, sigma0, gamma0 = _reference_curve(problem_id)
     T, (rtol, atol) = triple.horizon, (1e-8, 1e-10)
-    eps = data.draw(st.floats(0.01, 0.1))
+    widths = _widths(data)
+    eps = widths[0]
     tau = data.draw(st.floats(eps + 0.01, T - 0.01))
     lo, hi = triple.controls.lower[0], triple.controls.upper[0]
     omegas = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=5))
@@ -547,15 +577,16 @@ def test_needle_family_members_meet_their_own_tolerance(problem_id, data):
     moving = family is not None and target != sigma0[free[0].var][free[0].index]
     specs = [NeedleSpec(tau, [w], eps, sigma_family=family) for w in omegas]
     base = SurfaceSlice(0.0, gamma0, ExtendedCurve(gamma0, triple))
-    surfaces = needle_variations(triple, gamma0, specs, eps, s_intervals, base=base)
+    surfaces = needle_variations(triple, gamma0, specs, widths, s_intervals, base=base)
 
     t_on = tau - eps - specs[0].k * eps ** 2
     n = int(np.searchsorted(gamma0.mesh, t_on, side="right"))
     mesh = surfaces[0].slices[1].traj.mesh
-    for spec, surface in zip(specs, surfaces):
+    assert len(surfaces) == len(widths) * len(specs)
+    for (width, spec), surface in zip(itertools.product(widths, specs), surfaces):
         assert surface.slices[0] is base and len(surface.slices) == s_intervals + 1
         for sl in surface.slices[1:]:
-            traj, sigma = sl.traj, spec.sigma(eps, sl.s, sigma0)
+            traj, sigma = sl.traj, spec.sigma(width, sl.s, sigma0)
             assert traj.mesh is mesh or np.array_equal(traj.mesh, mesh)
             tight = triple.controlled_curve(traj.control, sigma, tol=(1e-11, 1e-13)).state(T)
             bound = 10.0 * (rtol * np.abs(tight) + atol)
@@ -620,9 +651,10 @@ def _reference_gap(triple, surface):
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
 def test_batched_needle_gaps_equal_slice_by_slice_gaps(problem_id, data):
-    # a family's gaps, read in batched passes over all its surfaces, equal
-    # each surface's gap read slice by slice, bit for bit; the grouped jet
-    # reads equal each member's own, and each member reads its own column
+    # a family's gaps over several widths, read in batched passes over all
+    # its surfaces, equal each surface's gap read slice by slice, bit for
+    # bit; the grouped jet reads equal each member's own, and each member
+    # reads its own column
     from hopmp.auxiliary import ExtendedCurve
     from hopmp.dynamics import jets_of, states_of
     from hopmp.homotopy import SurfaceSlice
@@ -631,7 +663,8 @@ def test_batched_needle_gaps_equal_slice_by_slice_gaps(problem_id, data):
 
     triple, sigma0, gamma0 = _reference_curve(problem_id)
     T = triple.horizon
-    eps = data.draw(st.floats(0.01, 0.1))
+    widths = _widths(data)
+    eps = widths[0]
     tau = data.draw(st.floats(eps + 0.01, T - 0.01))
     lo, hi = triple.controls.lower[0], triple.controls.upper[0]
     omegas = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=4))
@@ -642,7 +675,7 @@ def test_batched_needle_gaps_equal_slice_by_slice_gaps(problem_id, data):
         family = _moving_family(triple, sigma0, data.draw(st.floats(free[0].lower, free[0].upper)))
     specs = [NeedleSpec(tau, [w], eps, sigma_family=family) for w in omegas]
     base = SurfaceSlice(0.0, gamma0, ExtendedCurve(gamma0, triple))
-    surfaces = needle_variations(triple, gamma0, specs, eps, s_intervals, base=base)
+    surfaces = needle_variations(triple, gamma0, specs, widths, s_intervals, base=base)
 
     gaps = mu_prime_gaps_closed(triple, surfaces)
     assert [mu_prime_gap_closed(triple, s) for s in surfaces] == list(gaps)   # kept reads

@@ -397,8 +397,11 @@ def test_pmp_scan_integrates_base_lagrangian_once(triple, monkeypatch):
 def test_pmp_scan_reads_gamma0_boundary_jets_once(triple, monkeypatch):
     # the s = 0 slice every verdict shares keeps gamma0's jets at T and 0
     # from the first family on, and each family's momenta at T and at 0 are
-    # one batched pass over all its slices
+    # one batched pass over all its slices; every width of every omega at
+    # one tau integrates as one family, and a lone corrective term's widths
+    # as one family
     import hopmp.needle as needle
+    import hopmp.problem
 
     u0 = ConstantControl([-1.0], triple.horizon)
     g0 = triple.controlled_curve(u0, triple.initial_data.make(v=1.0), tol=(1e-10, 1e-12))
@@ -406,18 +409,28 @@ def test_pmp_scan_reads_gamma0_boundary_jets_once(triple, monkeypatch):
     reads = _count_jet_reads(monkeypatch, lambda trajs, ts, order: any(
         tr is g0 for tr in trajs) and np.ndim(ts) == 0 and float(ts) in (0.0, T))
     momenta, calls = needle.lagrangian_momenta, []
+    integrate_family, members = hopmp.problem.integrate_family, []
 
     def counting(*args):
         calls.append(args)
         return momenta(*args)
 
+    def counting_family(dynamics, controls, *args, **kwargs):
+        members.append(len(controls))
+        return integrate_family(dynamics, controls, *args, **kwargs)
+
     monkeypatch.setattr(needle, "lagrangian_momenta", counting)
+    monkeypatch.setattr(hopmp.problem, "integrate_family", counting_family)
     taus, widths = [0.5, 1.0], default_eps_sequence(0.05)
     report = pmp_scan(triple, g0, taus, np.array([[-1.0], [0.0], [1.0]]),
                       eps_sequence=widths, eps0=0.05, certification="full")
     assert len(report.certificate) == 6
     assert sorted(float(ts) for _, ts, _ in reads) == [0.0, T]
     assert 0 < len(calls) <= 2 * len(taus) * len(widths)
+    assert members == [3 * len(widths) * 4] * len(taus)   # omegas x widths x slices s > 0
+    members.clear()
+    corrective_term(triple, g0, NeedleSpec(tau=0.5, omega=[1.0], eps0=0.05), widths)
+    assert members == [len(widths) * 4]
 
 
 def test_pmp_scan_runs_full_verdicts_where_certification_fails():

@@ -13,11 +13,13 @@ taus drawn from SEED, five omegas in [-1, 1], eps0 = k = 0.05 and
 (rtol 1e-8, atol 1e-10) and at the reference tolerance (rtol 1e-11, atol
 1e-13), and one line per problem is printed::
 
-    <problem> vs-reference points=<n> flips=<n> max_dgap=<x> max_dmargin=<y>
+    <problem> vs-reference points=<n> flips=<n> max_dgap=<x> max_dmargin=<y> max_margin_ratio=<z>
 
 ``flips`` counts the points whose ``satisfied`` or ``goodn_all`` differ,
-``max_dgap`` is the largest difference of a width gap mu'(T,1) - mu'(T,0)
-and ``max_dmargin`` that of a margin.
+``max_dgap`` is the largest difference of a width gap mu'(T,1) - mu'(T,0),
+``max_dmargin`` that of a margin and ``max_margin_ratio`` the largest
+margin difference as a share of the point's tolerance, the bound that a
+margin must stay below to be ``satisfied``.
 
 ``--save FILE`` writes the default-tolerance verdicts as JSON.  ``--against
 FILE`` compares them with a file that another checkout saved at the same
@@ -66,7 +68,7 @@ def verdicts(triple, gamma0, taus, omegas, tol) -> list[dict]:
     report = pmp_scan(triple, gamma0, taus, omegas, eps0=EPS0, k=K,
                       certification="full", tol=tol)
     return [{"tau": v.tau, "omega": v.omega.tolist(), "satisfied": v.satisfied,
-             "goodn_all": v.goodn_all, "margin": v.margin,
+             "goodn_all": v.goodn_all, "margin": v.margin, "tolerance": v.tolerance,
              "gaps": v.corrective.gaps.tolist()} for v in report.certificate]
 
 
@@ -76,8 +78,10 @@ def compare(a: list[dict], b: list[dict]) -> str:
     flips = sum((v["satisfied"], v["goodn_all"]) != (w["satisfied"], w["goodn_all"])
                 for v, w in zip(a, b))
     dgap = max(float(np.max(np.abs(np.subtract(v["gaps"], w["gaps"])))) for v, w in zip(a, b))
-    dmargin = max(abs(v["margin"] - w["margin"]) for v, w in zip(a, b))
-    return f"points={len(a)} flips={flips} max_dgap={dgap:.3g} max_dmargin={dmargin:.3g}"
+    dmargins = [abs(v["margin"] - w["margin"]) for v, w in zip(a, b)]
+    ratio = max(d / v["tolerance"] for d, v in zip(dmargins, a))
+    return (f"points={len(a)} flips={flips} max_dgap={dgap:.3g} max_dmargin={max(dmargins):.3g}"
+            f" max_margin_ratio={ratio:.3g}")
 
 
 def run(argv: list[str]) -> int:
