@@ -14,26 +14,22 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 
-def smoothstep5(theta: float, deriv: int = 0) -> float:
-    """Quintic smoothstep 6 th^5 - 15 th^4 + 10 th^3 on [0, 1], clamped outside."""
-    if theta <= 0.0:
-        return 0.0
-    if theta >= 1.0:
-        return 1.0 if deriv == 0 else 0.0
-    th = theta
+def smoothstep5(theta, deriv: int = 0):
+    """Quintic smoothstep 6 th^5 - 15 th^4 + 10 th^3 on [0, 1], or its
+    ``deriv``-th derivative, clamped outside, at a float or an array: in
+    products, which round alike on both (``**`` and numpy's power do not)."""
+    array = isinstance(theta, np.ndarray)
+    th = np.minimum(np.maximum(theta, 0.0), 1.0) if array else min(max(0.0, theta), 1.0)
     if deriv == 0:
-        return th ** 3 * (10.0 + th * (-15.0 + 6.0 * th))
+        return th * th * th * (10.0 + th * (-15.0 + 6.0 * th))
     if deriv == 1:
-        return 30.0 * th ** 2 * (th - 1.0) ** 2
+        return 30.0 * (th * th) * ((th - 1.0) * (th - 1.0))
     if deriv == 2:
         return th * (60.0 + th * (-180.0 + 120.0 * th))
-    if deriv == 3:
-        return 60.0 + th * (-360.0 + 360.0 * th)
-    if deriv == 4:
-        return -360.0 + 720.0 * th
-    if deriv == 5:
-        return 720.0
-    return 0.0
+    w = (60.0 + th * (-360.0 + 360.0 * th) if deriv == 3
+         else -360.0 + 720.0 * th if deriv == 4 else 720.0 * (deriv == 5))
+    inside = (0.0 < theta) & (theta < 1.0)
+    return np.where(inside, w, 0.0) if array else (w if inside else 0.0)
 
 
 class ControlCurve:
@@ -215,66 +211,50 @@ class SmoothedNeedleControl(ControlCurve):
         pts = set(base.breakpoints) | {self.t_on, self.t_full, self.t_off, self.t_end}
         self.breakpoints = tuple(sorted(p for p in pts if 0.0 < p < self.horizon))
 
-    def _weight_jet(self, t: float, depth: int) -> np.ndarray:
+    def _weight_jet(self, t: float, depth: int) -> list:
         """w(t) and derivatives: 0 outside, 1 on the plateau, ramps in between."""
-        out = np.zeros(depth + 1)
-        if self.t_full <= t < self.t_off:
-            out[0] = 1.0
-            return out
         if self.t_on <= t < self.t_full:
-            theta = (t - self.t_on) / self.ramp
-            slope = 1.0 / self.ramp
+            theta, slope = (t - self.t_on) / self.ramp, 1.0 / self.ramp
         elif self.t_off <= t < self.t_end:
-            theta = 1.0 - (t - self.t_off) / self.ramp
-            slope = -1.0 / self.ramp
+            theta, slope = 1.0 - (t - self.t_off) / self.ramp, -1.0 / self.ramp
         else:
-            return out
-        for j in range(depth + 1):
-            out[j] = smoothstep5(theta, j) * slope ** j
-        return out
+            return [1.0 if self.t_full <= t < self.t_off else 0.0] + [0.0] * depth
+        return [smoothstep5(theta, j) * slope ** j for j in range(depth + 1)]
 
     def _weight_jets(self, ts: np.ndarray, depth: int) -> np.ndarray:
-        """``_weight_jet`` at every node of a grid, (depth+1, len(ts)); nodes
-        on the ramps take the scalar path."""
+        """``_weight_jet`` at every node of a grid, (depth+1, len(ts)), in
+        array operations that round as its float operations do."""
         out = np.zeros((depth + 1, ts.size))
         out[0, (self.t_full <= ts) & (ts < self.t_off)] = 1.0
-        ramps = ((self.t_on <= ts) & (ts < self.t_full)) | ((self.t_off <= ts) & (ts < self.t_end))
-        for j in np.flatnonzero(ramps):
-            out[:, j] = self._weight_jet(float(ts[j]), depth)
+        up = (self.t_on <= ts) & (ts < self.t_full)
+        ramps = up | ((self.t_off <= ts) & (ts < self.t_end))
+        t, up = ts[ramps], up[ramps]
+        theta = np.where(up, (t - self.t_on) / self.ramp, 1.0 - (t - self.t_off) / self.ramp)
+        for j in range(depth + 1):
+            slope = np.where(up, (1.0 / self.ramp) ** j, (-1.0 / self.ramp) ** j)
+            out[j, ramps] = smoothstep5(theta, j) * slope
         return out
-
-    def value(self, t: float) -> np.ndarray:
-        b = self.base.value(t)
-        if not self.t_on <= t < self.t_end:
-            return b   # w = 0 off the needle
-        w = self._weight_jet(t, 0)[0]
-        return b + w * (self.omega - b) if w != 0.0 else b
 
     def jet(self, t: float, depth: int) -> np.ndarray:
-        b = self.base.jet(t, depth)
-        w = self._weight_jet(t, depth)
-        # Leibniz on u = b + w*(omega - b)
-        out = np.empty_like(b)
-        for m in range(depth + 1):
-            acc = b[m].copy()
-            for j in range(m + 1):
-                if w[j] != 0.0:
-                    target = (self.omega - b[0]) if j == m else -b[m - j]
-                    acc += comb(m, j) * w[j] * target
-            out[m] = acc
-        return out
+        w = np.array(self._weight_jet(t, depth))[:, None]
+        return _leibniz(self.base.jet(t, depth)[..., None], w, self.omega[:, None])[..., 0]
 
     def jets(self, ts, depth: int) -> np.ndarray:
         ts = self.clamp(np.asarray(ts, dtype=float))
-        b, w = self.base.jets(ts, depth), self._weight_jets(ts, depth)
-        # jet's Leibniz sums, each term added only at the nodes where w[j] != 0
-        out = b.copy()
-        for m in range(depth + 1):
-            for j in range(m + 1):
-                on = w[j] != 0.0
-                target = (self.omega[:, None] - b[0][:, on]) if j == m else -b[m - j][:, on]
-                out[m][:, on] += comb(m, j) * w[j, on] * target
-        return out
+        w = self._weight_jets(ts, depth)
+        return _leibniz(self.base.jets(ts, depth), w, self.omega[:, None])
+
+
+def _leibniz(b: np.ndarray, w: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """The jet of u = b + w (omega - b) at n points, (depth+1, M, n), from
+    b's (depth+1, M, n or 1) and w's (depth+1, n) by Leibniz' rule: row m
+    adds its terms j = 0..m in turn, each only where w's factor is nonzero."""
+    out = np.repeat(b, w.shape[1] // b.shape[2], axis=2)   # a copy on the n points
+    for j in [j for j in range(len(w)) if w[j].any()]:
+        for m in range(j, len(b)):
+            term = comb(m, j) * w[j] * ((omega - b[0]) if j == m else -b[m - j])
+            out[m] = np.where(w[j] != 0.0, out[m] + term, out[m])
+    return out
 
 
 class BlendControl(ControlCurve):
@@ -329,10 +309,12 @@ class ControlFamily:
     """Curves read together: ``jet(t, depth)`` stacks their jets side by side,
     (depth+1, M, B), each column its member's ``jet`` (``value`` at depth 0)
     bit for bit.  Sines and needle overlays on sines are read as parameter
-    arrays (:class:`_HarmonicStack`).  At depth 0, blends (1 - s) u0 + s u1
-    of one base u0 (u0 itself is s = 0) read u0 once, each other top curve
-    once and one weight per needle ramp on u0; any other family reads member
-    by member."""
+    arrays (:class:`_HarmonicStack`).  Blends (1 - s) u0 + s u1 of one base
+    u0 (u0 itself is s = 0) read u0 once, each other top curve once, and the
+    smoothed needles on u0 together, unless t lies outside every needle: a
+    weight jet w per ramp geometry, then Leibniz' rule for b + w (omega - b)
+    over all their columns at once.  Any other family reads member by
+    member."""
 
     def __init__(self, curves: Sequence[ControlCurve]) -> None:
         self.curves = list(curves)
@@ -347,32 +329,51 @@ class ControlFamily:
             return
         self._s = np.array([0.0 if c is u0 else c.s for c in self.curves])
         self._r = 1.0 - self._s
-        groups: dict = {}   # the columns of each needle ramp on u0 and of each other top
+        groups: dict = {}   # the columns per ramp geometry of the needles on u0, and per other top
         for col, top in enumerate(tops):
             needle = isinstance(top, SmoothedNeedleControl) and top.base is u0
             key = (top.t_on, top.t_full, top.t_off, top.t_end, top.ramp) if needle else id(top)
             groups.setdefault(key, (top, needle, []))[2].append(col)
-        self._groups = []   # (top curve, its columns, the needles' omegas or None)
-        for top, needle, cols in groups.values():
-            at = slice(cols[0], cols[-1] + 1) if cols[-1] - cols[0] == len(cols) - 1 else cols
-            omega = np.stack([tops[c].omega for c in cols], -1) if needle else None
-            self._groups.append((top, at, omega))
+        needles = [(top, cols) for top, needle, cols in groups.values() if needle]
+        self._others = [(top, _columns(cols)) for top, needle, cols in groups.values()
+                        if not needle]
+        self._ramps = [top for top, _ in needles]   # a needle of each geometry
+        cols = [col for _, cols in needles for col in cols]
+        self._needles, self._omega = _columns(cols), np.array([tops[c].omega for c in cols]).T
+        self._group = np.repeat(np.arange(len(needles)), [len(c) for _, c in needles])
+        self._span = (min([n.t_on for n in self._ramps], default=0.0),
+                      max([n.t_end for n in self._ramps], default=0.0))
 
     def jet(self, t: float, depth: int) -> np.ndarray:
         if self._stack is not None:
             return self._stack.jet(t, depth)
-        if depth or self._base is None:
-            return np.stack([c.jet(t, depth) if depth else c.value(t)[None]
-                             for c in self.curves], axis=-1)
-        b = self._base.value(t)[:, None]
-        top = np.empty((b.shape[0], len(self.curves)))
-        for curve, cols, omega in self._groups:
-            if omega is None:
-                top[:, cols] = b if curve is self._base else curve.value(t)[:, None]
-                continue
-            w = curve._weight_jet(t, 0)[0] if curve.t_on <= t < curve.t_end else 0.0
-            top[:, cols] = b + w * (omega - b) if w != 0.0 else b   # SmoothedNeedleControl.value
-        return (self._r * b + self._s * top)[None]
+        read = (lambda c: c.value(t)[None]) if depth == 0 else (lambda c: c.jet(t, depth))
+        if self._base is None:
+            return np.stack([read(c) for c in self.curves], axis=-1)
+        b = read(self._base)[..., None]
+        top = np.empty(b.shape[:2] + (len(self.curves),))
+        for curve, cols in self._others:
+            top[..., cols] = b if curve is self._base else read(curve)[..., None]
+        if self._span[0] <= t < self._span[1]:   # SmoothedNeedleControl.jet, at once
+            w = np.array([n._weight_jet(t, depth) for n in self._ramps])[self._group].T
+            # at depth 0 Leibniz' rule is this blend, which costs half of _leibniz
+            top[..., self._needles] = (np.where(w != 0.0, b + w * (self._omega - b), b)
+                                       if depth == 0 else _leibniz(b, w, self._omega))
+        else:
+            top[..., self._needles] = b
+        return self._r * b + self._s * top
+
+
+def stacked_jet(curves: Sequence[ControlCurve], t: float, depth: int) -> np.ndarray:
+    """The curves' jets at ``t`` (clamped to their horizon), (depth+1, M, B):
+    one :class:`ControlFamily` read of two or more."""
+    t = curves[0].clamp(t)
+    return ControlFamily(curves).jet(t, depth) if curves[1:] else curves[0].jet(t, depth)[..., None]
+
+
+def _columns(cols: list):
+    """Column indices, as a slice when they are contiguous."""
+    return slice(cols[0], cols[-1] + 1) if cols and cols[-1] - cols[0] == len(cols) - 1 else cols
 
 
 class InterpolatedSamplesControl(ControlCurve):

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate import solve_ivp
 
-from .controls import ControlCurve, ControlFamily, HarmonicControl, NeedleOverlayControl
+from .controls import (ControlCurve, ControlFamily, HarmonicControl, NeedleOverlayControl,
+                       stacked_jet)
 from .errors import InsufficientJetOrder, OrderUnavailable, StepSizeUnderflow, TimeOutOfRange
 from .jetspace import DerivedField, JetField, JetPoint, ScalarJetField, on_batch
 
@@ -60,6 +61,8 @@ class NormalFormDynamics:
         self.state_dim = int(sum(self.orders))
         self.order = 2 * max(self.orders)  # order of the realized constraints
         self._plans: dict = {}
+        at = np.array([(beta, i) for i, m in enumerate(self.orders) for beta in range(m)]).T
+        self._state_at, self._rate_at = tuple(at), (at[0] + 1, at[1])   # (block, variable)
 
     # -- state packing ------------------------------------------------------
 
@@ -138,10 +141,9 @@ class NormalFormDynamics:
             raise InsufficientJetOrder(
                 f"the plan reads {plan.u_depth + 1} control rows, got {uj.shape[0]}")
         blocks = np.zeros((plan.rows, self.dim) + y.shape[1:])
-        for i, (off, m) in enumerate(zip(self.offsets, self.orders)):
-            blocks[:m, i] = y[off:off + m]
+        blocks[self._state_at] = y
         for i, beta, fld, depth in plan.steps:
-            blocks[beta, i] = on_batch(fld.value_uj, JetPoint._wrap(t, blocks[:depth + 1]), uj)
+            blocks[beta, i] = on_batch(fld, JetPoint._wrap(t, blocks[:depth + 1]), uj)
         return blocks
 
     def jets_at(self, t, y: np.ndarray, ujet: np.ndarray, order: int) -> JetPoint:
@@ -157,8 +159,7 @@ class NormalFormDynamics:
         of at least ``plan().u_depth + 1`` rows (or a bare control value).
         B states, y (state_dim, B) with ujet (k+1, M, B), take one pass of the
         plan."""
-        blocks = self._run(self.plan(), t, y, ujet)
-        return np.concatenate([blocks[1:m + 1, i] for i, m in enumerate(self.orders)])
+        return self._run(self.plan(), t, y, ujet)[self._rate_at]
 
 
 def reduce_to_first_order(highest_order_rhs: Callable, order: int, state_dim: int,
@@ -184,23 +185,21 @@ def reduce_to_first_order(highest_order_rhs: Callable, order: int, state_dim: in
 class Trajectory:
     """A controlled curve with dense-output jet evaluation on [0, T].
 
-    Built by :func:`integrate`; immutable after construction.  Jets are
-    reconstructed from the dynamics right-hand side, with right-continuity
-    at control breakpoints.
+    Built by :func:`integrate_family`, as one column of its family's
+    segments; immutable after construction.  Jets are reconstructed from the
+    dynamics right-hand side, with right-continuity at control breakpoints.
     """
 
     def __init__(self, dynamics: NormalFormDynamics, control: ControlCurve,
-                 initial_state: np.ndarray, horizon: float,
-                 seg_bounds: Sequence[tuple[float, float]], seg_sols: Sequence,
+                 initial_state: np.ndarray, horizon: float, segments: _Segments, column: int,
                  mesh: np.ndarray, states: np.ndarray,
                  splice: Optional[tuple[Trajectory, float]] = None) -> None:
         self.dynamics = dynamics
         self.control = control
         self.initial_state = np.asarray(initial_state, dtype=float)
         self.horizon = float(horizon)
-        self._seg_bounds = list(seg_bounds)
-        self._seg_sols = list(seg_sols)
-        self._seg_cuts = np.array([b for _, b in self._seg_bounds[:-1]])
+        self._segments = segments
+        self._column = column
         self.mesh = np.asarray(mesh, dtype=float)
         self.states = np.asarray(states, dtype=float)
         # (trajectory, mesh node t_k) when this one continues another from t_k
@@ -249,41 +248,45 @@ def segment_rhs(dynamics: NormalFormDynamics, control, a: float, b: float,
     return rhs
 
 
-class _MemberSolution(NamedTuple):
-    """A member's dense output on one segment: its column of the family's
-    solution, whose states are stacked (state_dim, B) and flattened."""
+class _Segments(NamedTuple):
+    """A family's dense output, which its members share: segment k starts at
+    ``starts[k]``, and its solution ``sols[k]`` holds states stacked
+    (state_dim, B) and flattened, of which a member reads column
+    ``columns[k]``, or its own where that is None (the family's own
+    segments, after those kept from the curve it continues)."""
 
-    sol: OdeSolution
-    column: int
+    starts: np.ndarray
+    sols: tuple
+    columns: tuple
 
 
 def states_of(trajs: Sequence[Trajectory], ts) -> np.ndarray:
     """The states of trajectories at a time or at every node of a 1-D grid,
     shape (state_dim, B, nodes).  Each segment solution is called once per
-    run of nodes on it, for all the members that read it (the members of one
-    family, and the prefix their splice shares), which take their columns;
+    run of nodes on it, for all the members that read it (a family's
+    members, and the prefix their splice shares), which take their columns;
     a lone node takes the scalar call.  Raises TimeOutOfRange for a node
     outside [0, T]."""
     grid = np.atleast_1d(np.asarray(ts, dtype=float))
-    runs: dict = {}    # (horizon, segment cuts) -> [(segment, its nodes, their times)]
-    reads: dict = {}   # (segment solution, times) -> (nodes, times, members, columns)
+    families: dict = {}   # id(segments) -> (a member, the members, their columns)
     for b, traj in enumerate(trajs):
-        key = (traj.horizon, traj._seg_cuts.tobytes())
-        if key not in runs:
-            if grid.min() < -1e-12 or grid.max() > traj.horizon + 1e-12:
-                raise TimeOutOfRange(f"t={ts} outside [0, {traj.horizon}]")
-            clipped = np.clip(grid, 0.0, traj.horizon)
-            # right-continuous: a time on a breakpoint reads the segment starting there
-            seg = traj._seg_cuts.searchsorted(clipped, side="right")
-            runs[key] = []
-            for k in np.unique(seg):
-                at = np.flatnonzero(seg == k)
-                runs[key].append((k, at, clipped[at]))
-        for k, at, t in runs[key]:
-            part = traj._seg_sols[k]
-            entry = reads.setdefault((part.sol, t.tobytes()), (at, t, [], []))
-            entry[2].append(b)
-            entry[3].append(part.column)
+        family = families.setdefault(id(traj._segments), (traj, [], []))
+        family[1].append(b)
+        family[2].append(traj._column)
+    reads: dict = {}   # (segment solution, times) -> (nodes, times, members, columns)
+    for traj, members, columns in families.values():
+        if grid.min() < -1e-12 or grid.max() > traj.horizon + 1e-12:
+            raise TimeOutOfRange(f"t={ts} outside [0, {traj.horizon}]")
+        clipped = np.clip(grid, 0.0, traj.horizon)
+        starts, sols, fixed = traj._segments
+        # right-continuous: a time on a breakpoint reads the segment starting there
+        seg = starts.searchsorted(clipped, side="right") - 1
+        for k in np.unique(seg):
+            at = np.flatnonzero(seg == k)
+            t = clipped[at]
+            entry = reads.setdefault((sols[k], t.tobytes()), (at, t, [], []))
+            entry[2].extend(members)
+            entry[3].extend(columns if fixed[k] is None else [fixed[k]] * len(members))
     out = np.empty((trajs[0].initial_state.size, len(trajs), grid.size))
     for (sol, _), (at, t, members, columns) in reads.items():
         y = sol(t if at.size > 1 else t[0]).reshape(out.shape[0], -1, at.size)
@@ -296,15 +299,14 @@ def jets_of(trajs: Sequence[Trajectory], ts, order: int) -> JetPoint:
     a 1-D grid: their states from :func:`states_of`, then one pass of the
     evaluation plan over all members and nodes.  The batched JetPoint holds
     member b's node j in column b * nodes + j, with ``t`` the time or the
-    grid repeated per member.  Controls are read by ``jet`` at a lone node
-    and by ``jets`` on a grid."""
+    grid repeated per member.  Controls are read in one family read at a
+    lone node (:func:`~hopmp.controls.stacked_jet`) and by ``jets`` on a grid."""
     dynamics = trajs[0].dynamics
     grid = np.atleast_1d(np.asarray(ts, dtype=float))
     y = states_of(trajs, grid).reshape(dynamics.state_dim, -1)
     depth = dynamics.plan(order).u_depth
     if grid.size == 1:
-        node = float(grid[0])
-        ujet = np.stack([tr.control.jet(tr.control.clamp(node), depth) for tr in trajs], axis=-1)
+        ujet = stacked_jet([tr.control for tr in trajs], float(grid[0]), depth)
     else:
         ujet = np.concatenate([tr.control.jets(grid, depth) for tr in trajs], axis=-1)
     t = float(ts) if not np.ndim(ts) else np.tile(grid, len(trajs))
@@ -324,7 +326,8 @@ def integrate_family(dynamics: NormalFormDynamics, controls: Sequence[ControlCur
                      tol: tuple[float, float] = (1e-8, 1e-10),
                      start: Optional[tuple[Trajectory, float]] = None) -> list[Trajectory]:
     """The curves (controls[b], sigmas[b]) as one ODE on their stacked states
-    (state_dim, B), one :class:`Trajectory` per member on a shared mesh.
+    (state_dim, B), one :class:`Trajectory` per member on a shared mesh and
+    shared segment solutions, of which each reads its own column.
 
     Control breakpoints become integration breakpoints, so the mesh contains
     every discontinuity exactly.  Per segment one RK45 run (Dormand-Prince
@@ -344,8 +347,7 @@ def integrate_family(dynamics: NormalFormDynamics, controls: Sequence[ControlCur
     rtol, atol = tol
     batch = len(controls)
     y0s = [dynamics.pack_state(sigma) for sigma in sigmas]
-    seg_bounds: list[tuple[float, float]] = []
-    prefix: list = []   # the segment solutions kept from start's curve
+    segments = []   # (start, solution, column): those kept from start's curve, then the family's
     mesh_parts: list[np.ndarray] = []
     state_parts: list[np.ndarray] = []   # (nodes, state_dim, B)
 
@@ -356,11 +358,8 @@ def integrate_family(dynamics: NormalFormDynamics, controls: Sequence[ControlCur
         if n > 1:
             t0 = float(prev.mesh[n - 1])
             splice = (prev, t0)
-            for (a, b), sol in zip(prev._seg_bounds, prev._seg_sols):
-                if a >= t0:
-                    break
-                seg_bounds.append((a, min(b, t0)))
-                prefix.append(sol)
+            segments = [(a, sol, prev._column if col is None else col)
+                        for a, sol, col in zip(*prev._segments) if a < t0]
             mesh_parts.append(prev.mesh[:n])
             state_parts.append(np.repeat(prev.states[:n, :, None], batch, axis=2))
             y = np.repeat(prev.states[n - 1], batch)
@@ -368,15 +367,12 @@ def integrate_family(dynamics: NormalFormDynamics, controls: Sequence[ControlCur
     family = controls[0] if batch == 1 else ControlFamily(controls)
     cuts = sorted({t0, float(horizon)} | {float(b) for c in controls for b in c.breakpoints
                                          if t0 < b < horizon})
-    member_sols = [list(prefix) for _ in range(batch)]
     for a, b in zip(cuts[:-1], cuts[1:]):
         sol = solve_ivp(segment_rhs(dynamics, family, a, b, batch), (a, b), y, method="RK45",
                         dense_output=True, rtol=rtol / batch ** 0.5, atol=atol / batch ** 0.5)
         if not sol.success:
             raise StepSizeUnderflow(f"integration failed on [{a}, {b}]: {sol.message}")
-        seg_bounds.append((a, b))
-        for k, sols in enumerate(member_sols):
-            sols.append(_MemberSolution(sol.sol, k))
+        segments.append((a, sol.sol, None))
         skip = 1 if mesh_parts else 0
         mesh_parts.append(sol.t[skip:])
         state_parts.append(sol.y.T[skip:].reshape(-1, dynamics.state_dim, batch))
@@ -384,9 +380,11 @@ def integrate_family(dynamics: NormalFormDynamics, controls: Sequence[ControlCur
 
     mesh = np.concatenate(mesh_parts)
     states = np.concatenate(state_parts)
-    return [Trajectory(dynamics, control, y0, horizon, seg_bounds, sols, mesh, states[..., k],
+    starts, sols, columns = zip(*segments)
+    shared = _Segments(np.array(starts), sols, columns)
+    return [Trajectory(dynamics, control, y0, horizon, shared, k, mesh, states[..., k],
                        splice=splice)
-            for k, (control, y0, sols) in enumerate(zip(controls, y0s, member_sols))]
+            for k, (control, y0) in enumerate(zip(controls, y0s))]
 
 
 def integrate_backward(dynamics: NormalFormDynamics, control: ControlCurve, y_T,

@@ -300,39 +300,51 @@ def _as_ujet(u, depth: int = 0, batch: tuple = ()) -> np.ndarray:
     return arr
 
 
-def on_batch(fn, p: JetPoint, ujet: np.ndarray):
-    """``fn(p, ujet)``; on a batched point its (B,) values from one call on
-    the whole batch, which counts only if it raises no TypeError, ValueError
-    or floating-point error, has shape () or (B,) and matches the batch-free
-    call at the first node to 1e-12 relative (which a reduction over the
-    batch axis fails).  A product over a coordinate vector (``np.dot``,
-    ``@``) also contracts the batch axis when B equals that vector's length,
-    and then only the first node is right, so a batch no longer than the
-    point's own vectors (N coordinates, n+1 blocks, M controls) must match
-    at the last node too.  Otherwise every node is evaluated on its own, as
-    for an evaluator with a ``math`` function, a comparison or a reduction
-    over coordinates; values and dual-number partials of numpy-written
-    fields take the one batched call."""
+def on_batch(fld, p: JetPoint, ujet: np.ndarray, direction: Optional[Direction] = None):
+    """``fld``'s value at (p, ujet), or its partial along ``direction``; on
+    a batched point its (B,) values.  Whether one call evaluates a batch
+    node for node is decided once per field, by :func:`_batch_audit` on its
+    first batched point of two or more nodes, and kept as ``fld.batch_safe``
+    for its value and partials alike.  A field that passed takes one call
+    per batch, which counts if it raises no TypeError, ValueError or
+    floating-point error and has shape () or (B,); any other call, and
+    every call of a field that failed (a ``math`` function, a comparison, a
+    product or reduction over the batch axis), evaluates each node alone."""
+    fn = fld.value_uj if direction is None else (lambda q, uj: fld.partial_uj(q, uj, direction))
     if p.blocks.ndim < 3:
         return fn(p, ujet)
     count = p.blocks.shape[2]
-    first = fn(p.node(0), ujet[..., 0])
-    if count > 1:
+    if fld.batch_safe or fld.batch_safe is None and count > 1:
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 v = np.asarray(fn(p, ujet), dtype=float)
-                if v.shape in ((), (count,)) and _agrees(v.flat[0], first) and (
-                        count > max(p.blocks.shape[:2] + ujet.shape[1:2])
-                        or _agrees(v.flat[-1], fn(p.node(count - 1), ujet[..., count - 1]))):
-                    return np.full(count, v)
-        except (TypeError, ValueError, ArithmeticError):
-            pass
-    return np.array([first] + [fn(p.node(b), ujet[..., b]) for b in range(1, count)],
+                if fld.batch_safe is None:
+                    object.__setattr__(fld, "batch_safe", _batch_audit(fn, p, ujet, v))
+            if fld.batch_safe and v.shape in ((), (count,)):
+                return np.full(count, v)
+        except ArithmeticError:
+            pass   # this call runs node by node; a floating-point error decides nothing
+        except (TypeError, ValueError):   # a partial's TypeError is a refused dual number
+            if fld.batch_safe is None and direction is None:
+                object.__setattr__(fld, "batch_safe", False)
+    return np.array([fn(p.node(b), ujet[..., b]) for b in range(count)],
                     dtype=float).reshape(count)
 
 
-def _agrees(batched, alone) -> bool:
-    return abs(batched - alone) <= 1e-12 * abs(alone)
+def _batch_audit(fn, p: JetPoint, ujet: np.ndarray, v: np.ndarray) -> bool:
+    """Whether ``v``, one call's values on a batched point of B nodes, is
+    each node's own: a call on L of them (repeated when B < L) must match it
+    to 1e-12 of its largest.  L >= 5, not B, is coprime to N, n+1 and M, so
+    a product over a coordinate vector that contracts the batch raises, and
+    a reduction over the batch or a read by position in it moves a value."""
+    count = p.blocks.shape[2]
+    dims = math.prod(p.blocks.shape[:2] + ujet.shape[1:2])
+    size = next(n for n in range(5, 99) if math.gcd(n, dims) == 1 and n != count)
+    at = np.arange(size) % count
+    w = np.asarray(fn(JetPoint._wrap(p.t[at] if np.ndim(p.t) else p.t, p.blocks[..., at]),
+                      ujet[..., at]), dtype=float)
+    ref = np.broadcast_to(v, (count,))[at]   # raises ValueError on another shape
+    return w.shape in ((), (size,)) and bool(np.all(abs(w - ref) <= 1e-12 * abs(ref).max()))
 
 
 class JetField:
@@ -361,6 +373,8 @@ class JetField:
     name = ""
     # Directions along which a dual number has made the field raise TypeError.
     dual_refused = frozenset()
+    # Whether one call evaluates a batched point elementwise (see on_batch).
+    batch_safe = None
 
     def read_depth(self, j: int) -> int:
         if self.reads is None:
@@ -368,11 +382,11 @@ class JetField:
         return int(self.reads.get(j, -1))
 
     def value(self, p: JetPoint, u) -> float:
-        return _as_float(on_batch(self.value_uj, p, _as_ujet(u, self.u_depth, p.blocks.shape[2:])))
+        return _as_float(on_batch(self, p, _as_ujet(u, self.u_depth, p.blocks.shape[2:])))
 
     def partial(self, p: JetPoint, u, direction: Direction) -> float:
-        return _as_float(on_batch(lambda q, uj: self.partial_uj(q, uj, direction), p,
-                                  _as_ujet(u, self.u_depth, p.blocks.shape[2:])))
+        return _as_float(on_batch(self, p, _as_ujet(u, self.u_depth, p.blocks.shape[2:]),
+                                  direction))
 
     def partial_uj(self, p: JetPoint, ujet: np.ndarray, direction: Direction) -> float:
         """The exact partial along one coordinate: the field evaluated once
@@ -571,7 +585,7 @@ class DerivedField(JetField):
     """
 
     __slots__ = ("base", "count", "actual_order", "u_depth", "name", "reads",
-                 "_needed", "_fallback", "dual_refused")
+                 "_needed", "_fallback", "dual_refused", "batch_safe")
 
     def __init__(self, base: JetField, count: int) -> None:
         if isinstance(base, DerivedField):
@@ -582,7 +596,7 @@ class DerivedField(JetField):
         self.u_depth = base.u_depth + count
         self.name = f"D^{count}({base.name or 'f'})"
         self._fallback = None
-        self.dual_refused = frozenset()
+        self.dual_refused, self.batch_safe = frozenset(), None
         # each read variable is read ``count`` blocks deeper than by the base
         if base.reads is None:
             self.reads = None

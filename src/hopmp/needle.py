@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 from scipy.integrate import simpson
 
-from .controls import ControlCurve, NeedleOverlayControl, SmoothedNeedleControl
+from .controls import ControlCurve, NeedleOverlayControl, SmoothedNeedleControl, stacked_jet
 from .dynamics import Trajectory, integrate_backward
 from .errors import BadParams, NonSolvableForm
 from .homotopy import (SurfaceSlice, VariationSurface, blend_homotopy, build_surfaces,
@@ -145,9 +145,8 @@ def _boundary_pairings(triple: DefiningTriple, surfaces: Sequence[VariationSurfa
     if not live:
         return out
     jets = JetPoint(np.full(len(slices), t_star), np.moveaxis(q, 0, -1))
-    ujets = np.stack([sl.traj.control.jet(sl.traj.control.clamp(t_star), r + 1)
-                      for sl in slices], axis=-1)
-    m = lagrangian_momenta(triple, jets, ujets)           # (N, r, len(slices))
+    m = lagrangian_momenta(triple, jets, stacked_jet([sl.traj.control for sl in slices],
+                                                     t_star, r + 1))   # (N, r, len(slices))
     for j in live:
         # one (N, r) reduction per slice keeps the rounding of a single node's sum
         vals = [np.sum(m[..., cuts[j] + k] * Y[:r].T) for k, Y in enumerate(Ys[j])]

@@ -65,10 +65,10 @@ class _PartialField(JetField):
     """
 
     __slots__ = ("base", "direction", "actual_order", "u_depth", "name", "reads",
-                 "dual_refused")
+                 "dual_refused", "batch_safe")
 
     def __init__(self, base: JetField, direction) -> None:
-        self.dual_refused = frozenset()
+        self.dual_refused, self.batch_safe = frozenset(), None
         self.base = base
         self.direction = direction
         self.actual_order = base.actual_order

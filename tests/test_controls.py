@@ -157,6 +157,37 @@ def test_family_values_equal_member_values(data, grid, k, s):
                                   np.stack([c.jet(t, 2) for c in members], axis=-1))
 
 
+@settings(deadline=None, max_examples=20)
+@given(data=st.data(), T=st.floats(0.5, 6.0), widths=st.integers(3, 5), k=st.floats(0.01, 0.9))
+def test_scan_shaped_family_values_equal_member_values(data, T, widths, k):
+    # a family as needle_variations builds one at a tau: one base u0, 2-3
+    # omegas, nested widths eps0 / 2^j whose down-ramps all start at tau, and
+    # s in {0.25, 0.5, 0.75, 1}, read together; each column is its member's
+    # value, and its jet, bit for bit on every ramp edge, one ulp either side
+    # of it and at the ramps' Gauss nodes
+    u0 = data.draw(harmonics(T))
+    tau = T * data.draw(st.floats(0.3, 0.95))
+    eps0 = tau * data.draw(st.floats(0.05, 0.5))
+    omegas = data.draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=u0.dim,
+                                         max_size=u0.dim), min_size=2, max_size=3))
+    needles = [SmoothedNeedleControl(u0, tau, w, eps0 / 2 ** j, k)
+               for j in range(widths) for w in omegas]
+    members = [BlendControl(u0, n, s) for n in needles for s in (0.25, 0.5, 0.75, 1.0)]
+    family = ControlFamily(members)
+    assert family._base is u0 and not family._others
+    nodes = np.polynomial.legendre.leggauss(5)[0]
+    times = set()
+    for n in needles:
+        for edge in (n.t_on, n.t_full, n.t_off, n.t_end):
+            times |= {edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)}
+        for a, b in ((n.t_on, n.t_full), (n.t_off, n.t_end)):
+            times |= set(a + 0.5 * (b - a) * (1.0 + nodes))
+    for t in sorted(x for x in times if 0.0 <= x < T):
+        assert np.array_equal(family.jet(t, 0),
+                              np.stack([c.value(t) for c in members], axis=-1)[None]), t
+        assert np.array_equal(family.jet(t, 2), np.stack([c.jet(t, 2) for c in members], -1)), t
+
+
 @settings(deadline=None, max_examples=60)
 @given(t=st.floats(0.0, 6.0), om=st.floats(0.1, 5.0), ph=st.floats(0.0, 2 * math.pi),
        amp=st.floats(0.01, 2.0), mid=st.floats(-2.0, 2.0))

@@ -472,7 +472,7 @@ def test_jets_of_fields_that_cannot_batch_add_no_warning(lib):
     # a comparison: the batched call raises ValueError on an array's truth value
     lambda p, u: np.array([u[0] - p.coord(0, 0) if p.coord(0, 0) > 0.0 else u[0]]),
     # a reduction over the batch axis: right shape, wrong values, caught by
-    # the first-node check
+    # the batch audit
     lambda p, u: np.array([u[0] - np.sum([p.coord(0, 0), 0.5 * p.coord(0, 1)])]),
 ], ids=["comparison", "reduction"])
 def test_jets_of_non_elementwise_fields_run_node_by_node(force):
@@ -484,8 +484,8 @@ def test_jets_of_non_elementwise_fields_run_node_by_node(force):
 
 def test_jets_of_a_field_that_contracts_the_batch_axis_run_node_by_node():
     # np.dot over the coordinate vector (x, y) also contracts a batch of two
-    # nodes, and is right at the first node only: on a grid no longer than
-    # that vector the last node is checked too
+    # nodes, and is right at the first node only; the batch audit's call on
+    # 5 nodes raises
     def f(p, u):
         xy = np.array([p.coord(0, 0), p.coord(1, 0)])
         return np.array([np.dot(xy, [1.0, 0.0]), u[0] - p.coord(0, 0)])
@@ -494,6 +494,39 @@ def test_jets_of_a_field_that_contracts_the_batch_axis_run_node_by_node():
     traj = integrate(dyn, HarmonicControl([0.0], [0.8], 3.0, 0.0, 1.0), np.array([0.3, -0.2]), 1.0)
     ts = np.array([0.2, 0.9])
     assert np.array_equal(traj.jets(ts, 2).blocks, _node_by_node(traj, ts, 2))
+
+
+def test_jets_of_a_field_wrong_only_at_interior_nodes_run_node_by_node():
+    # an evaluator that reverses a batch's interior columns is right at its
+    # first and last node and wrong in between: the batch audit finds it and
+    # marks the field, whose grid reads then run node by node
+    def f(p, u):
+        x = p.coord(0, 0)
+        if np.ndim(x):
+            x = np.concatenate([x[:1], x[-2:0:-1], x[-1:]])
+        return np.array([u[0] - x])
+
+    dyn = reduce_to_first_order(f, order=2, state_dim=1, names=["x"])
+    traj = integrate(dyn, HarmonicControl([0.0], [0.8], 3.0, 0.0, 2.0), np.array([-0.3, 1.0]), 2.0)
+    ts = np.linspace(0.0, 2.0, 11)
+    assert np.array_equal(traj.jets(ts, 2).blocks, _node_by_node(traj, ts, 2))
+    assert dyn.blocks[0].top.batch_safe is False
+
+
+def test_family_integration_evaluates_no_node_on_its_own():
+    # the field's batch audit evaluates batches only, once; every right-hand
+    # side of the family after it is one evaluation of the whole batch
+    alone = []
+
+    def f(p, u):
+        alone.append(np.ndim(p.coord(0, 0)) == 0)
+        return np.array([u[0] - np.sin(p.coord(0, 0))])
+
+    dyn = reduce_to_first_order(f, order=2, state_dim=1, names=["x"])
+    controls = [HarmonicControl([0.0], [a], 3.0, 0.0, 2.0) for a in (0.2, 0.5, 0.8)]
+    integrate_family(dyn, controls, [np.array([-0.3, 1.0])] * 3, 2.0)
+    assert len(alone) > 10 and not any(alone)
+    assert dyn.blocks[0].top.batch_safe is True
 
 
 def test_jets_refuse_nodes_outside_the_horizon():
