@@ -29,7 +29,6 @@ from .dynamics import (  # noqa: F401
     Trajectory,
     integrate,
     lipschitz_probe,
-    reduce_to_first_order,
 )
 from .auxiliary import (  # noqa: F401
     HCoefficients,
@@ -45,14 +44,12 @@ from .homotopy import (  # noqa: F401
     homotopy_rhs,
     infinitesimal_conditions,
     minimal_labour_W,
-    mu_prime_correction,
     select_beta_range,
 )
 from .needle import (  # noqa: F401
     NeedleSpec,
     PMPVerdict,
     corrective_term,
-    goodn_check,
     gpmp_verdict,
     needle_modification,
     needle_variation,

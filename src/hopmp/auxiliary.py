@@ -106,9 +106,6 @@ class HCoefficients:
     def hpp(self, t, deriv: int = 0):
         return _quartet_eval(self.second, self.wavenumber, t, deriv)
 
-    def eval(self, which: str, t, deriv: int = 0):
-        return {"h": self.h, "hp": self.hp, "hpp": self.hpp}[which](t, deriv)
-
     def rows(self, t, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(h, h', h'') at time(s) t, each with its derivatives 0..count-1
         stacked on a new last axis."""
@@ -186,21 +183,6 @@ def bvp_residuals(coeffs: HCoefficients) -> dict:
         "h''dd(T)=hdot(T)": rel(coeffs.hpp(T, 2) - coeffs.h(T, 1), coeffs.h(T, 1)),
     }
     return out
-
-
-def ode_identity_residuals(coeffs: HCoefficients, ts) -> dict:
-    """Closed-form checks: hdd - h = 0 and (d^4 - k^4) h', h'' = 0."""
-    k4 = coeffs.wavenumber ** 4
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    r_h = np.max(np.abs(coeffs.h(ts, 2) - coeffs.h(ts, 0)))
-    r_p = np.max(np.abs(coeffs.hp(ts, 4) - k4 * coeffs.hp(ts, 0)))
-    r_s = np.max(np.abs(coeffs.hpp(ts, 4) - k4 * coeffs.hpp(ts, 0)))
-    scale = 1.0 + max(np.max(np.abs(coeffs.h(ts, 0))),
-                      np.max(np.abs(coeffs.hp(ts, 0))) * k4,
-                      np.max(np.abs(coeffs.hpp(ts, 0))) * k4)
-    return {"h''-h": float(r_h / scale),
-            "h'(4)-k4 h'": float(r_p / scale),
-            "h''(4)-k4 h''": float(r_s / scale)}
 
 
 def h_quadratic_terms(h: np.ndarray, hp: np.ndarray, hpp: np.ndarray,
@@ -424,13 +406,6 @@ class ExtendedTangent:
     dhpp: np.ndarray          # (N, r, >=2)
     dmu0: float
     du: np.ndarray
-
-    @staticmethod
-    def zero(N: int, r: int, M: int = 1, rows: int = 4) -> "ExtendedTangent":
-        return ExtendedTangent(
-            dt=0.0, dq=np.zeros((rows, N)), dh=np.zeros((N, r, 3)),
-            dhp=np.zeros((N, r, 3)), dhpp=np.zeros((N, r, 3)),
-            dmu0=0.0, du=np.zeros(M))
 
 
 def lift_tangent(pt: ExtendedJetPoint) -> ExtendedTangent:

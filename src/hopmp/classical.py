@@ -1,15 +1,19 @@
-"""Classical first-order Mayer machinery: the embedding with auxiliary
-adjoint variables, backward adjoint integration, the Pontryagin function
-H = sum p_i f^i, maximum-principle checking and bang-bang synthesis.
+"""Classical first-order Mayer machinery: the embedding on q = (x, p), whose
+p-chain is the adjoint, backward adjoint integration, the Pontryagin
+function H = sum p_i f^i and its table over a (tau, omega) grid, the
+first-order check read from that table, bang-bang synthesis and the
+surjectivity probe of the direct pendulum.
 
-Everything here doubles as the brute-force cross-validation oracle for the
-higher-order formulations.
+The chain reduction of a single-state triple is the brute-force oracle for
+the higher-order formulations: the classical-cross suite reads one
+Hamiltonian table of it for both the first-order check and the argmax
+comparison with the higher-order function P.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -60,25 +64,6 @@ class ClassicalProblem:
                                   actual_order=0, name=f"f{i+1}", reads={j: 0 for j in range(n)})
 
         return NormalFormDynamics([ChainBlock(f"x{i+1}", 1, top(i)) for i in range(n)])
-
-
-def smoothness_probe(cp: ClassicalProblem, rng, trials: int = 12,
-                     tol: float = 1e-4) -> bool:
-    """Finite-difference audit that dfdx matches f on random probe points."""
-    n = cp.dim
-    for _ in range(trials):
-        t = rng.uniform(0.0, cp.horizon)
-        x = cp.x0 + rng.normal(scale=1.0, size=n)
-        u = rng.uniform(cp.controls.lower, cp.controls.upper)
-        jac = np.atleast_2d(np.asarray(cp.dfdx(t, x, u), dtype=float))
-        h = 1e-6
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            fd = (np.asarray(cp.f(t, x + e, u)) - np.asarray(cp.f(t, x - e, u))) / (2 * h)
-            if np.max(np.abs(fd - jac[:, j])) > tol * (1.0 + np.max(np.abs(jac))):
-                return False
-    return True
 
 
 def embed_classical(cp: ClassicalProblem) -> DefiningTriple:
@@ -183,15 +168,6 @@ class Violation:
     margin: float
 
 
-@dataclass
-class ViolationReport:
-    violations: list = dc_field(default_factory=list)
-
-    @property
-    def empty(self) -> bool:
-        return not self.violations
-
-
 def hamiltonian_table(cp: ClassicalProblem, u: ControlCurve, tau_grid, omega_grid,
                       tol=(1e-10, 1e-12)) -> tuple[np.ndarray, np.ndarray]:
     """H at every (tau, omega), a (tau x omega) table, and H(u(tau)) per
@@ -212,22 +188,17 @@ def _omega_rows(omega_grid) -> np.ndarray:
     return np.atleast_2d(np.asarray(omega_grid, dtype=float).reshape(len(omega_grid), -1))
 
 
-def classical_pmp_check(cp: ClassicalProblem, u0: ControlCurve,
-                        tau_grid, omega_grid,
-                        tol_scale: float = 1e-6,
-                        tol=(1e-10, 1e-12)) -> ViolationReport:
-    """Report every (tau, omega) with H(omega) > H(u0(tau)) + tolerance,
-    read from :func:`hamiltonian_table`."""
-    table, at_u = hamiltonian_table(cp, u0, tau_grid, omega_grid, tol)
-    omegas = _omega_rows(omega_grid)
-    report = ViolationReport()
+def classical_pmp_check(tau_grid, omega_grid, table: np.ndarray, at_u: np.ndarray,
+                        tol_scale: float = 1e-6) -> list[Violation]:
+    """Every (tau, omega) with H(omega) > H(u0(tau)) + tolerance, read from
+    a :func:`hamiltonian_table` over the grids and its H(u0(tau)) column."""
+    violations = []
     for tau, row, href in zip(np.atleast_1d(tau_grid), table, at_u):
         tol_here = tol_scale * (1.0 + abs(href))
-        for w, h in zip(omegas, row):
-            gap = h - href
-            if gap > tol_here:
-                report.violations.append(Violation(float(tau), w.copy(), float(gap)))
-    return report
+        for w, h in zip(_omega_rows(omega_grid), row):
+            if h - href > tol_here:
+                violations.append(Violation(float(tau), w.copy(), float(h - href)))
+    return violations
 
 
 def mth_order_bang_bang(a: Sequence[float], T: float, tol: float = 1e-10,
@@ -235,9 +206,8 @@ def mth_order_bang_bang(a: Sequence[float], T: float, tol: float = 1e-10,
     """Bang-bang rule u(t) = sign(p(t)) for sum_l a_l x^(l) = u with cost -x(T).
 
     The adjoint solves sum_l (-1)^l a_l p^(l) = 0: the mth-order triple's own
-    p-chain, run back from the synthesized (and oracle-validated)
-    annihilating terminal conditions and then forward, so p is read from
-    the returned curve's state.  Switch times are located by bisection on
+    p-chain, run back from the synthesized annihilating terminal conditions
+    and then forward, so p is read from the returned curve's state.  Switch times are located by bisection on
     its dense output.
     """
     from .needle import transversality_synthesize
@@ -342,14 +312,6 @@ def _last_node_memo(fn: Callable) -> Callable:
         return last[1]
 
     return at
-
-
-def classical_chain_oracle(triple, gamma0, tau_grid, omega_grid) -> np.ndarray:
-    """Argmax table of the chain-reduction Hamiltonian along gamma0's state,
-    one control row per probe time, read from :func:`hamiltonian_table`."""
-    table, _ = hamiltonian_table(chain_reduction_problem(triple, gamma0), gamma0.control,
-                                 tau_grid, omega_grid)
-    return _omega_rows(omega_grid)[np.argmax(table, axis=1)]
 
 
 @dataclass

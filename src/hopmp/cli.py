@@ -36,6 +36,7 @@ from .homotopy import (
     conservation_residual,
     homotopy_lhs,
     homotopy_rhs,
+    infinitesimal_conditions,
     minimal_labour_W,
     select_beta_range,
     vertical_pairing,
@@ -47,6 +48,7 @@ from .needle import (
     gpmp_verdict,
     mu_prime_gap_closed,
     needle_variation,
+    oracle_argmax_gap,
     pmp_scan,
     transversality_synthesize,
 )
@@ -134,6 +136,10 @@ def load_config(path: Path) -> RunConfig:
     if cfg.t_nodes < 2 or cfg.s_nodes < 2 or cfg.tau_points < 1 \
             or cfg.omega_points < 1 or cfg.eps_count < 3:
         raise ConfigError("grids must be nonempty (and eps_count >= 3)")
+    if cfg.lipschitz_pairs < 1:
+        raise ConfigError(f"lipschitz_pairs = {cfg.lipschitz_pairs}; the probe needs a pair")
+    if not (cfg.rtol > 0.0 and cfg.atol >= 0.0):
+        raise ConfigError(f"tolerances need rtol > 0 and atol >= 0, got {cfg.rtol}, {cfg.atol}")
     if cfg.s_nodes % 2:
         raise ConfigError(f"s_nodes = {cfg.s_nodes} is odd; the Simpson rule over s needs it even")
     return cfg
@@ -179,10 +185,12 @@ def _suite_validate(cfg, triple, gamma0) -> list:
     res = [f"declared orders: r={triple.lagrangian.actual_order}, n={triple.jet_order}, "
            f"cost {triple.cost.actual_order}"] + checks
     if all(c.ok for c in checks):
-        from .auxiliary import solve_h
+        from .auxiliary import bvp_residuals, solve_h
 
         coeffs = solve_h(gamma0, triple)
-        res.append(f"boundary matrix condition number: {_fmt(coeffs.cond)}")
+        res += [f"boundary matrix condition number: {_fmt(coeffs.cond)}",
+                Check("boundary-value residuals of h, h', h''",
+                      max(bvp_residuals(coeffs).values()), 1e-9)]
     return res
 
 
@@ -211,6 +219,7 @@ def _suite_homotopy(cfg, triple, gamma0) -> list:
     cres = conservation_residual(surface, surface.n_slices // 2,
                                  t_nodes=cfg.t_nodes // 2, beta_range=mode)
     w1 = minimal_labour_W(surface, 1.0, t_nodes=cfg.t_nodes, beta_range=mode)
+    dc_ds, base = infinitesimal_conditions(surface, t_nodes=cfg.t_nodes, beta_range=mode)
     res = [
         _convention_line(selection),
         f"lhs={_fmt(lhs)} rhs={_fmt(rhs)}",
@@ -222,6 +231,9 @@ def _suite_homotopy(cfg, triple, gamma0) -> list:
         Check("per-slice balance", abs(cres), 5e-4),
         f"W(1)={_fmt(w1)} C0-C1={_fmt(-lhs)}",
         Check("labour functional endpoint", abs(w1 - (-lhs)), 2 * tol),
+        f"dC/ds(0)={_fmt(dc_ds)} integral of F(t, 0)={_fmt(base)}",
+        # a candidate optimum has dC/ds(0) >= 0 and, by the identity, the integral <= 0
+        Check("first-order sign of the principle", max(-dc_ds, base), tol),
     ]
 
     if cfg.dump_mu_grid:
@@ -299,7 +311,7 @@ def _suite_pmp_scan(cfg, triple, gamma0) -> list:
 
 
 def _suite_classical_cross(cfg, triple, gamma0) -> list:
-    from .classical import chain_reduction_problem, classical_pmp_check
+    from .classical import chain_reduction_problem, classical_pmp_check, hamiltonian_table
 
     if len(triple.state_vars) != 1 or not triple.adjoint_vars:
         return ["chain oracle needs a single state variable and an adjoint variable; skipped"]
@@ -307,8 +319,7 @@ def _suite_classical_cross(cfg, triple, gamma0) -> list:
     taus = np.linspace(0.1, 0.9, 7) * triple.horizon
     conds = transversality_synthesize(
         triple, jet_T=gamma0.jet(triple.horizon,
-                                 2 * triple.lagrangian.actual_order - 1),
-        validate_with=gamma0, tau_grid=taus)
+                                 2 * triple.lagrangian.actual_order - 1))
     name = triple.dynamics.names[triple.adjoint_vars[0]]
     vals = " ".join(_fmt(v) for v in conds.terminal_values[name])
     res = [f"synthesized terminal adjoint jet ({name}): {vals}"]
@@ -316,13 +327,15 @@ def _suite_classical_cross(cfg, triple, gamma0) -> list:
         res.append("NOTE: " + conds.paper_sign_note)
 
     cp = chain_reduction_problem(triple, gamma0)
-    rep = classical_pmp_check(cp, gamma0.control, taus,
-                              np.linspace(cp.controls.lower[0],
-                                          cp.controls.upper[0], 9))
+    omegas = np.linspace(cp.controls.lower[0], cp.controls.upper[0], 9).reshape(-1, 1)
+    table, at_u = hamiltonian_table(cp, gamma0.control, taus, omegas)
+    # the argmax comparison reads every other column: 5 controls across the box
+    argmax_gap = oracle_argmax_gap(triple, conds, gamma0, taus, omegas[::2], table[:, ::2])
     return res + [
         Check("annihilation residuals", float(np.max(conds.residuals)), 1e-8),
-        Check("argmax agreement with the chain-reduction oracle", conds.oracle_argmax_gap, 1e-9),
-        Check("first-order check on the reference control", len(rep.violations), 0),
+        Check("argmax agreement with the chain-reduction oracle", argmax_gap, 1e-9),
+        Check("first-order check on the reference control",
+              len(classical_pmp_check(taus, omegas, table, at_u)), 0),
     ]
 
 

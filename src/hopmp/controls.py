@@ -1,5 +1,10 @@
 """Control curves: evaluable maps t -> u with derivative stacks and breakpoints.
 
+The kinds are constants, sines (:class:`HarmonicControl`), piecewise
+constants, needle overlays, smoothed needles and convex blends.  Each
+gives its time derivatives in closed form, to any depth; none is
+differenced.  :class:`ControlFamily` reads several curves at one time.
+
 Curves are right-continuous at their breakpoints, so a piecewise-constant
 curve taking value ``w`` on ``[a, b)`` reports ``w`` at ``t = a`` and the
 follow-on value at ``t = b``.
@@ -9,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -111,32 +116,6 @@ class HarmonicControl(ControlCurve):
     def jets(self, ts, depth: int) -> np.ndarray:
         x = self.om * self.clamp(np.asarray(ts, dtype=float))[:, None] + self.ph
         return np.stack([self._layer(k, x).T for k in range(depth + 1)])
-
-
-class CallbackControl(ControlCurve):
-    """Smooth curve given by a callback, with optional analytic derivatives.
-
-    ``derivatives[k]`` evaluates d^(k+1) u / dt^(k+1); deeper derivatives fall
-    back to symmetric differences of the highest analytic layer.
-    """
-
-    def __init__(self, fun: Callable[[float], Sequence[float]], horizon: float,
-                 dim: int = 1, derivatives: Optional[Sequence[Callable]] = None) -> None:
-        super().__init__(horizon, dim)
-        self._fun = fun
-        self._derivs = list(derivatives or [])
-
-    def _layer(self, k: int, t: float) -> np.ndarray:
-        if k == 0:
-            return np.atleast_1d(np.asarray(self._fun(t), dtype=float))
-        if k <= len(self._derivs):
-            return np.atleast_1d(np.asarray(self._derivs[k - 1](t), dtype=float))
-        # difference quotient of the deepest analytic layer
-        h = 1e-4 * max(1.0, abs(self.horizon))
-        return (self._layer(k - 1, t + h) - self._layer(k - 1, t - h)) / (2.0 * h)
-
-    def jet(self, t: float, depth: int) -> np.ndarray:
-        return np.vstack([self._layer(k, t) for k in range(depth + 1)])
 
 
 class PiecewiseConstantControl(ControlCurve):
@@ -268,9 +247,6 @@ class BlendControl(ControlCurve):
         pts = set(u0.breakpoints) | set(u1.breakpoints)
         self.breakpoints = tuple(sorted(pts))
 
-    def value(self, t: float) -> np.ndarray:
-        return (1.0 - self.s) * self.u0.value(t) + self.s * self.u1.value(t)
-
     def jet(self, t: float, depth: int) -> np.ndarray:
         return (1.0 - self.s) * self.u0.jet(t, depth) + self.s * self.u1.jet(t, depth)
 
@@ -374,17 +350,3 @@ def stacked_jet(curves: Sequence[ControlCurve], t: float, depth: int) -> np.ndar
 def _columns(cols: list):
     """Column indices, as a slice when they are contiguous."""
     return slice(cols[0], cols[-1] + 1) if cols and cols[-1] - cols[0] == len(cols) - 1 else cols
-
-
-class InterpolatedSamplesControl(ControlCurve):
-    def __init__(self, ts: Sequence[float], us, horizon: float) -> None:
-        from scipy.interpolate import CubicSpline
-
-        vals = np.atleast_2d(np.asarray(us, dtype=float))
-        if vals.shape[0] != len(ts):
-            vals = vals.T
-        super().__init__(horizon, vals.shape[1])
-        self._spline = CubicSpline(np.asarray(ts, dtype=float), vals, axis=0)
-
-    def jet(self, t: float, depth: int) -> np.ndarray:
-        return np.vstack([np.atleast_1d(self._spline(t, nu=k)) for k in range(depth + 1)])

@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 from .controls import (ControlCurve, ControlFamily, HarmonicControl, NeedleOverlayControl,
                        stacked_jet)
 from .errors import InsufficientJetOrder, OrderUnavailable, StepSizeUnderflow, TimeOutOfRange
-from .jetspace import DerivedField, JetField, JetPoint, ScalarJetField, on_batch
+from .jetspace import DerivedField, JetField, JetPoint, on_batch
 
 
 @dataclass(frozen=True)
@@ -160,26 +160,6 @@ class NormalFormDynamics:
         B states, y (state_dim, B) with ujet (k+1, M, B), take one pass of the
         plan."""
         return self._run(self.plan(), t, y, ujet)[self._rate_at]
-
-
-def reduce_to_first_order(highest_order_rhs: Callable, order: int, state_dim: int,
-                          names: Optional[Sequence[str]] = None) -> NormalFormDynamics:
-    """Chain reduction of ``d^m q/dt^m = f(t, q, ..., d^{m-1} q, u)``.
-
-    ``highest_order_rhs`` maps ``(JetPoint, u) -> (state_dim,)`` vector.
-    ``order == 1`` yields the identity reduction.
-    """
-    names = list(names or (f"q{i}" for i in range(state_dim)))
-
-    def make_top(i: int) -> ScalarJetField:
-        return ScalarJetField(
-            evaluator=lambda p, u, _i=i: np.atleast_1d(highest_order_rhs(p, u))[_i],
-            actual_order=order - 1,
-            name=f"f[{names[i]}]",
-        )
-
-    blocks = [ChainBlock(names[i], order, make_top(i)) for i in range(state_dim)]
-    return NormalFormDynamics(blocks)
 
 
 class Trajectory:

@@ -359,33 +359,22 @@ def minimal_labour_W(surface: VariationSurface, delta: float,
 def infinitesimal_conditions(surface: VariationSurface,
                              t_nodes: int = 400,
                              beta_range: str = "full") -> tuple[float, float]:
-    """(dC paired with the Jacobi field at (T, 0), base-slice integral of F).
+    """The first-order sign of the principle at s = 0: (dC/ds(0), the base
+    slice's integral of F).  dC/ds(0) pairs the cost's partials at T with
+    the Jacobi field at (T, 0); by the identity it equals minus the second.
 
     A candidate optimum needs the first >= 0 and the second <= 0.
     """
     triple = surface.triple
-    r = triple.lagrangian.actual_order
-    T = triple.horizon
-    order = max(r, triple.cost.actual_order, 1)
-    Y_T = self_jacobi_terminal(surface, order)
+    order = max(triple.cost.actual_order, 1)
+    Y_T = surface.jacobi_q(np.array([triple.horizon]), order)[0, 0]   # (order+1, N)
     jet_T = surface.slices[0].traj.terminal_jet(order)
-    dC = 0.0
-    for i in range(triple.lagrangian.state_dim):
-        for b in range(order + 1):
-            g = triple.cost.partial(jet_T, ("q", i, b))
-            if g != 0.0:
-                dC += g * Y_T[b, i]
+    dC = sum(triple.cost.partial(jet_T, ("q", i, b)) * Y_T[b, i]
+             for i in range(triple.lagrangian.state_dim) for b in range(order + 1))
 
     ts = _time_grid(surface, t_nodes)
-    F = _rhs_integrand(surface, ts, beta_range)
-    base = float(simpson(F[0], x=ts))
+    base = float(simpson(_rhs_integrand(surface, ts, beta_range)[0], x=ts))
     return float(dC), base
-
-
-def self_jacobi_terminal(surface: VariationSurface, order: int) -> np.ndarray:
-    """Jacobi jet components at (t = T, s = 0), shape (order+1, N)."""
-    Y = surface.jacobi_q(np.array([surface.triple.horizon]), order)
-    return Y[0, 0]
 
 
 # -- mu' and the auxiliary correction -----------------------------------------
@@ -404,15 +393,6 @@ def mu_prime(surface: VariationSurface, t: float, s_index: int,
     partial = np.concatenate([[0.0], np.cumsum(0.5 * (corr[1:] + corr[:-1])
                                                * np.diff(s))])
     return float(mu_k + partial[k])
-
-
-def mu_prime_correction(surface: VariationSurface, t: float, s: float,
-                        beta_range: str = "full") -> float:
-    """mu'(t, s) for s on the surface's s-grid (nearest-node lookup)."""
-    k = int(np.argmin(np.abs(surface.s_nodes - s)))
-    if abs(surface.s_nodes[k] - s) > 1e-9:
-        raise ValueError(f"s={s} is not on the surface's s-grid")
-    return mu_prime(surface, t, k, beta_range)
 
 
 def _correction_integrand(surface: VariationSurface, t: float,

@@ -23,7 +23,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -282,9 +282,6 @@ class JetPoint:
         arr[beta, i] = value
         return JetPoint(self.t, arr)
 
-    def with_time(self, t) -> "JetPoint":
-        return JetPoint(t, self.blocks)
-
 
 def _as_ujet(u, depth: int = 0, batch: tuple = ()) -> np.ndarray:
     """Normalize a control value or control-derivative stack to shape (k+1, M),
@@ -486,7 +483,7 @@ def _coordinate(p: JetPoint, ujet: np.ndarray, key):
     """The coordinate ``key`` of (p, ujet), and a function returning (p, ujet)
     copied with it replaced by a float or a dual number."""
     if key == "t":
-        return p.t, lambda v: (p.with_time(v), ujet)
+        return p.t, lambda v: (JetPoint(v, p.blocks), ujet)
     if key[0] == "q":
         return p.coord(key[1], key[2]), lambda v: (p.with_coord(key[1], key[2], v), ujet)
 
@@ -628,11 +625,6 @@ class DerivedField(JetField):
         return _chain_rule(self._fallback, p, ujet, self._fallback.u_depth + 1)
 
 
-def coordinate_field(i: int, beta: int) -> ScalarJetField:
-    """The coordinate function q^i_(beta) as a scalar jet field."""
-    return ScalarJetField(lambda p, u: p.coord(i, beta), actual_order=beta, name=f"q{i}_({beta})")
-
-
 def audit_actual_order(f, p: JetPoint, u, rng, trials: int = 2,
                        scale: float = 1.0, tol: float = 1e-9) -> bool:
     """Check that ``f`` ignores blocks above its declared actual order.
@@ -652,26 +644,3 @@ def audit_actual_order(f, p: JetPoint, u, rng, trials: int = 2,
                 if abs(f.value_uj(q, ujet) - ref) > tol * (1.0 + abs(ref)):
                     return False
     return True
-
-
-class AnalyticCurve:
-    """A synthetic jet-providing curve built from per-variable derivative
-    callables; handy wherever an operation accepts any curve, not only an
-    integrated trajectory.
-
-    ``layers[i][k]`` evaluates d^k q^i/dt^k; missing layers are zero.
-    """
-
-    def __init__(self, layers: Sequence[Sequence[Callable[[float], float]]]) -> None:
-        self._layers = [list(v) for v in layers]
-
-    @property
-    def dim(self) -> int:
-        return len(self._layers)
-
-    def jet(self, t: float, order: int) -> JetPoint:
-        blocks = np.zeros((order + 1, self.dim))
-        for i, funs in enumerate(self._layers):
-            for k in range(min(order + 1, len(funs))):
-                blocks[k, i] = funs[k](t)
-        return JetPoint(t, blocks)

@@ -250,18 +250,6 @@ def _pointwise_tolerance(p_uo: float) -> float:
     return 1e-6 * (1.0 + abs(p_uo))
 
 
-def goodn_check(triple: DefiningTriple,
-                surface: VariationSurface) -> tuple[bool, float]:
-    """Sign test on the boundary expression characterizing needle variations
-    whose corrective term can be dropped.
-
-    The expression equals minus the closed-form mu' gap; the check passes
-    when it is nonnegative up to tolerance.
-    """
-    residual = -mu_prime_gap_closed(triple, surface)
-    return residual >= _goodn_floor(surface.slices[0].ext), residual
-
-
 # -- transversality synthesis ---------------------------------------------------
 
 
@@ -272,14 +260,10 @@ class TransversalityConditions:
     terminal_values: dict
     residuals: np.ndarray
     paper_sign_note: Optional[str] = None
-    oracle_argmax_gap: Optional[float] = None
 
 
 def transversality_synthesize(triple: DefiningTriple,
-                              jet_T: Optional[JetPoint] = None,
-                              validate_with: Optional[Trajectory] = None,
-                              tau_grid: Optional[np.ndarray] = None
-                              ) -> TransversalityConditions:
+                              jet_T: Optional[JetPoint] = None) -> TransversalityConditions:
     """Solve dC/dq_(beta) + m_beta = 0 at t = T for the adjoint terminal jet.
 
     Works down from beta = r-1: at each level the condition is affine in the
@@ -351,16 +335,11 @@ def transversality_synthesize(triple: DefiningTriple,
         terminal[triple.dynamics.names[i]] = np.asarray(solved_per_var[col],
                                                         dtype=float)
 
-    note = _paper_sign_note(triple, terminal)
-    conds = TransversalityConditions(
+    return TransversalityConditions(
         terminal_values=terminal,
         residuals=np.abs(np.asarray(residuals)).max(axis=1),
-        paper_sign_note=note,
+        paper_sign_note=_paper_sign_note(triple, terminal),
     )
-    if validate_with is not None:
-        conds.oracle_argmax_gap = _validate_against_classical(
-            triple, conds, validate_with, tau_grid)
-    return conds
 
 
 def _paper_sign_note(triple: DefiningTriple, terminal: dict) -> Optional[str]:
@@ -402,26 +381,20 @@ def adjoint_branch(triple: DefiningTriple, gamma0: Trajectory,
     return triple.controlled_curve(gamma0.control, sigma, tol=tol)
 
 
-def _validate_against_classical(triple: DefiningTriple,
-                                conds: TransversalityConditions,
-                                gamma0: Trajectory,
-                                tau_grid: Optional[np.ndarray]) -> float:
+def oracle_argmax_gap(triple: DefiningTriple, conds: TransversalityConditions,
+                      gamma0: Trajectory, tau_grid, omega_rows: np.ndarray,
+                      table: np.ndarray) -> float:
     """Cross-check of the maximizers of the higher-order function P along the
-    synthesized adjoint branch against the classical chain-reduction
-    Hamiltonian's: the largest componentwise distance between the two
-    argmaxes over the probe times."""
-    from .classical import classical_chain_oracle
-
-    taus = (np.asarray(tau_grid, dtype=float) if tau_grid is not None
-            else np.linspace(0.1, 0.9, 5) * triple.horizon)
+    synthesized adjoint branch against a classical oracle's: ``table`` holds
+    the chain reduction's Hamiltonian at every (tau, omega row) (see
+    :func:`~hopmp.classical.hamiltonian_table`).  Returns the largest
+    componentwise distance between the two argmaxes over the probe times."""
     branch = adjoint_branch(triple, gamma0, conds)
-    omegas = triple.controls.grid(5)
-    oracle = classical_chain_oracle(triple, gamma0, taus, omegas)
     r = triple.lagrangian.actual_order
     gaps = []
-    for row, tau in enumerate(taus):
-        w_p, _ = pontryagin_p(triple, branch.jet(float(tau), r)).argmax_on_grid(omegas)
-        gaps.append(float(np.max(np.abs(w_p - oracle[row]))))
+    for tau, w_h in zip(tau_grid, omega_rows[np.argmax(table, axis=1)]):
+        w_p, _ = pontryagin_p(triple, branch.jet(float(tau), r)).argmax_on_grid(omega_rows)
+        gaps.append(float(np.max(np.abs(w_p - w_h))))
     return max(gaps)
 
 

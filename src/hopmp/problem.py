@@ -22,34 +22,20 @@ from .jetspace import DerivedField, JetField, JetPoint, ScalarJetField, audit_ac
 
 @dataclass(frozen=True)
 class ControlSet:
-    """Box control set K = prod [lower_a, upper_a] with inflation margin."""
+    """Box control set K = prod [lower_a, upper_a]."""
 
     lower: np.ndarray
     upper: np.ndarray
-    margin: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "lower", np.atleast_1d(np.asarray(self.lower, dtype=float)))
         object.__setattr__(self, "upper", np.atleast_1d(np.asarray(self.upper, dtype=float)))
         if np.any(self.lower > self.upper):
             raise ValueError("control box needs lower <= upper componentwise")
-        if self.margin < 0:
-            raise ValueError("margin must be nonnegative")
 
     @property
     def dim(self) -> int:
         return self.lower.size
-
-    def contains(self, u, inflated: bool = False, tol: float = 1e-12) -> bool:
-        pad = (self.margin if inflated else 0.0) + tol
-        v = np.atleast_1d(np.asarray(u, dtype=float))
-        return bool(np.all(v >= self.lower - pad) and np.all(v <= self.upper + pad))
-
-    def grid(self, count: int) -> np.ndarray:
-        """Tensor grid over the box, flattened to rows (count^M kept small)."""
-        axes = [np.linspace(lo, hi, count) for lo, hi in zip(self.lower, self.upper)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
@@ -177,10 +163,6 @@ class DefiningTriple:
     # variable split used by transversality synthesis (indices into dynamics.names)
     state_vars: tuple[int, ...] = ()
     adjoint_vars: tuple[int, ...] = ()
-
-    @property
-    def order(self) -> int:
-        return self.lagrangian.actual_order
 
     def controlled_curve(self, u: ControlCurve, sigma=None,
                          tol: tuple[float, float] = (1e-8, 1e-10),
@@ -318,8 +300,8 @@ def _num(x) -> str:
 def validate_triple(triple: DefiningTriple, seed: int = 0,
                     residual_tol: float = 1e-6) -> list[Check]:
     """Diagnostics: order inequality, cost vanishing at t = 0, actual-order
-    audits, dynamics consistency (EL residual on a probe trajectory), box
-    sanity.  Failures are reported, not raised."""
+    audits and dynamics consistency (EL residual on a probe trajectory).
+    Failures are reported, not raised."""
     rng = np.random.default_rng(seed)
     r = triple.lagrangian.actual_order
     n = triple.jet_order
@@ -337,8 +319,6 @@ def validate_triple(triple: DefiningTriple, seed: int = 0,
               int(not audit_actual_order(triple.lagrangian.field, probe, u_mid, rng)), 0),
         Check("cost actual-order audit",
               int(not audit_actual_order(triple.cost.field, probe, np.zeros(1), rng)), 0),
-        Check("control box sanity", int(np.sum(triple.controls.lower > triple.controls.upper))
-              + int(triple.controls.margin < 0.0), 0),
     ]
 
     label = "dynamics realizes the Euler-Lagrange constraints"

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .controls import ConstantControl, ControlCurve
+from .controls import ConstantControl
 from .dynamics import ChainBlock, NormalFormDynamics, integrate_backward
 from .errors import BadParams, NoClosedForm
 from .jetspace import DerivedField, JetField, ScalarJetField
@@ -386,44 +386,3 @@ def optimal_reference(problem_id: str, **params):
         triple = third_order(T)
         return u_opt, triple.initial_data.make(), -T ** 3 / 6.0
     raise BadParams(f"unknown problem id {problem_id!r}")
-
-
-def optimize_free_param(triple: DefiningTriple, u: ControlCurve, label: str,
-                        coarse: int = 17, tol: float = 1e-10,
-                        integrate_tol=(1e-10, 1e-12)) -> tuple[float, float]:
-    """Minimize the terminal cost over one free initial-data parameter.
-
-    Coarse grid scan over the declared range followed by golden-section
-    refinement of the best bracket.
-    """
-    free = {p.label: p for p in triple.initial_data.free}
-    if label not in free:
-        raise BadParams(f"no free parameter {label!r}")
-    lo, hi = free[label].lower, free[label].upper
-
-    def cost_of(v: float) -> float:
-        traj = triple.controlled_curve(u, triple.initial_data.make(**{label: v}),
-                                       tol=integrate_tol)
-        return triple.terminal_cost(traj)
-
-    vs = np.linspace(lo, hi, coarse)
-    costs = [cost_of(v) for v in vs]
-    k = int(np.argmin(costs))
-    a = vs[max(0, k - 1)]
-    b = vs[min(coarse - 1, k + 1)]
-
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = cost_of(c), cost_of(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = cost_of(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = cost_of(d)
-    v_best = 0.5 * (a + b)
-    return float(v_best), float(cost_of(v_best))

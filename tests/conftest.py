@@ -1,7 +1,7 @@
 import numpy as np
 
 from hopmp.controls import ConstantControl
-from hopmp.jetspace import AnalyticCurve
+from tests_support import AnalyticCurve
 
 
 class CurveWithControl:

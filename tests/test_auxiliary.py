@@ -12,7 +12,6 @@ from hopmp.auxiliary import (
     bvp_residuals,
     h_quadratic_terms,
     lift_tangent,
-    ode_identity_residuals,
     pc_form_pairing,
     pc_lift_integral,
     solve_h,
@@ -20,9 +19,10 @@ from hopmp.auxiliary import (
     ExtendedTangent,
 )
 from hopmp.controls import ConstantControl
-from hopmp.jetspace import AnalyticCurve, JetPoint, ScalarJetField
+from hopmp.jetspace import JetPoint, ScalarJetField
 from hopmp.problem import CostFunction
 from hopmp.problems import pendulum_direct, pendulum_r2
+from tests_support import AnalyticCurve
 
 PI = math.pi
 
@@ -66,7 +66,7 @@ def test_eval_h_zero_prime_family():
     coeffs = HCoefficients(T=1.0, hyp=np.zeros((1, 1, 2)),
                            prime=np.zeros((1, 1, 4)), second=np.zeros((1, 1, 4)))
     for d in range(4):
-        assert coeffs.eval("hp", 0.5, d)[0, 0] == 0.0
+        assert coeffs.hp(0.5, d)[0, 0] == 0.0
 
 
 def test_eval_h_quartic_identity_generic_coefficients():
@@ -121,9 +121,6 @@ def test_solve_h_bvp_residuals_on_integrated_pendulum():
     res = bvp_residuals(coeffs)
     for name, val in res.items():
         assert val < 1e-9, f"{name}: {val}"
-    ode = ode_identity_residuals(coeffs, np.linspace(0, triple.horizon, 17))
-    for name, val in ode.items():
-        assert val < 1e-10, f"{name}: {val}"
 
 
 def test_solve_h_second_family_matches_h_at_terminal():
@@ -196,8 +193,9 @@ def test_pc_pairing_pure_dt_tangent_returns_lhat():
     u = np.array([0.3])
     pt = ExtendedJetPoint(jet=jet, ujet=np.array([[0.3], [0.0], [0.0], [0.0]]),
                           h=h, hp=hp, hpp=hpp, mu_value=0.2, mu_rate=0.0)
-    tangent = ExtendedTangent.zero(2, 2, rows=jet.n + 1)
-    tangent.dt = 1.0
+    tangent = ExtendedTangent(dt=1.0, dq=np.zeros((jet.n + 1, 2)), dh=np.zeros((2, 2, 3)),
+                              dhp=np.zeros((2, 2, 3)), dhpp=np.zeros((2, 2, 3)), dmu0=0.0,
+                              du=np.zeros(1))
 
     L_val = triple.lagrangian.value(jet, u)
     ltil = L_val + float(h_quadratic_terms(pt.h, pt.hp, pt.hpp, triple.horizon))

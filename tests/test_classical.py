@@ -7,19 +7,19 @@ from hopmp.classical import (
     ClassicalProblem,
     adjoint_integrate,
     chain_reduction_problem,
-    classical_chain_oracle,
     classical_pmp_check,
     embed_classical,
     hamiltonian,
+    hamiltonian_table,
     mth_order_bang_bang,
     phi_surjectivity_probe,
-    smoothness_probe,
 )
 from hopmp.controls import ConstantControl
 from hopmp.dynamics import integrate
 from hopmp.errors import DegenerateHorizon
 from hopmp.problem import ControlSet, pontryagin_p, validate_triple
 from hopmp.problems import pendulum_classical, pendulum_direct, third_order
+from tests_support import oracle_gap
 
 PI = math.pi
 
@@ -173,9 +173,8 @@ def test_pontryagin_and_hamiltonian_differ_by_u_independent_term():
 def test_classical_pmp_check_optimal_empty():
     cp = pendulum_cp(PI / 2, v=1.0)
     u = ConstantControl([1.0], PI / 2)
-    report = classical_pmp_check(cp, u, np.linspace(0.1, 1.4, 8),
-                                 np.linspace(-1, 1, 9))
-    assert report.empty
+    taus, omegas = np.linspace(0.1, 1.4, 8), np.linspace(-1, 1, 9)
+    assert not classical_pmp_check(taus, omegas, *hamiltonian_table(cp, u, taus, omegas))
 
 
 def test_classical_pmp_check_detects_bad_control():
@@ -183,10 +182,11 @@ def test_classical_pmp_check_detects_bad_control():
     cp = pendulum_cp(T, v=1.0)
     u = ConstantControl([-1.0], T)
     taus = np.linspace(0.1, 1.4, 8)
-    report = classical_pmp_check(cp, u, taus, np.linspace(-1, 1, 9))
-    bad = {v.tau for v in report.violations}
+    omegas = np.linspace(-1, 1, 9)
+    violations = classical_pmp_check(taus, omegas, *hamiltonian_table(cp, u, taus, omegas))
+    bad = {v.tau for v in violations}
     assert bad == {float(t) for t in taus}   # sin(T - t) > 0 throughout
-    for v in report.violations:
+    for v in violations:
         if v.omega[0] == 1.0:
             assert v.margin == pytest.approx(2 * math.sin(T - v.tau), abs=1e-8)
 
@@ -194,8 +194,8 @@ def test_classical_pmp_check_detects_bad_control():
 def test_classical_pmp_check_omega_at_control_empty():
     cp = pendulum_cp(PI / 2, v=1.0)
     u = ConstantControl([1.0], PI / 2)
-    report = classical_pmp_check(cp, u, np.linspace(0.1, 1.4, 5), [[1.0]])
-    assert report.empty
+    taus = np.linspace(0.1, 1.4, 5)
+    assert not classical_pmp_check(taus, [[1.0]], *hamiltonian_table(cp, u, taus, [[1.0]]))
 
 
 def test_mth_order_bang_bang_pendulum_no_switch():
@@ -231,13 +231,8 @@ def test_chain_reduction_oracle_third_order():
     xt = x_trajectory(cp, u, tol=(1e-11, 1e-13))
     assert xt.state(1.0)[0] == pytest.approx(1.0 / 6.0, abs=1e-9)
     taus = np.linspace(0.1, 0.9, 5)
-    table = classical_chain_oracle(triple, g0, taus, np.array([[-1.0], [1.0]]))
-    assert np.allclose(table, 1.0)
-
-
-def test_smoothness_probe():
-    rng = np.random.default_rng(0)
-    assert smoothness_probe(pendulum_cp(), rng)
+    table, _ = hamiltonian_table(cp, u, taus, np.array([[-1.0], [1.0]]))
+    assert np.all(np.argmax(table, axis=1) == 1)   # the maximizer is +1
 
 
 def test_phi_surjectivity_probe_slope():
@@ -279,11 +274,10 @@ def test_mth_order_bang_bang_odd_order_with_velocity_coupling():
     triple = mth_order(a, T)
     u = ConstantControl([1.0], T)
     g0 = triple.controlled_curve(u, tol=(1e-11, 1e-13))
-    conds = transversality_synthesize(triple, jet_T=g0.jet(T, 5),
-                                      validate_with=g0)
+    conds = transversality_synthesize(triple, jet_T=g0.jet(T, 5))
     assert np.allclose(conds.terminal_values["p"], [0.0, 0.0, 1.0], atol=1e-10)
     assert conds.paper_sign_note is not None
-    assert conds.oracle_argmax_gap <= 1e-9
+    assert oracle_gap(triple, conds, g0) <= 1e-9
 
     u_opt, adj = mth_order_bang_bang(a, T)
     assert len(u_opt.breakpoints) == 0

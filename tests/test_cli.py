@@ -107,6 +107,26 @@ def test_odd_s_nodes_exit_two(tmp_path, capsys):
     assert "Simpson" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("grids", "lipschitz_pairs", "0"),
+    ("tolerances", "rtol", "0"),
+    ("tolerances", "atol", "-1e-10"),
+])
+def test_unusable_probe_size_or_tolerance_exit_two(tmp_path, capsys, section, key, value):
+    # a configuration error, not a refutation (1) or a silently clamped run (0)
+    path = write_config(tmp_path, f"""
+        [{section}]
+        {key} = {value}
+        [run]
+        suites = lipschitz
+        out = {tmp_path / 'out'}
+    """)
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+    assert main(["--config", str(path), "--quiet"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 ALL_SUITES = " ".join(cli.SUITES)
 CHECK_LINE = re.compile(r"  \[(PASS|FAIL)\] ([^:]+): achieved=(\S+) bound=(\S+)(?: ratio=(\S+))?")
 

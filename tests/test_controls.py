@@ -7,12 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from hopmp.controls import (
     BlendControl,
-    CallbackControl,
     ConstantControl,
     ControlCurve,
     ControlFamily,
     HarmonicControl,
-    InterpolatedSamplesControl,
     NeedleOverlayControl,
     PiecewiseConstantControl,
     SmoothedNeedleControl,
@@ -228,12 +226,9 @@ def test_value_is_the_jet_value_row(data, grid, k, s):
     vec = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
     const, omega = ConstantControl(data.draw(vec), T), data.draw(vec)
     steps = PiecewiseConstantControl([tau - eps, tau], [data.draw(vec) for _ in range(3)], T)
-    callback = CallbackControl(lambda t: np.sin(t + np.arange(dim)), T, dim=dim)
-    knots = np.linspace(0.0, T, 7)
-    samples = InterpolatedSamplesControl(knots, np.cos(np.outer(knots, np.arange(1, dim + 1))), T)
     overlay = NeedleOverlayControl(sine, tau, omega, eps)
     smoothed = SmoothedNeedleControl(overlay, tau, omega, eps, k)
-    curves = [const, sine, steps, callback, samples, overlay, smoothed,
+    curves = [const, sine, steps, overlay, smoothed,
               SmoothedNeedleControl(const, tau, omega, eps, k),
               BlendControl(sine, smoothed, s), BlendControl(const, smoothed, 1.0),
               BlendControl(BlendControl(sine, const, s), smoothed, 1.0 - s)]

@@ -14,6 +14,8 @@ from hopmp.controls import (
     PiecewiseConstantControl,
 )
 from hopmp.dynamics import (
+    ChainBlock,
+    NormalFormDynamics,
     _NEEDLE_WIDTHS,
     _PROBE_CHUNK,
     _random_smooth_control,
@@ -21,7 +23,6 @@ from hopmp.dynamics import (
     integrate,
     integrate_family,
     lipschitz_probe,
-    reduce_to_first_order,
 )
 from hopmp.errors import TimeOutOfRange
 from hopmp.jetspace import ScalarJetField
@@ -30,12 +31,15 @@ from hopmp.problems import pendulum_r2
 PI = math.pi
 
 
-def chain_2nd_order():
-    # xdd = -x + u as a generic chain reduction
-    def f(p, u):
-        return np.array([u[0] - p.coord(0, 0)])
+def chain(top, order):
+    """x^(order) = top(p, u): one chain block, as the problem builders write it."""
+    return NormalFormDynamics([ChainBlock("x", order, ScalarJetField(top, actual_order=order - 1,
+                                                                     name="f"))])
 
-    return reduce_to_first_order(f, order=2, state_dim=1, names=["x"])
+
+def chain_2nd_order():
+    # xdd = -x + u
+    return chain(lambda p, u: u[0] - p.coord(0, 0), 2)
 
 
 def test_integrate_pendulum_free_oscillation():
@@ -62,10 +66,7 @@ def test_integrate_pendulum_forced():
 
 
 def test_zero_rhs_zero_trajectory():
-    def f(p, u):
-        return np.array([0.0])
-
-    dyn = reduce_to_first_order(f, order=1, state_dim=1, names=["x"])
+    dyn = chain(lambda p, u: 0.0, 1)
     traj = integrate(dyn, ConstantControl([0.0], 1.0), np.array([0.0]), 1.0)
     for t in np.linspace(0, 1, 7):
         assert traj.state(t)[0] == 0.0
@@ -73,20 +74,14 @@ def test_zero_rhs_zero_trajectory():
 
 def test_identity_reduction_m1():
     # dx/dt = u
-    def f(p, u):
-        return np.array([u[0]])
-
-    dyn = reduce_to_first_order(f, order=1, state_dim=1, names=["x"])
+    dyn = chain(lambda p, u: u[0], 1)
     assert dyn.state_dim == 1
     traj = integrate(dyn, ConstantControl([1.0], 2.0), np.array([0.0]), 2.0)
     assert traj.state(2.0)[0] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_third_order_chain_shape():
-    def f(p, u):
-        return np.array([u[0]])
-
-    dyn = reduce_to_first_order(f, order=3, state_dim=1, names=["x"])
+    dyn = chain(lambda p, u: u[0], 3)
     assert dyn.state_dim == 3
     traj = integrate(dyn, ConstantControl([1.0], 1.0), np.zeros(3), 1.0,
                      tol=(1e-11, 1e-13))
@@ -160,10 +155,7 @@ def test_right_continuity_of_needle_overlay():
 
 def test_lipschitz_probe_linear_system_bound():
     # dx/dt = u: |x - x'|(t) <= 2 eps when controls differ on measure eps
-    def f(p, u):
-        return np.array([u[0]])
-
-    dyn = reduce_to_first_order(f, order=1, state_dim=1, names=["x"])
+    dyn = chain(lambda p, u: u[0], 1)
     u1 = ConstantControl([1.0], 1.0)
     u2 = NeedleOverlayControl(u1, tau=0.5, omega=[-1.0], eps=0.2)
     t1 = integrate(dyn, u1, np.array([0.0]), 1.0, tol=(1e-11, 1e-13))
@@ -183,25 +175,11 @@ def test_lipschitz_probe_report_deterministic():
 
 
 def test_jet_of_trajectory_zero_case():
-    def f(p, u):
-        return np.array([0.0])
-
-    dyn = reduce_to_first_order(f, order=2, state_dim=1, names=["x"])
+    dyn = chain(lambda p, u: 0.0, 2)
     traj = integrate(dyn, ConstantControl([0.0], 1.0), np.zeros(2), 1.0)
     for t in (0.0, 0.5, 1.0):
         j = traj.jet(t, 3)
         assert np.all(j.blocks == 0.0)
-
-
-def test_interpolated_samples_control():
-    from hopmp.controls import InterpolatedSamplesControl
-
-    ts = np.linspace(0.0, 1.0, 21)
-    us = np.sin(2 * ts).reshape(-1, 1)
-    u = InterpolatedSamplesControl(ts, us, 1.0)
-    assert u.value(0.37)[0] == pytest.approx(math.sin(0.74), abs=1e-4)
-    j = u.jet(0.5, 1)
-    assert j[1, 0] == pytest.approx(2 * math.cos(1.0), abs=1e-3)
 
 
 def _one_minus_cos(t, k):
@@ -238,7 +216,7 @@ def test_deep_jets_match_closed_form(problem_id, params, sigma, closed_form):
     u = ConstantControl([1.0], triple.horizon)
     traj = triple.controlled_curve(u, triple.initial_data.make(**sigma),
                                    tol=(1e-12, 1e-14))
-    order = 2 * triple.order + 2
+    order = 2 * triple.lagrangian.actual_order + 2
     for t in (0.3 * triple.horizon, 0.8 * triple.horizon):
         jet = traj.jet(t, order)
         for k in range(order + 1):
@@ -383,7 +361,7 @@ def test_jets_equal_stacked_jets(problem_id, data):
     # one pass of the plan per grid gives the jets of one pass per node, up
     # to the dense output's vectorised rounding
     triple, gamma0, spliced, ts = _needle_slice(problem_id, data)
-    order = data.draw(st.integers(0, 2 * triple.order))
+    order = data.draw(st.integers(0, 2 * triple.lagrangian.actual_order))
     for traj in (gamma0, spliced):
         batched = traj.jets(ts, order)
         assert batched.blocks.shape == (order + 1, triple.dynamics.dim, ts.size)
@@ -470,13 +448,13 @@ def test_jets_of_fields_that_cannot_batch_add_no_warning(lib):
 
 @pytest.mark.parametrize("force", [
     # a comparison: the batched call raises ValueError on an array's truth value
-    lambda p, u: np.array([u[0] - p.coord(0, 0) if p.coord(0, 0) > 0.0 else u[0]]),
+    lambda p, u: u[0] - p.coord(0, 0) if p.coord(0, 0) > 0.0 else u[0],
     # a reduction over the batch axis: right shape, wrong values, caught by
     # the batch audit
-    lambda p, u: np.array([u[0] - np.sum([p.coord(0, 0), 0.5 * p.coord(0, 1)])]),
+    lambda p, u: u[0] - np.sum([p.coord(0, 0), 0.5 * p.coord(0, 1)]),
 ], ids=["comparison", "reduction"])
 def test_jets_of_non_elementwise_fields_run_node_by_node(force):
-    dyn = reduce_to_first_order(force, order=2, state_dim=1, names=["x"])
+    dyn = chain(force, 2)
     traj = integrate(dyn, HarmonicControl([0.0], [0.8], 3.0, 0.0, 2.0), np.array([-0.3, 1.0]), 2.0)
     ts = np.linspace(0.0, 2.0, 11)
     assert np.array_equal(traj.jets(ts, 2).blocks, _node_by_node(traj, ts, 2))
@@ -488,9 +466,12 @@ def test_jets_of_a_field_that_contracts_the_batch_axis_run_node_by_node():
     # 5 nodes raises
     def f(p, u):
         xy = np.array([p.coord(0, 0), p.coord(1, 0)])
-        return np.array([np.dot(xy, [1.0, 0.0]), u[0] - p.coord(0, 0)])
+        return np.dot(xy, [1.0, 0.0])
 
-    dyn = reduce_to_first_order(f, order=1, state_dim=2, names=["x", "y"])
+    dyn = NormalFormDynamics([
+        ChainBlock("x", 1, ScalarJetField(f, actual_order=0, name="f[x]")),
+        ChainBlock("y", 1, ScalarJetField(lambda p, u: u[0] - p.coord(0, 0), actual_order=0,
+                                          name="f[y]"))])
     traj = integrate(dyn, HarmonicControl([0.0], [0.8], 3.0, 0.0, 1.0), np.array([0.3, -0.2]), 1.0)
     ts = np.array([0.2, 0.9])
     assert np.array_equal(traj.jets(ts, 2).blocks, _node_by_node(traj, ts, 2))
@@ -504,9 +485,9 @@ def test_jets_of_a_field_wrong_only_at_interior_nodes_run_node_by_node():
         x = p.coord(0, 0)
         if np.ndim(x):
             x = np.concatenate([x[:1], x[-2:0:-1], x[-1:]])
-        return np.array([u[0] - x])
+        return u[0] - x
 
-    dyn = reduce_to_first_order(f, order=2, state_dim=1, names=["x"])
+    dyn = chain(f, 2)
     traj = integrate(dyn, HarmonicControl([0.0], [0.8], 3.0, 0.0, 2.0), np.array([-0.3, 1.0]), 2.0)
     ts = np.linspace(0.0, 2.0, 11)
     assert np.array_equal(traj.jets(ts, 2).blocks, _node_by_node(traj, ts, 2))
@@ -520,9 +501,9 @@ def test_family_integration_evaluates_no_node_on_its_own():
 
     def f(p, u):
         alone.append(np.ndim(p.coord(0, 0)) == 0)
-        return np.array([u[0] - np.sin(p.coord(0, 0))])
+        return u[0] - np.sin(p.coord(0, 0))
 
-    dyn = reduce_to_first_order(f, order=2, state_dim=1, names=["x"])
+    dyn = chain(f, 2)
     controls = [HarmonicControl([0.0], [a], 3.0, 0.0, 2.0) for a in (0.2, 0.5, 0.8)]
     integrate_family(dyn, controls, [np.array([-0.3, 1.0])] * 3, 2.0)
     assert len(alone) > 10 and not any(alone)
@@ -716,7 +697,7 @@ def test_batched_needle_gaps_equal_slice_by_slice_gaps(problem_id, data):
 
     members = [sl.traj for s in surfaces for sl in s.slices[1:]]
     trajs = [gamma0] + members
-    order = data.draw(st.integers(0, 2 * triple.order))
+    order = data.draw(st.integers(0, 2 * triple.lagrangian.actual_order))
     grid = np.array(sorted({0.0, T, tau, *(T * x for x in data.draw(
         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)))}))
     for ts in (T, 0.0, tau, grid):

@@ -8,7 +8,7 @@ import pytest
 
 from hopmp.auxiliary import solve_h
 from hopmp.controls import ConstantControl
-from hopmp.dynamics import integrate, reduce_to_first_order
+from hopmp.dynamics import integrate
 from hopmp.errors import OrderUnavailable, SingularBoundaryMatrix, StepSizeUnderflow
 from hopmp.problems import pendulum_direct, pendulum_r2
 
@@ -35,7 +35,7 @@ def test_singular_boundary_matrix_guard():
     triple = pendulum_direct(T=1.0 + 1e7)
     u = ConstantControl([0.0], triple.horizon)
     from conftest import CurveWithControl
-    from hopmp.jetspace import AnalyticCurve
+    from tests_support import AnalyticCurve
 
     curve = CurveWithControl(AnalyticCurve([[lambda t: 1.0] * 5]), u,
                              horizon=triple.horizon)

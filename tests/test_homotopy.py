@@ -15,7 +15,6 @@ from hopmp.homotopy import (
     jacobi_tangent,
     minimal_labour_W,
     mu_prime,
-    mu_prime_correction,
     select_beta_range,
     uniform_s_grid,
     vertical_pairing,
@@ -209,9 +208,6 @@ def test_conservation_residual_builds_only_the_stencils_mu_tables(triple, monkey
 def test_mu_prime_at_base_slice_is_mu(triple, ramp_surface):
     t = 0.9
     assert mu_prime(ramp_surface, t, 0) == pytest.approx(
-        ramp_surface.slices[0].ext.mu(t), abs=1e-14)
-    s0 = float(ramp_surface.s_nodes[0])
-    assert mu_prime_correction(ramp_surface, t, s0) == pytest.approx(
         ramp_surface.slices[0].ext.mu(t), abs=1e-14)
 
 

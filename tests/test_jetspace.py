@@ -8,19 +8,18 @@ from numpy.polynomial import Polynomial
 from hopmp.dynamics import ChainBlock, NormalFormDynamics
 from hopmp.errors import InsufficientJetOrder
 from hopmp.jetspace import (
-    AnalyticCurve,
     DerivedField,
     JetField,
     JetPoint,
     ScalarJetField,
     TaylorSeries,
     audit_actual_order,
-    coordinate_field,
     finite_diff_partial,
     total_derivative,
 )
 from hopmp.problem import _PartialField
 from hopmp.problems import _LeibnizAdjointTop
+from tests_support import AnalyticCurve, coordinate_field
 
 
 def make_point(t=0.5, blocks=None, dim=2, order=4):

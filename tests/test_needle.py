@@ -11,7 +11,6 @@ from hopmp.needle import (
     NeedleSpec,
     corrective_term,
     default_eps_sequence,
-    goodn_check,
     gpmp_verdict,
     mu_prime_gap_closed,
     needle_modification,
@@ -23,6 +22,7 @@ from hopmp.needle import (
 from hopmp.dynamics import control_measure_diff
 from hopmp.problems import pendulum_classical, pendulum_r2, third_order
 from hopmp.needle import adjoint_branch
+from tests_support import oracle_gap
 
 PI = math.pi
 
@@ -161,18 +161,19 @@ def test_corrective_term_frozen_sigma_nonzero_and_two_methods(triple):
 
 
 def test_goodn_check_enforcing_and_frozen(triple, gamma_opt):
+    # the boundary sign test of a verdict: its residuals are minus the
+    # closed-form gaps, one per width
     spec = NeedleSpec(tau=0.7, omega=[-1.0], eps0=0.05)
-    surface = needle_variation(triple, gamma_opt, spec, 0.05)
-    ok, residual = goodn_check(triple, surface)
-    assert ok
-    assert abs(residual) < 1e-6
+    eps = default_eps_sequence(0.05, 3)
+    v = gpmp_verdict(triple, gamma_opt, spec, eps)
+    assert v.goodn_all
+    assert np.max(np.abs(v.corrective.goodn_residuals)) < 1e-6
 
     sigma = {"x": [0.0, 1.0], "p": [0.0, 0.0]}
     g_frozen = triple.controlled_curve(ConstantControl([1.0], triple.horizon),
                                        sigma, tol=(1e-10, 1e-12))
-    surface2 = needle_variation(triple, g_frozen, spec, 0.05)
-    _, residual2 = goodn_check(triple, surface2)
-    assert abs(residual2) > 1e-3
+    v2 = gpmp_verdict(triple, g_frozen, spec, eps)
+    assert abs(v2.corrective.goodn_residuals[0]) > 1e-3
 
 
 def test_needle_slices_continue_gamma0():
@@ -287,14 +288,13 @@ def test_transversality_third_order_sign_flag():
     triple = third_order(T=1.0)
     u0 = ConstantControl([1.0], 1.0)
     g0 = triple.controlled_curve(u0, tol=(1e-11, 1e-13))
-    conds = transversality_synthesize(triple, jet_T=g0.jet(1.0, 6),
-                                      validate_with=g0)
+    conds = transversality_synthesize(triple, jet_T=g0.jet(1.0, 6))
     vals = conds.terminal_values["p"]
     assert vals[0] == pytest.approx(0.0, abs=1e-10)
     assert vals[1] == pytest.approx(0.0, abs=1e-10)
     assert vals[2] == pytest.approx(1.0, abs=1e-10)   # printed convention says -1
     assert conds.paper_sign_note is not None
-    assert conds.oracle_argmax_gap <= 1e-9
+    assert oracle_gap(triple, conds, g0) <= 1e-9
 
 
 def test_transversality_needs_adjoint_vars():
