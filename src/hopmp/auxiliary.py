@@ -470,16 +470,15 @@ def pc_form_pairing(triple: DefiningTriple, pt: ExtendedJetPoint,
     return float(out)
 
 
-def pc_lift_integral(ext: ExtendedCurve, n_nodes: int = 401) -> float:
+def pc_lift_integral(ext: ExtendedCurve) -> float:
     """Integral of the Poincare-Cartan form along the extended lift.
 
     Along an extended controlled curve this equals the terminal cost.
-    Composite Simpson over a uniform grid refined by the control breakpoints.
+    Composite Simpson over a uniform grid of 401 nodes.
     """
     from scipy.integrate import simpson
 
-    T = ext.base.horizon
-    ts = np.linspace(0.0, T, n_nodes if n_nodes % 2 == 1 else n_nodes + 1)
+    ts = np.linspace(0.0, ext.base.horizon, 401)
     vals = np.empty(ts.size)
     for k, t in enumerate(ts):
         pt = ext.ext_point(t)

@@ -41,7 +41,8 @@ class ClassicalProblem:
     p(T) = -grad C is its cost's partials.  ``f`` returns dx/dt as an array
     or a list; a list of elementwise expressions also holds a dual number
     beside the rows of a time grid, which ``np.array`` cannot stack.
-    ``dfdx`` closes the embedding's adjoint chain p' = -p df/dx.
+    ``dfdx`` closes the embedding's adjoint chain p' = -p df/dx.  Written
+    with ``math``, they integrate, but their partials raise OrderUnavailable.
     """
 
     f: Callable[[float, np.ndarray, np.ndarray], Sequence]
@@ -168,12 +169,12 @@ class Violation:
     margin: float
 
 
-def hamiltonian_table(cp: ClassicalProblem, u: ControlCurve, tau_grid, omega_grid,
-                      tol=(1e-10, 1e-12)) -> tuple[np.ndarray, np.ndarray]:
+def hamiltonian_table(cp: ClassicalProblem, u: ControlCurve, tau_grid,
+                      omega_grid) -> tuple[np.ndarray, np.ndarray]:
     """H at every (tau, omega), a (tau x omega) table, and H(u(tau)) per
     tau, along the state under ``u`` and the adjoint closed by
     p(T) = -grad C(x(T))."""
-    traj, n = adjoint_integrate(cp, u, tol=tol), cp.dim
+    traj, n = adjoint_integrate(cp, u, tol=(1e-10, 1e-12)), cp.dim
     table, at_u = [], []
     for tau in np.atleast_1d(tau_grid):
         y = traj.state(float(tau))
@@ -188,21 +189,20 @@ def _omega_rows(omega_grid) -> np.ndarray:
     return np.atleast_2d(np.asarray(omega_grid, dtype=float).reshape(len(omega_grid), -1))
 
 
-def classical_pmp_check(tau_grid, omega_grid, table: np.ndarray, at_u: np.ndarray,
-                        tol_scale: float = 1e-6) -> list[Violation]:
+def classical_pmp_check(tau_grid, omega_grid, table: np.ndarray,
+                        at_u: np.ndarray) -> list[Violation]:
     """Every (tau, omega) with H(omega) > H(u0(tau)) + tolerance, read from
     a :func:`hamiltonian_table` over the grids and its H(u0(tau)) column."""
     violations = []
     for tau, row, href in zip(np.atleast_1d(tau_grid), table, at_u):
-        tol_here = tol_scale * (1.0 + abs(href))
+        tol_here = 1e-6 * (1.0 + abs(href))
         for w, h in zip(_omega_rows(omega_grid), row):
             if h - href > tol_here:
                 violations.append(Violation(float(tau), w.copy(), float(h - href)))
     return violations
 
 
-def mth_order_bang_bang(a: Sequence[float], T: float, tol: float = 1e-10,
-                        samples: int = 2001):
+def mth_order_bang_bang(a: Sequence[float], T: float):
     """Bang-bang rule u(t) = sign(p(t)) for sum_l a_l x^(l) = u with cost -x(T).
 
     The adjoint solves sum_l (-1)^l a_l p^(l) = 0: the mth-order triple's own
@@ -223,7 +223,7 @@ def mth_order_bang_bang(a: Sequence[float], T: float, tol: float = 1e-10,
     tight = (1e-12, 1e-14)
     adjoint = integrate(dyn, u0, integrate_backward(dyn, u0, y_T, T, tight), T, tight)
 
-    ts = np.linspace(0.0, T, samples)
+    ts = np.linspace(0.0, T, 2001)
     ps = adjoint.state(ts)[m]
     scale = float(np.max(np.abs(ps))) or 1.0
     # flag stretches where the adjoint is numerically zero
@@ -231,15 +231,13 @@ def mth_order_bang_bang(a: Sequence[float], T: float, tol: float = 1e-10,
     run = 0
     for d in dead:
         run = run + 1 if d else 0
-        if run * (T / (samples - 1)) > 0.01 * T:
+        if run * (T / 2000) > 0.01 * T:
             raise DegenerateAdjoint("adjoint vanishes on an interval")
 
     switches = []
-    for k in range(samples - 1):
-        if ps[k] == 0.0:
-            continue
+    for k in range(2000):
         if ps[k] * ps[k + 1] < 0.0:
-            root = brentq(lambda t: adjoint.state(t)[m], ts[k], ts[k + 1], xtol=tol)
+            root = brentq(lambda t: adjoint.state(t)[m], ts[k], ts[k + 1], xtol=1e-10)
             switches.append(float(root))
 
     nodes = [0.0] + switches + [T]
@@ -323,23 +321,21 @@ class SurjectivityReport:
 
 
 def phi_surjectivity_probe(triple: DefiningTriple, v_grid,
-                           u: Optional[ControlCurve] = None,
-                           tol=(1e-12, 1e-14),
-                           degeneracy_threshold: float = 1e-6) -> SurjectivityReport:
+                           u: Optional[ControlCurve] = None) -> SurjectivityReport:
     """Linear fit of v -> x(T) for the direct pendulum formulation.
 
-    The map is affine with slope sin(T); horizons with |sin T| below the
-    threshold are rejected as degenerate.
+    The map is affine with slope sin(T); horizons with |sin T| below 1e-6
+    are rejected as degenerate.
     """
     T = triple.horizon
-    if abs(math.sin(T)) < degeneracy_threshold:
+    if abs(math.sin(T)) < 1e-6:
         raise DegenerateHorizon(f"sin(T) = {math.sin(T):.2e} too small at T = {T}")
     if u is None:
         u = ConstantControl([0.0], T)
     vs = np.asarray(v_grid, dtype=float)
     xT = []
     for v in vs:
-        traj = triple.controlled_curve(u, triple.initial_data.make(v=v), tol=tol)
+        traj = triple.controlled_curve(u, triple.initial_data.make(v=v), tol=(1e-12, 1e-14))
         xT.append(traj.state(T)[0])
     xT = np.asarray(xT)
     slope, intercept = np.polyfit(vs, xT, 1)

@@ -284,7 +284,7 @@ def _suite_needle(cfg, triple, gamma0) -> list:
         surface = needle_variation(triple, gamma0, spec, float(eps),
                                    s_intervals=8, tol=cfg.tol)
         closed = mu_prime_gap_closed(triple, surface)
-        direct = mu_prime_gap_direct(surface, "full")
+        direct = mu_prime_gap_direct(surface)
         # relative agreement, with an absolute floor for gaps that vanish
         # identically (both evaluations are then pure quadrature noise)
         res += [f"eps={_fmt(eps)}: closed={_fmt(closed)} direct={_fmt(direct)}",

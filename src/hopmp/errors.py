@@ -10,7 +10,7 @@ class TimeOutOfRange(HopmpError):
 
 
 class OrderUnavailable(HopmpError):
-    """A jet of the requested order cannot be reconstructed."""
+    """A jet or a derivative cannot be computed exactly (refused, not approximated)."""
 
 
 class InsufficientJetOrder(HopmpError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
+from scipy.integrate import cumulative_trapezoid, simpson
 
 from .auxiliary import (
     ExtendedCurve,
@@ -52,15 +52,15 @@ class ControlHomotopy:
     """A smooth one-parameter family of admissible control pairs.
 
     ``slice_curve(s)`` yields the control curve u(., s); ``sigma_path(s)``
-    the initial data; ``du_ds(ts, s)`` optionally evaluates the control's
-    s-derivative analytically on a time grid, as an array that broadcasts
-    to (len(ts), M) (otherwise slices are differenced).
+    the initial data; ``du_ds(ts, s)`` evaluates the control's
+    s-derivative on a time grid, as an array that broadcasts to
+    (len(ts), M).
     """
 
     slice_curve: Callable[[float], ControlCurve]
     sigma_path: Callable[[float], Mapping]
     s_grid: np.ndarray
-    du_ds: Optional[Callable[[float, float], np.ndarray]] = None
+    du_ds: Callable[[np.ndarray, float], np.ndarray]
 
     def __post_init__(self):
         self.s_grid = np.asarray(self.s_grid, dtype=float)
@@ -194,21 +194,17 @@ class VariationSurface:
             [sl.traj.control.jets(ts, 0)[0].T for sl in self.slices]))
 
     def jacobi_u(self, ts: np.ndarray) -> np.ndarray:
-        """Y^a on the grid, analytic when the homotopy provides du_ds."""
+        """Y^a on the grid, (ns, nt, M), from the homotopy's du_ds."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if self.hom.du_ds is not None:
-            shape = (ts.size, self.triple.controls.dim)
-            return np.stack([np.broadcast_to(self.hom.du_ds(ts, float(s)), shape)
-                             for s in self.s_nodes])
-        return self.s_derivative(self.u_values(ts))
+        shape = (ts.size, self.triple.controls.dim)
+        return np.stack([np.broadcast_to(self.hom.du_ds(ts, float(s)), shape)
+                         for s in self.s_nodes])
 
 
 def build_surface(triple: DefiningTriple, hom: ControlHomotopy,
-                  tol=(1e-8, 1e-10),
-                  base: Optional[SurfaceSlice] = None,
-                  start: Optional[float] = None) -> VariationSurface:
+                  tol=(1e-8, 1e-10)) -> VariationSurface:
     """The surface of one homotopy, see :func:`build_surfaces`."""
-    return build_surfaces(triple, [hom], tol=tol, base=base, start=start)[0]
+    return build_surfaces(triple, [hom], tol=tol)[0]
 
 
 def build_surfaces(triple: DefiningTriple, homs: Sequence[ControlHomotopy],
@@ -351,9 +347,7 @@ def minimal_labour_W(surface: VariationSurface, delta: float,
     F = _rhs_integrand(surface, ts, beta_range)
     per_slice = simpson(F, x=ts, axis=1)
     s = surface.s_nodes
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (per_slice[1:] + per_slice[:-1])
-                                           * np.diff(s))])
-    return float(np.interp(delta, s, cum))
+    return float(np.interp(delta, s, cumulative_trapezoid(per_slice, x=s, initial=0)))
 
 
 def infinitesimal_conditions(surface: VariationSurface,
@@ -384,15 +378,12 @@ def mu_prime(surface: VariationSurface, t: float, s_index: int,
              beta_range: str = "full") -> float:
     """mu'(t, s_k): mu of the k-th slice plus the cumulative auxiliary
     correction integral over v in [0, s_k] on the surface's s-grid."""
-    corr = _correction_integrand(surface, t, beta_range)
-    s = surface.s_nodes
     k = int(s_index)
     mu_k = surface.slices[k].ext.mu(t)
     if k == 0:
         return mu_k
-    partial = np.concatenate([[0.0], np.cumsum(0.5 * (corr[1:] + corr[:-1])
-                                               * np.diff(s))])
-    return float(mu_k + partial[k])
+    corr = _correction_integrand(surface, t, beta_range)
+    return float(mu_k + cumulative_trapezoid(corr, x=surface.s_nodes, initial=0)[k])
 
 
 def _correction_integrand(surface: VariationSurface, t: float,
@@ -413,11 +404,11 @@ def _correction_integrand(surface: VariationSurface, t: float,
     return out
 
 
-def mu_prime_gap_direct(surface: VariationSurface, beta_range: str = "full") -> float:
-    """mu'(T, 1) - mu'(T, 0) with the correction integrated by Simpson over
-    the whole s-grid (the direct-quadrature side of the two-method check)."""
+def mu_prime_gap_direct(surface: VariationSurface) -> float:
+    """mu'(T, 1) - mu'(T, 0) with the ``full`` correction integrated by Simpson
+    over the whole s-grid (the direct-quadrature side of the two-method check)."""
     T = surface.triple.horizon
-    corr = _correction_integrand(surface, T, beta_range)
+    corr = _correction_integrand(surface, T, "full")
     correction = float(simpson(corr, x=surface.s_nodes))
     return (surface.slices[-1].ext.mu(T) - surface.slices[0].ext.mu(T)
             + correction)

@@ -190,7 +190,7 @@ class CorrectiveEstimate:
 
 def corrective_term(triple: DefiningTriple, gamma0: Trajectory,
                     spec: NeedleSpec, eps_sequence: Sequence[float],
-                    s_intervals: int = 4, tol=(1e-8, 1e-10),
+                    tol=(1e-8, 1e-10),
                     base: Optional[SurfaceSlice] = None,
                     gaps: Optional[np.ndarray] = None) -> CorrectiveEstimate:
     """Difference quotients (mu'(T,1) - mu'(T,0)) / eps along shrinking
@@ -204,7 +204,7 @@ def corrective_term(triple: DefiningTriple, gamma0: Trajectory,
     if eps_sequence.size < 3 or np.any(np.diff(eps_sequence) >= 0):
         raise BadParams("need a strictly decreasing width sequence, length >= 3")
     if gaps is None:
-        gaps = _width_gaps(triple, gamma0, [spec], eps_sequence, s_intervals, tol, base)[0]
+        gaps = _width_gaps(triple, gamma0, [spec], eps_sequence, tol, base)[0]
     estimates = gaps / eps_sequence
 
     tail = estimates[eps_sequence.size // 2:]
@@ -229,13 +229,13 @@ def corrective_term(triple: DefiningTriple, gamma0: Trajectory,
 
 
 def _width_gaps(triple: DefiningTriple, gamma0: Trajectory, specs: Sequence[NeedleSpec],
-                eps_sequence: np.ndarray, s_intervals: int, tol,
+                eps_sequence: np.ndarray, tol,
                 base: Optional[SurfaceSlice]) -> np.ndarray:
     """The closed-form gaps (len(specs), len(eps_sequence)), every width of
     every spec from one family and read in one batched pass."""
     if base is None:
         base = SurfaceSlice(0.0, gamma0, ExtendedCurve(gamma0, triple))
-    surfaces = needle_variations(triple, gamma0, specs, eps_sequence, s_intervals, tol, base)
+    surfaces = needle_variations(triple, gamma0, specs, eps_sequence, tol=tol, base=base)
     return mu_prime_gaps_closed(triple, surfaces).reshape(len(eps_sequence), len(specs)).T
 
 
@@ -360,11 +360,10 @@ def _paper_sign_note(triple: DefiningTriple, terminal: dict) -> Optional[str]:
 
 
 def adjoint_branch(triple: DefiningTriple, gamma0: Trajectory,
-                   conds: TransversalityConditions,
-                   tol=(1e-10, 1e-12)) -> Trajectory:
+                   conds: TransversalityConditions) -> Trajectory:
     """Re-integrate the full system so the adjoint block meets the terminal
     conditions while the state block reproduces gamma0."""
-    dyn = triple.dynamics
+    dyn, tol = triple.dynamics, (1e-10, 1e-12)
     T = triple.horizon
     yT = gamma0.state(T).copy()
     for i in triple.adjoint_vars:
@@ -423,7 +422,7 @@ def default_eps_sequence(eps0: float = 0.1, count: int = 7) -> np.ndarray:
 
 def gpmp_verdict(triple: DefiningTriple, gamma0: Trajectory, spec: NeedleSpec,
                  eps_sequence: Optional[Sequence[float]] = None,
-                 s_intervals: int = 4, tol=(1e-8, 1e-10),
+                 tol=(1e-8, 1e-10),
                  base: Optional[SurfaceSlice] = None,
                  gaps: Optional[np.ndarray] = None) -> PMPVerdict:
     """Evaluate the pointwise inequality at one needle.
@@ -447,8 +446,7 @@ def gpmp_verdict(triple: DefiningTriple, gamma0: Trajectory, spec: NeedleSpec,
 
     if base is None:
         base = SurfaceSlice(0.0, gamma0, ExtendedCurve(gamma0, triple))
-    est = corrective_term(triple, gamma0, spec, eps_sequence,
-                          s_intervals=s_intervals, tol=tol, base=base, gaps=gaps)
+    est = corrective_term(triple, gamma0, spec, eps_sequence, tol=tol, base=base, gaps=gaps)
     goodn_all = bool(np.all(est.goodn_residuals >= _goodn_floor(base.ext)))
     corrective_used = 0.0 if goodn_all else est.liminf_proxy
 
@@ -528,7 +526,7 @@ def pmp_scan(triple: DefiningTriple, gamma0: Trajectory,
         specs = [spec_for(tau, w) for w in ws]
         if not specs:
             return []
-        gaps = _width_gaps(triple, gamma0, specs, eps_sequence, s_intervals=4, tol=tol, base=base)
+        gaps = _width_gaps(triple, gamma0, specs, eps_sequence, tol, base)
         return [gpmp_verdict(triple, gamma0, spec, eps_sequence, tol=tol, base=base, gaps=g)
                 for spec, g in zip(specs, gaps)]
 

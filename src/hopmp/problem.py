@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .controls import ControlCurve
+from .controls import ConstantControl, ControlCurve
 from .dynamics import NormalFormDynamics, Trajectory, integrate, integrate_family
 from .errors import ConstraintViolation, InsufficientJetOrder
 from .jetspace import DerivedField, JetField, JetPoint, ScalarJetField, audit_actual_order
@@ -50,11 +50,10 @@ class _PartialField(JetField):
     dual-number partials of that value, nested inside the first.
     """
 
-    __slots__ = ("base", "direction", "actual_order", "u_depth", "name", "reads",
-                 "dual_refused", "batch_safe")
+    __slots__ = ("base", "direction", "actual_order", "u_depth", "name", "reads", "batch_safe")
 
     def __init__(self, base: JetField, direction) -> None:
-        self.dual_refused, self.batch_safe = frozenset(), None
+        self.batch_safe = None
         self.base = base
         self.direction = direction
         self.actual_order = base.actual_order
@@ -77,7 +76,7 @@ class ControlledLagrangian:
     def value(self, p: JetPoint, u) -> float:
         return self.field.value(p, u)
 
-    def du(self, p: JetPoint, u, a: int = 0) -> float:
+    def du(self, p: JetPoint, u, a: int) -> float:
         return self.field.partial(p, u, ("u", a))
 
 
@@ -99,11 +98,10 @@ class CostFunction:
         """Total derivative dC/dt as a field (control independent)."""
         return DerivedField(self.field, 1)
 
-    def max_at_zero(self, dim: int, order: int, rng, trials: int = 16,
-                    scale: float = 2.0) -> float:
-        """Largest |C| over ``trials`` random jets at t = 0."""
-        return max(abs(self.value(JetPoint(0.0, rng.normal(scale=scale, size=(order + 1, dim)))))
-                   for _ in range(trials))
+    def max_at_zero(self, dim: int, order: int, rng) -> float:
+        """Largest |C| over 16 random jets at t = 0."""
+        return max(abs(self.value(JetPoint(0.0, rng.normal(scale=2.0, size=(order + 1, dim)))))
+                   for _ in range(16))
 
 
 @dataclass
@@ -297,8 +295,7 @@ def _num(x) -> str:
     return repr(int(x)) if isinstance(x, (int, np.integer)) else repr(float(x))
 
 
-def validate_triple(triple: DefiningTriple, seed: int = 0,
-                    residual_tol: float = 1e-6) -> list[Check]:
+def validate_triple(triple: DefiningTriple, seed: int = 0) -> list[Check]:
     """Diagnostics: order inequality, cost vanishing at t = 0, actual-order
     audits and dynamics consistency (EL residual on a probe trajectory).
     Failures are reported, not raised."""
@@ -321,10 +318,8 @@ def validate_triple(triple: DefiningTriple, seed: int = 0,
               int(not audit_actual_order(triple.cost.field, probe, np.zeros(1), rng)), 0),
     ]
 
-    label = "dynamics realizes the Euler-Lagrange constraints"
+    label, residual_tol = "dynamics realizes the Euler-Lagrange constraints", 1e-6
     try:
-        from .controls import ConstantControl
-
         u = ConstantControl(u_mid, triple.horizon)
         traj = triple.controlled_curve(u)
         ts = np.linspace(0.12 * triple.horizon, 0.93 * triple.horizon, 5)

@@ -35,14 +35,14 @@ BUILTIN_IDS = ("pendulum-classical", "pendulum-r2", "pendulum-direct",
                "mth-order", "third-order")
 
 
-def _gated_cost(T: float, var: int = 0, scale: float = -1.0) -> CostFunction:
-    """Extended cost scale * (t/T) * q^var_(0): the terminal cost at t = T,
-    zero on every jet at t = 0."""
+def _gated_cost(T: float) -> CostFunction:
+    """Extended cost -(t/T) x with x = q^0_(0): the terminal cost -x(T) at
+    t = T, zero on every jet at t = 0."""
 
     def ev(p, u):
-        return scale * (p.t / T) * p.coord(var, 0)
+        return -(p.t / T) * p.coord(0, 0)
 
-    fld = ScalarJetField(evaluator=ev, actual_order=0, name="cost", reads={var: 0})
+    fld = ScalarJetField(evaluator=ev, actual_order=0, name="cost", reads={0: 0})
     return CostFunction(field=fld, actual_order=0)
 
 
@@ -87,7 +87,7 @@ def pendulum_r2(T: float = math.pi / 2, v_max: float = 1.0) -> DefiningTriple:
     return DefiningTriple(
         controls=ControlSet([-1.0], [1.0]),
         lagrangian=lag,
-        cost=_gated_cost(T, var=X),
+        cost=_gated_cost(T),
         dynamics=dyn,
         initial_data=init,
         horizon=T,
@@ -127,7 +127,7 @@ def pendulum_direct(T: float = math.pi / 2, v_max: float = 1.0) -> DefiningTripl
     return DefiningTriple(
         controls=ControlSet([-1.0], [1.0]),
         lagrangian=lag,
-        cost=_gated_cost(T, var=X),
+        cost=_gated_cost(T),
         dynamics=dyn,
         initial_data=init,
         horizon=T,
@@ -219,7 +219,7 @@ def mth_order(a: Sequence[float], T: float = 1.0) -> DefiningTriple:
     return DefiningTriple(
         controls=ControlSet([-1.0], [1.0]),
         lagrangian=lag,
-        cost=_gated_cost(T, var=X),
+        cost=_gated_cost(T),
         dynamics=dyn,
         initial_data=init,
         horizon=T,
@@ -252,9 +252,8 @@ def third_order(T: float = 1.0,
     (elementwise arithmetic, ``np.sin`` and the like): its jets are then
     exact, and so are its partials, taken on dual numbers, from which the
     auxiliary equation is assembled.  An ``f`` that cannot take series (a
-    ``math`` function) falls back to difference quotients with a
-    RuntimeWarning, unless it subclasses :class:`ScalarJetField` and
-    overrides ``partial_uj`` with its exact partials.
+    ``math`` function) is refused: the adjoint's top reads its partials,
+    so the dynamics raise OrderUnavailable.
     """
     if T <= 0:
         raise BadParams("horizon must be positive")
@@ -291,7 +290,7 @@ def third_order(T: float = 1.0,
     return DefiningTriple(
         controls=ControlSet([-1.0], [1.0]),
         lagrangian=lag,
-        cost=_gated_cost(T, var=X),
+        cost=_gated_cost(T),
         dynamics=dyn,
         initial_data=init,
         horizon=T,

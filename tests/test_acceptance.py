@@ -218,7 +218,7 @@ def test_criterion_07_poincare_cartan_lift_identity():
         traj = triple.controlled_curve(u, triple.initial_data.make(**params),
                                        tol=(1e-10, 1e-12))
         ext = ExtendedCurve(traj, triple)
-        lift = pc_lift_integral(ext, n_nodes=401)
+        lift = pc_lift_integral(ext)
         cost = triple.terminal_cost(traj)
         worst_lift = max(worst_lift, abs(lift - cost))
 
@@ -300,7 +300,7 @@ def test_criterion_09_two_method_gap_agreement():
     for trip, g0, spec, eps in probes:
         surface = needle_variation(trip, g0, spec, eps, s_intervals=8)
         closed = mu_prime_gap_closed(trip, surface)
-        direct = mu_prime_gap_direct(surface, "full")
+        direct = mu_prime_gap_direct(surface)
         rel = abs(closed - direct) / max(abs(closed), abs(direct))
         worst = max(worst, rel)
     crit(9, "closed form and direct quadrature of the gap agree",

@@ -228,6 +228,6 @@ def test_pc_lift_integral_equals_terminal_cost(builder, kwargs):
     traj = triple.controlled_curve(u, triple.initial_data.make(v=0.6),
                                    tol=(1e-10, 1e-12))
     ext = ExtendedCurve(traj, triple)
-    value = pc_lift_integral(ext, n_nodes=401)
+    value = pc_lift_integral(ext)
     cost = triple.terminal_cost(traj)
     assert value == pytest.approx(cost, abs=1e-6)

@@ -422,27 +422,35 @@ def _node_by_node(traj, ts, order):
 
 @pytest.mark.parametrize("lib", [math, np], ids=["math", "numpy"])
 def test_jets_of_fields_that_cannot_batch_add_no_warning(lib):
-    # with math.sin the top field takes no array and runs node by node, its
-    # derived blocks taking the chain rule on its exact partials as at one
-    # node; with np.sin the adjoint's blocks take dual numbers inside series,
-    # batched like the series, without marking any field as unable to take
-    # series
+    # with np.sin the adjoint's blocks take dual numbers inside series,
+    # batched like the series, and match the node-by-node jets without a
+    # warning.  math.sin takes no array, no series and no dual number: the
+    # jets read the state, and above it the adjoint's top, which reads the
+    # force's partials, is refused on the grid as at one node
+    from hopmp.errors import OrderUnavailable
     from hopmp.problems import third_order
     from tests_support import sine_force
 
     triple = third_order(f=sine_force(lib))
-    traj = triple.controlled_curve(HarmonicControl([0.2], [0.5], 2.0, 0.1, triple.horizon))
+    control = HarmonicControl([0.2], [0.5], 2.0, 0.1, triple.horizon)
     ts = np.linspace(0.0, triple.horizon, 9)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        expected = _node_by_node(traj, ts, 5)
-    assert any("difference quotient" in str(w.message) for w in caught) == (lib is math)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        got = traj.jets(ts, 5).blocks
     if lib is math:
-        assert np.array_equal(got, expected)
+        dyn = triple.dynamics
+        ys = np.random.default_rng(4).normal(size=(dyn.state_dim, ts.size))
+        ujet = control.jets(ts, dyn.plan(5).u_depth)
+        state = dyn.jets_at(ts, ys, ujet, 2).blocks
+        assert np.array_equal(state, ys.reshape(2, 3, -1).transpose(1, 0, 2))
+        for order in (3, 5):
+            with pytest.raises(OrderUnavailable, match="^f: "):
+                dyn.jets_at(ts, ys, ujet, order)
+            with pytest.raises(OrderUnavailable, match="^f: "):
+                dyn.jets_at(float(ts[4]), ys[:, 4], ujet[..., 4], order)
     else:
+        traj = triple.controlled_curve(control)
+        expected = _node_by_node(traj, ts, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = traj.jets(ts, 5).blocks
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13)
 
 

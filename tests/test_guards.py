@@ -72,6 +72,7 @@ def test_surface_slices_satisfy_dynamics():
         slice_curve=lambda s: ConstantControl([s], triple.horizon),
         sigma_path=lambda s: triple.initial_data.make(v=0.0),
         s_grid=uniform_s_grid(4),
+        du_ds=lambda t, s: np.ones(1),
     )
     surface = build_surface(triple, hom)
     for sl in surface.slices:
@@ -102,6 +103,7 @@ def test_nonuniform_s_grid_rejected():
             slice_curve=lambda s: ConstantControl([s], 1.0),
             sigma_path=lambda s: {"x": [0.0, 0.0]},
             s_grid=np.array([0.0, 0.1, 0.5, 1.0]),
+            du_ds=lambda t, s: np.ones(1),
         )
 
 

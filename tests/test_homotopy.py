@@ -284,6 +284,7 @@ def test_jacobi_matches_spline_derivative(triple):
         slice_curve=lambda s: ConstantControl([s ** 3], triple.horizon),
         sigma_path=lambda s: triple.initial_data.make(v=0.0),
         s_grid=uniform_s_grid(16),
+        du_ds=lambda t, s: np.array([3.0 * s ** 2]),
     )
     surface = build_surface(triple, hom)
     t = 1.0
@@ -302,6 +303,7 @@ def test_jacobi_grid_convergence(triple):
             slice_curve=lambda s: ConstantControl([s ** 3], triple.horizon),
             sigma_path=lambda s: triple.initial_data.make(v=0.0),
             s_grid=uniform_s_grid(intervals),
+            du_ds=lambda t, s: np.array([3.0 * s ** 2]),
         )
         return build_surface(triple, hom)
 

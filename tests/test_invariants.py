@@ -35,21 +35,17 @@ def test_total_derivative_matches_time_differencing_along_trajectory():
     traj = triple.controlled_curve(u, triple.initial_data.make(v=0.4),
                                    tol=(1e-11, 1e-13))
     f = ScalarJetField(
-        lambda p, uu: math.sin(p.coord(0, 0)) * p.coord(1, 1) + p.t * p.coord(0, 1),
+        lambda p, uu: np.sin(p.coord(0, 0)) * p.coord(1, 1) + p.t * p.coord(0, 1),
         actual_order=1, reads={0: 1, 1: 1})
 
     def along(t):
         return f.value(traj.jet(t, 2), u.value(t))
 
     step = 1e-5
-    # math.sin cannot take a dual number: the partial falls back, loudly,
-    # once for the field
-    with pytest.warns(RuntimeWarning, match="difference quotient") as record:
-        for t in (0.3, 0.8, 1.2):
-            fd = (along(t + step) - along(t - step)) / (2 * step)
-            formal = total_derivative(f, traj.jet(t, 2), u.value(t))
-            assert fd == pytest.approx(formal, abs=5e-9)
-    assert len(record) == 1
+    for t in (0.3, 0.8, 1.2):
+        fd = (along(t + step) - along(t - step)) / (2 * step)
+        formal = total_derivative(f, traj.jet(t, 2), u.value(t))
+        assert fd == pytest.approx(formal, abs=5e-9)
 
 
 def test_mu_rate_is_minus_extended_lagrangian():

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial import Polynomial
 
 from hopmp.dynamics import ChainBlock, NormalFormDynamics
-from hopmp.errors import InsufficientJetOrder
+from hopmp.errors import InsufficientJetOrder, OrderUnavailable
 from hopmp.jetspace import (
     DerivedField,
     JetField,
@@ -75,7 +75,7 @@ def test_total_derivative_chain_rule_square():
 def test_total_derivative_linearity():
     rng = np.random.default_rng(3)
     p = make_point(order=4)
-    f = ScalarJetField(lambda pt, u: math.sin(pt.coord(0, 1)) * pt.coord(1, 0),
+    f = ScalarJetField(lambda pt, u: np.sin(pt.coord(0, 1)) * pt.coord(1, 0),
                        actual_order=1)
     g = ScalarJetField(lambda pt, u: pt.coord(0, 2) ** 2 + pt.t, actual_order=2)
     a, b = 1.7, -0.4
@@ -84,10 +84,8 @@ def test_total_derivative_linearity():
         return a * f.evaluator(pt, u) + b * g.evaluator(pt, u)
 
     h = ScalarJetField(combo, actual_order=2)
-    # math.sin cannot take a dual number: f's and h's partials fall back, loudly
-    with pytest.warns(RuntimeWarning, match="difference quotient"):
-        lhs = total_derivative(h, p, [0.0])
-        rhs = a * total_derivative(f, p, [0.0]) + b * total_derivative(g, p, [0.0])
+    lhs = total_derivative(h, p, [0.0])
+    rhs = a * total_derivative(f, p, [0.0]) + b * total_derivative(g, p, [0.0])
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
@@ -129,30 +127,35 @@ def test_default_partials_on_series_points_are_exact():
                                                      rel=1e-13), k
 
 
-def test_field_refusing_dual_numbers_is_remembered():
-    # the first partial along x tries the dual number once and falls back to
-    # two difference-quotient evaluations; the second goes straight to them,
-    # and the fallback is announced once for the field.  Along u the dual
-    # number never meets math.sin, so that partial stays exact.
+def test_field_refusing_dual_numbers_is_refused():
+    # math.sin takes no dual number and no series, so the partial along x
+    # and the total derivative raise OrderUnavailable naming the field: at
+    # one node, and on a 9-node grid after its node-by-node pass.  The
+    # field's values still evaluate, and along u the dual number never meets
+    # math.sin, so that partial stays exact.
     calls = []
 
     def evaluator(pt, u):
-        calls.append(pt.coord(0, 0))
+        calls.append(type(pt.coord(0, 0)))
         return math.sin(pt.coord(0, 0)) * u[0]
 
-    f = ScalarJetField(evaluator, actual_order=0)
+    f = ScalarJetField(evaluator, actual_order=0, name="math-sine")
     p = make_point(order=1, dim=1)
     x = p.coord(0, 0)
-    with pytest.warns(RuntimeWarning, match="difference quotient") as record:
-        first = f.partial(p, [0.5], ("q", 0, 0))
-        evaluations = len(calls)
-        second = f.partial(p, [0.25], ("q", 0, 0))
-        along_u = f.partial(p, [0.5], ("u", 0))
-    assert (evaluations, len(calls)) == (3, 6)
-    assert len(record) == 1
-    assert first == pytest.approx(0.5 * math.cos(x), rel=1e-8)
-    assert second == pytest.approx(0.25 * math.cos(x), rel=1e-8)
-    assert along_u == math.sin(x)
+    xs = x + np.linspace(-1.0, 1.0, 9)
+    grid = JetPoint(0.5, np.stack([np.full((1, 9), xs), np.ones((1, 9))]))
+    with pytest.raises(OrderUnavailable, match=r"math-sine: .*\('q', 0, 0\)"):
+        f.partial(p, [0.5], ("q", 0, 0))
+    calls.clear()
+    with pytest.raises(OrderUnavailable, match=r"math-sine: .*\('q', 0, 0\)"):
+        f.partial(grid, np.full((1, 9), 0.5), ("q", 0, 0))
+    assert calls == [TaylorSeries, TaylorSeries]   # the grid's dual number, then node 0's
+    with pytest.raises(OrderUnavailable, match=r"D\^1\(math-sine\)"):
+        DerivedField(f, 1).value(make_point(order=2, dim=1), [[0.5], [1.0]])
+    assert f.value(p, [0.5]) == 0.5 * math.sin(x)
+    np.testing.assert_array_equal(f.value(grid, np.full((1, 9), 0.5)),
+                                  [0.5 * math.sin(v) for v in xs])
+    assert f.partial(p, [0.5], ("u", 0)) == math.sin(x)
 
 
 def test_finite_diff_partial_linear_exact():
@@ -389,10 +392,7 @@ class _ExpressionField(JetField):
 
 
 def _series_derivative(e, k, p, ujet):
-    d = DerivedField(_ExpressionField(e), k)
-    value = d.value(p, ujet)
-    assert d._fallback is None   # the series path, not the difference quotients
-    return value
+    return DerivedField(_ExpressionField(e), k).value(p, ujet)
 
 
 _JET_ENTRIES = st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8)

@@ -156,7 +156,7 @@ def test_corrective_term_frozen_sigma_nonzero_and_two_methods(triple):
     for eps in (0.1, 0.03):
         surface = needle_variation(triple, g0, spec, eps, s_intervals=8)
         closed = mu_prime_gap_closed(triple, surface)
-        direct = mu_prime_gap_direct(surface, "full")
+        direct = mu_prime_gap_direct(surface)
         assert abs(closed - direct) <= 1e-4 * max(abs(closed), abs(direct))
 
 

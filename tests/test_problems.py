@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hopmp.classical import ClassicalProblem, embed_classical
 from hopmp.controls import ConstantControl
 from hopmp.dynamics import NormalFormDynamics
-from hopmp.errors import BadParams, NoClosedForm
+from hopmp.errors import BadParams, NoClosedForm, OrderUnavailable
 from hopmp.jetspace import ScalarJetField
 from hopmp.problem import ControlSet, el_residual, validate_triple
 from hopmp.problems import (
@@ -203,36 +202,44 @@ def _swinging_pendulum(lib=math) -> ClassicalProblem:
 
 @pytest.mark.parametrize("lib", [math, np], ids=["math", "numpy"])
 def test_elementary_function_fields_give_jets(lib):
-    # numpy's sin and cos run on the Taylor-series path, exact up to rounding;
-    # math's cannot take a series, so their fields are differentiated, with a
-    # warning, by the chain rule on their partials: difference quotients, or
-    # the exact ones the math-written force supplies
+    # numpy's sin and cos run on the Taylor-series path, exact up to rounding.
+    # math's take neither series nor dual numbers: the jets read the state
+    # and the fields' values, the derivatives above them are refused, and
+    # validate_triple names the refusal in its Euler-Lagrange check
     from tests_support import sine_force
 
-    u, tol = 0.5, (1e-12 if lib is np else 1e-6)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        swinging = embed_classical(_swinging_pendulum(lib))
-        traj = swinging.controlled_curve(ConstantControl([u], swinging.horizon))
-        for t in (0.3, 1.2):
-            (x1, x2), jet = traj.state(t)[:2], traj.jet(t, 2).blocks
-            force = -math.sin(x1) + u
-            np.testing.assert_allclose(jet[1, :2], [x2, force], rtol=0, atol=tol)
-            np.testing.assert_allclose(jet[2, :2], [force, -math.cos(x1) * x2],
-                                       rtol=0, atol=tol)
+    u, tol = 0.5, 1e-12
+    swinging = embed_classical(_swinging_pendulum(lib))
+    traj = swinging.controlled_curve(ConstantControl([u], swinging.horizon))
+    for t in (0.3, 1.2):
+        (x1, x2), jet = traj.state(t)[:2], traj.jet(t, 1).blocks
+        force = -math.sin(x1) + u
+        np.testing.assert_allclose(jet[1, :2], [x2, force], rtol=0, atol=tol)
+        if lib is math:
+            with pytest.raises(OrderUnavailable):
+                traj.jet(t, 2)
+        else:
+            np.testing.assert_allclose(traj.jet(t, 2).blocks[2, :2],
+                                       [force, -math.cos(x1) * x2], rtol=0, atol=tol)
 
-        third = third_order(f=sine_force(lib))
+    third = third_order(f=sine_force(lib))
+    if lib is math:
+        # x''' = f reads f's value, but the adjoint's p''' reads its partials
+        with pytest.raises(OrderUnavailable, match="^f: "):
+            third.controlled_curve(ConstantControl([u], third.horizon))
+    else:
         traj = third.controlled_curve(ConstantControl([u], third.horizon))
         for t in (0.3, 0.8):
             jet = traj.jet(t, 4).blocks[:, 0]
             assert jet[3] == pytest.approx(-math.sin(jet[0]) + u, abs=tol)
             assert jet[4] == pytest.approx(-math.cos(jet[0]) * jet[1], abs=tol)
 
-        for triple in (swinging, third):
-            checks = validate_triple(triple)
-            assert all(c.ok for c in checks), "; ".join(c.line() for c in checks)
-    fell_back = any("difference quotients" in str(w.message) for w in caught)
-    assert fell_back == (lib is math)
+    refused = [] if lib is np else ["dynamics realizes the Euler-Lagrange constraints "
+                                    "(OrderUnavailable)"]
+    for triple in (swinging, third):
+        checks = validate_triple(triple)
+        assert [c.label for c in checks if not c.ok] == refused, \
+            "; ".join(c.line() for c in checks)
 
 
 def _embedded_rhs(cp: ClassicalProblem):

@@ -1,8 +1,6 @@
 """Shared helpers for the test suite: hand-built classical problems, the
-chain-reduction oracle's argmax gap, a force field written with ``math``,
-coordinate fields and analytic curves."""
-
-import math
+chain-reduction oracle's argmax gap, a sine force field, coordinate fields
+and analytic curves."""
 
 import numpy as np
 
@@ -39,22 +37,11 @@ class AnalyticCurve:
         return JetPoint(t, blocks)
 
 
-class MathSineForce(ScalarJetField):
-    """f = -sin x + u for ``third_order``, written with math.sin, which takes
-    no series, and with its exact partials."""
-
-    def partial_uj(self, p, ujet, direction):
-        if direction == ("q", 0, 0):
-            return -math.cos(p.coord(0, 0))
-        return 1.0 if direction in (("u", 0), ("u", 0, 0)) else 0.0
-
-
 def sine_force(lib) -> ScalarJetField:
-    """f = -sin x + u with sin from ``lib``: math's with exact partials,
-    numpy's taking them on dual numbers."""
-    kind = MathSineForce if lib is math else ScalarJetField
-    return kind(lambda p, u: -lib.sin(p.coord(0, 0)) + u[0], actual_order=0, name="f",
-                reads={0: 0})
+    """f = -sin x + u for ``third_order``, with sin from ``lib``: numpy's
+    takes dual numbers and series, math's takes neither."""
+    return ScalarJetField(lambda p, u: -lib.sin(p.coord(0, 0)) + u[0], actual_order=0,
+                          name="f", reads={0: 0})
 
 
 def pendulum_classical_cp(T, v=0.0):

@@ -1,4 +1,4 @@
-"""Which ``src/hopmp`` functions only the tests reach.
+"""Which ``src/hopmp`` functions, and which of their options, only the tests reach.
 
 Usage::
 
@@ -19,11 +19,23 @@ listed is not counted again.  Functions neither side enters are listed
 apart.  A code object's ``co_firstlineno`` is its first decorator's line, so
 a function is keyed by that line.  Outputs go to a temporary directory.
 Tier-1 runs several times slower under the profiler.
+
+It then prints the options: every parameter with a default, of a module-level
+function or a method in ``src/hopmp`` that either side enters, that no call
+on a side binds to another value, as ``module:line qualified.name(param=default)``.
+The same hook reads each call's arguments from its frame; a value is the
+default when it is the same object, or an equal number, string, tuple or
+None.  Two lists: "no call varies" (neither side) and "only Tier-1 varies".
+Nested functions and lambdas are left out (their defaults bind loop
+variables), and so are the ``__init__`` methods that dataclasses generate.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
+import numbers
 import sys
 import tempfile
 import threading
@@ -53,15 +65,60 @@ def src_functions() -> dict:
     return out
 
 
-class Tracer:
-    """Records the code object of every Python call while active."""
+def src_defaults() -> dict:
+    """code object -> ((parameter, default), ...) of every module-level
+    function and method in src/hopmp with a parameter that has a default."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("hopmp" if path.stem == "__init__" else f"hopmp.{path.stem}")
+        for obj in vars(module).values():
+            for fn in vars(obj).values() if inspect.isclass(obj) else [obj]:
+                fn = getattr(fn, "__func__", getattr(fn, "fget", fn))
+                code = getattr(fn, "__code__", None)
+                if code is None or Path(code.co_filename).parent != SRC:
+                    continue
+                params = tuple((p.name, p.default)
+                               for p in inspect.signature(fn).parameters.values()
+                               if p.default is not p.empty)
+                if params:
+                    out[code] = params
+    return out
 
-    def __init__(self) -> None:
+
+_PLAIN = (numbers.Number, str, tuple, type(None))
+
+
+def is_default(value, default) -> bool:
+    """The same object, or an equal number, string, tuple or None."""
+    if value is default:
+        return True
+    if not (isinstance(value, _PLAIN) and isinstance(default, _PLAIN)):
+        return False
+    try:
+        return bool(value == default)
+    except (TypeError, ValueError):   # a tuple holding arrays
+        return False
+
+
+class Tracer:
+    """Records the code object of every Python call while active, and each
+    (code object, parameter) of ``defaults`` that a call binds to another
+    value than its default."""
+
+    def __init__(self, defaults: dict) -> None:
         self.codes: set = set()
+        self.defaults = defaults
+        self.varied: set = set()
 
     def _hook(self, frame, event, arg):
         if event == "call":
-            self.codes.add(frame.f_code)
+            code = frame.f_code
+            self.codes.add(code)
+            params = self.defaults.get(code)
+            if params:
+                args = frame.f_locals
+                self.varied.update((code, name) for name, default in params
+                                   if not is_default(args[name], default))
 
     def start(self) -> None:
         threading.setprofile(self._hook)
@@ -75,12 +132,12 @@ class Tracer:
         return {(c.co_filename, c.co_firstlineno) for c in self.codes}
 
 
-def run_side(tmp: Path) -> set:
+def run_side(tmp: Path, defaults: dict) -> Tracer:
     from hopmp.cli import main
     from hopmp.problems import BUILTIN_IDS
     from workloads import WORKLOADS
 
-    tracer = Tracer()
+    tracer = Tracer(defaults)
     tracer.start()
     try:
         for problem_id in BUILTIN_IDS:
@@ -97,12 +154,12 @@ def run_side(tmp: Path) -> set:
             sys.stderr.write(f"workload {name}: {len(failed)} failed checks {failed}\n")
     finally:
         tracer.stop()
-    return tracer.keys()
+    return tracer
 
 
 class TracePlugin:
-    def __init__(self) -> None:
-        self.tracer = Tracer()
+    def __init__(self, defaults: dict) -> None:
+        self.tracer = Tracer(defaults)
 
     def pytest_configure(self, config):
         self.tracer.start()
@@ -111,20 +168,21 @@ class TracePlugin:
         self.tracer.stop()
 
 
-def tier1_side(args: list) -> set:
+def tier1_side(args: list, defaults: dict) -> Tracer:
     import pytest
 
-    plugin = TracePlugin()
+    plugin = TracePlugin(defaults)
     code = pytest.main(args, plugins=[plugin])
     sys.stderr.write(f"pytest exit {int(code)}\n")
-    return plugin.tracer.keys()
+    return plugin.tracer
 
 
 def main(argv: list) -> int:
-    functions = src_functions()
+    functions, defaults = src_functions(), src_defaults()
     with tempfile.TemporaryDirectory() as tmp:
-        ran = run_side(Path(tmp))
-    tested = tier1_side(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        run = run_side(Path(tmp), defaults)
+    test = tier1_side(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")], defaults)
+    ran, tested = run.keys(), test.keys()
 
     def report(title: str, keys: list) -> None:
         spans = sorted((Path(f).stem, first, functions[(f, first)]) for f, first in keys)
@@ -139,6 +197,20 @@ def main(argv: list) -> int:
 
     report("only Tier-1", [k for k in functions if k in tested and k not in ran])
     report("neither side", [k for k in functions if k not in tested and k not in ran])
+
+    def knobs(title: str, keys: list) -> None:
+        rows = sorted((Path(c.co_filename).stem, c.co_firstlineno,
+                       functions[(c.co_filename, c.co_firstlineno)][0], name, default)
+                      for c, name, default in keys)
+        for module, first, qualname, name, default in rows:
+            print(f"{module}:{first} {qualname.split(':', 1)[1]}({name}={default!r})")
+        print(f"{title}: {len(rows)} parameters\n")
+
+    entered = run.codes | test.codes
+    params = [(c, name, default) for c in defaults if c in entered for name, default in defaults[c]]
+    knobs("no call varies", [k for k in params if k[:2] not in run.varied | test.varied])
+    knobs("only Tier-1 varies", [k for k in params
+                                 if k[:2] in test.varied and k[:2] not in run.varied])
     return 0
 
 
