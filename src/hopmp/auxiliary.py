@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .dynamics import Trajectory, jets_of
 from .errors import InsufficientJetOrder, SingularBoundaryMatrix
@@ -148,7 +147,6 @@ def solve_h(traj: Trajectory, triple: DefiningTriple) -> HCoefficients:
     cond = float(np.linalg.cond(A))
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularBoundaryMatrix(f"cond(A) = {cond:.3e} at T = {T}")
-    lu = lu_factor(A)
 
     prime = np.empty((N, r, 4))
     second = np.empty((N, r, 4))
@@ -158,8 +156,8 @@ def solve_h(traj: Trajectory, triple: DefiningTriple) -> HCoefficients:
     hdT = coeffs.h(T, 1)
     for i in range(N):
         for b in range(r):
-            prime[i, b] = lu_solve(lu, np.array([0.0, 0.0, qT[i, b], mT[i, b]]))
-            second[i, b] = lu_solve(lu, np.array([0.0, 0.0, hT[i, b], hdT[i, b]]))
+            prime[i, b] = np.linalg.solve(A, np.array([0.0, 0.0, qT[i, b], mT[i, b]]))
+            second[i, b] = np.linalg.solve(A, np.array([0.0, 0.0, hT[i, b], hdT[i, b]]))
     return coeffs
 
 
@@ -219,6 +217,38 @@ def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a, b):
     for j, w in enumerate(_GL_WEIGHTS):
         acc = acc + w * vals[..., j]
     return half * acc
+
+
+def simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Composite Simpson integrals of ``y`` along its last axis over the
+    strictly increasing nodes ``x``, bit for bit scipy 1.17's
+    ``simpson(y, x=x, axis=-1)``: its formula for uneven spacing on each pair
+    of intervals and, for an even node count, Cartwright's correction on the
+    last interval (two nodes: the trapezoid)."""
+    d = np.diff(x)
+    n = y.shape[-1]
+    if n == 2:
+        return 0.5 * d[-1] * (y[..., -1] + y[..., -2])
+    m = n - 3 + n % 2   # the pairs of intervals start at nodes 0, 2, .., < m
+    h0, h1 = d[0:m:2], d[1:m + 1:2]
+    hsum, hprod, ratio = h0 + h1, h0 * h1, h0 / h1
+    result = np.sum(hsum / 6.0 * (y[..., 0:m:2] * (2.0 - 1.0 / ratio)
+                                  + y[..., 1:m + 1:2] * (hsum * (hsum / hprod))
+                                  + y[..., 2:m + 2:2] * (2.0 - ratio)), axis=-1)
+    if n % 2:
+        return result
+    # on 0-d arrays as scipy: a float64 scalar's ** 3 rounds otherwise
+    h0, h1 = np.asarray(d[-2]), np.asarray(d[-1])
+    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+    eta = h1 ** 3 / (6 * h0 * (h0 + h1))
+    return result + (alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3])
+
+
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of a 1-D ``y`` from x[0] to each node, starting at
+    0: scipy's ``cumulative_trapezoid(y, x=x, initial=0)`` bit for bit."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
 def cumulative_integral(f: Callable[[np.ndarray], np.ndarray], mesh: np.ndarray,
@@ -476,11 +506,9 @@ def pc_lift_integral(ext: ExtendedCurve) -> float:
     Along an extended controlled curve this equals the terminal cost.
     Composite Simpson over a uniform grid of 401 nodes.
     """
-    from scipy.integrate import simpson
-
     ts = np.linspace(0.0, ext.base.horizon, 401)
     vals = np.empty(ts.size)
     for k, t in enumerate(ts):
         pt = ext.ext_point(t)
         vals[k] = pc_form_pairing(ext.triple, pt, lift_tangent(pt))
-    return float(simpson(vals, x=ts))
+    return float(simpson(vals, ts))

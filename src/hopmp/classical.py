@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .controls import ConstantControl, ControlCurve, PiecewiseConstantControl
 from .dynamics import ChainBlock, NormalFormDynamics, Trajectory, integrate, integrate_backward
@@ -210,6 +209,8 @@ def mth_order_bang_bang(a: Sequence[float], T: float):
     and then forward, so p is read from the returned curve's state.  Switch times are located by bisection on
     its dense output.
     """
+    from scipy.optimize import brentq
+
     from .needle import transversality_synthesize
     from .problems import mth_order
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .controls import (ControlCurve, ControlFamily, HarmonicControl, NeedleOverlayControl,
                        stacked_jet)
@@ -228,6 +227,131 @@ def segment_rhs(dynamics: NormalFormDynamics, control, a: float, b: float,
     return rhs
 
 
+# Dormand-Prince 5(4): nodes, stage weights, 5th-order weights, error weights
+# and Shampine's dense-output matrix, as scipy's RK45 holds them
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([[0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0],
+               [44/45, -56/15, 32/9, 0, 0],
+               [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+               [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+class _DenseOutput:
+    """The dense output of one :func:`_rk45` run: step k, from ``ts[k]`` to
+    ``ts[k+1]``, interpolates ``ys[k] + h Q_k (x, x^2, x^3, x^4)`` with x its
+    fraction of the step.  A node on a step boundary reads the earlier step
+    in the direction of integration, and each run of nodes on one step is one
+    product, as scipy's ``OdeSolution`` reads them."""
+
+    def __init__(self, ts: np.ndarray, ys: np.ndarray, qs: list) -> None:
+        self.ts, self.ys, self.qs = ts, ys, qs
+        self.ascending = ts[-1] >= ts[0]
+        self.sorted = ts if self.ascending else ts[::-1]
+
+    def _step(self, k: int, t):
+        h = self.ts[k + 1] - self.ts[k]
+        x = (t - self.ts[k]) / h
+        if t.ndim == 0:
+            return h * np.dot(self.qs[k], np.cumprod(np.tile(x, 4))) + self.ys[k]
+        y = h * np.dot(self.qs[k], np.cumprod(np.tile(x, (4, 1)), axis=0))
+        y += self.ys[k][:, None]
+        return y
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        order = np.argsort(t) if t.ndim else None
+        n = len(self.qs)
+        seg = np.searchsorted(self.sorted, t if order is None else t[order],
+                              side="left" if self.ascending else "right")
+        seg = np.clip(seg - 1, 0, n - 1)
+        if not self.ascending:
+            seg = n - 1 - seg
+        if order is None:
+            return self._step(int(seg), t)
+        out = np.empty((self.ys.shape[1], t.size))
+        runs = np.concatenate(([0], np.flatnonzero(np.diff(seg)) + 1, [t.size]))
+        for a, b in zip(runs[:-1], runs[1:]):
+            out[:, order[a:b]] = self._step(seg[a], t[order[a:b]])
+        return out
+
+
+def _rk45(fun: Callable, t0: float, tf: float, y0: np.ndarray, rtol: float, atol: float,
+          dense: bool) -> tuple[np.ndarray, np.ndarray, Optional[_DenseOutput]]:
+    """Adaptive Dormand-Prince 5(4) from ``t0`` to ``tf`` (either direction):
+    the mesh, the states on it (nodes, n) and, if ``dense``, the dense output.
+    Bit for bit scipy's ``solve_ivp(method="RK45")``: its initial step
+    selection, stage sums, RMS error norm over ``atol + max(|y|, |y_new|)
+    rtol``, step factors (0.9 error^(-1/5) within [0.2, 10], at most 1 after
+    a rejection) and step floor.  Raises StepSizeUnderflow when the step
+    falls below 10 spacings of floats at t."""
+    y = np.asarray(y0, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    rtol = max(rtol, 100 * np.finfo(float).eps)
+    direction = np.sign(tf - t0)
+    f = fun(t0, y)
+    # initial step (Hairer, Norsett and Wanner, sec. II.4)
+    span = abs(tf - t0)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = _rms((fun(t0 + h0 * direction, y + h0 * direction * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, span)
+
+    t, ts, ys, qs = t0, [t0], [y], []
+    K = np.empty((7, y.size))
+    while direction * (t - tf) < 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                where = f"[{min(t0, tf)}, {max(t0, tf)}]"
+                raise StepSizeUnderflow(
+                    f"{'backward ' if direction < 0 else ''}integration failed on {where}: "
+                    "Required step size is less than spacing between numbers.")
+            t_new = t + h_abs * direction
+            if direction * (t_new - tf) > 0:
+                t_new = tf
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            K[-1] = f_new = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _rms(np.dot(K.T, _E) * h / scale)
+            if error < 1:
+                factor = 10 if error == 0 else min(10, 0.9 * error ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error ** -0.2)
+            rejected = True
+        if dense:
+            qs.append(K.T.dot(_P))
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+    ts, ys = np.array(ts), np.array(ys)
+    return ts, ys, _DenseOutput(ts, ys, qs) if dense else None
+
+
 class _Segments(NamedTuple):
     """A family's dense output, which its members share: segment k starts at
     ``starts[k]``, and its solution ``sols[k]`` holds states stacked
@@ -296,8 +420,9 @@ def jets_of(trajs: Sequence[Trajectory], ts, order: int) -> JetPoint:
 def integrate(dynamics: NormalFormDynamics, control: ControlCurve, sigma,
               horizon: float, tol: tuple[float, float] = (1e-8, 1e-10),
               start: Optional[tuple[Trajectory, float]] = None) -> Trajectory:
-    """Adaptive Runge-Kutta (RK45) integration with dense output: the family
-    of one curve (see :func:`integrate_family`), a 1-D state at ``tol``."""
+    """Adaptive Dormand-Prince 5(4) integration with dense output: the family
+    of one curve (see :func:`integrate_family`), a 1-D state at ``tol``, bit
+    for bit one scipy RK45 run per segment."""
     return integrate_family(dynamics, [control], [sigma], horizon, tol, start)[0]
 
 
@@ -310,11 +435,12 @@ def integrate_family(dynamics: NormalFormDynamics, controls: Sequence[ControlCur
     shared segment solutions, of which each reads its own column.
 
     Control breakpoints become integration breakpoints, so the mesh contains
-    every discontinuity exactly.  Per segment one RK45 run (Dormand-Prince
-    5(4); Hairer, Norsett and Wanner, *Solving ODEs I*, sec. II.4) takes
-    ``tol = (rtol, atol)`` over sqrt(B): its RMS error norm sqrt(sum_b e_b^2)
-    bounds each member's own.  Its right-hand side runs the plan once per
-    stage on the whole family.
+    every discontinuity exactly.  Per segment one :func:`_rk45` run
+    (Dormand-Prince 5(4); Hairer, Norsett and Wanner, *Solving ODEs I*, sec.
+    II.4), bit for bit scipy's RK45, takes ``tol = (rtol, atol)`` over
+    sqrt(B): its RMS error norm sqrt(sum_b e_b^2) bounds each member's own.
+    Its right-hand side runs the plan once per stage on the whole family,
+    and its dense output is the segment's solution.
 
     ``start = (traj, t)`` splices the members onto ``traj``: its segment
     solutions, mesh and states up to the last mesh node ``t_k <= t`` are
@@ -348,15 +474,13 @@ def integrate_family(dynamics: NormalFormDynamics, controls: Sequence[ControlCur
     cuts = sorted({t0, float(horizon)} | {float(b) for c in controls for b in c.breakpoints
                                          if t0 < b < horizon})
     for a, b in zip(cuts[:-1], cuts[1:]):
-        sol = solve_ivp(segment_rhs(dynamics, family, a, b, batch), (a, b), y, method="RK45",
-                        dense_output=True, rtol=rtol / batch ** 0.5, atol=atol / batch ** 0.5)
-        if not sol.success:
-            raise StepSizeUnderflow(f"integration failed on [{a}, {b}]: {sol.message}")
-        segments.append((a, sol.sol, None))
+        ts, ys, sol = _rk45(segment_rhs(dynamics, family, a, b, batch), a, b, y,
+                            rtol / batch ** 0.5, atol / batch ** 0.5, dense=True)
+        segments.append((a, sol, None))
         skip = 1 if mesh_parts else 0
-        mesh_parts.append(sol.t[skip:])
-        state_parts.append(sol.y.T[skip:].reshape(-1, dynamics.state_dim, batch))
-        y = sol.y[:, -1].copy()
+        mesh_parts.append(ts[skip:])
+        state_parts.append(ys[skip:].reshape(-1, dynamics.state_dim, batch))
+        y = ys[-1]
 
     mesh = np.concatenate(mesh_parts)
     states = np.concatenate(state_parts)
@@ -370,17 +494,14 @@ def integrate_family(dynamics: NormalFormDynamics, controls: Sequence[ControlCur
 def integrate_backward(dynamics: NormalFormDynamics, control: ControlCurve, y_T,
                        horizon: float, tol: tuple[float, float] = (1e-8, 1e-10)) -> np.ndarray:
     """The state at t = 0 of the curve under ``control`` that ends at ``y_T``
-    at ``horizon``: one RK45 run per control segment, from T down to 0,
-    through :func:`segment_rhs`.  Raises StepSizeUnderflow when a run fails."""
+    at ``horizon``: one :func:`_rk45` run per control segment, from T down
+    to 0, through :func:`segment_rhs`, with no dense output.  Raises
+    StepSizeUnderflow when a run fails."""
     cuts = sorted({0.0, float(horizon)} | {float(b) for b in control.breakpoints
                                           if 0.0 < b < horizon})
     y = np.asarray(y_T, dtype=float)
     for a, b in zip(cuts[-2::-1], cuts[:0:-1]):
-        sol = solve_ivp(segment_rhs(dynamics, control, a, b), (b, a), y, method="RK45",
-                        rtol=tol[0], atol=tol[1])
-        if not sol.success:
-            raise StepSizeUnderflow(f"backward integration failed on [{a}, {b}]: {sol.message}")
-        y = sol.y[:, -1]
+        y = _rk45(segment_rhs(dynamics, control, a, b), b, a, y, *tol, dense=False)[1][-1]
     return y
 
 

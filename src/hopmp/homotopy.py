@@ -22,14 +22,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, simpson
 
 from .auxiliary import (
     ExtendedCurve,
     ExtendedTangent,
     HCoefficients,
+    cumulative_trapezoid,
     h_quadratic_terms,
     pc_form_pairing,
+    simpson,
 )
 from .controls import BlendControl, ControlCurve
 from .dynamics import Trajectory, jets_of
@@ -316,8 +317,8 @@ def homotopy_rhs(surface: VariationSurface, t_nodes: int = 400,
     """- integral of F over [0,T] x [0,1] by tensor-product Simpson."""
     ts = _time_grid(surface, t_nodes)
     F = _rhs_integrand(surface, ts, beta_range)
-    inner = simpson(F, x=ts, axis=1)           # integrate over t per slice
-    return -float(simpson(inner, x=surface.s_nodes))
+    inner = simpson(F, ts)   # integrate over t per slice
+    return -float(simpson(inner, surface.s_nodes))
 
 
 def homotopy_gap(surface: VariationSurface, t_nodes: int = 400,
@@ -345,9 +346,9 @@ def minimal_labour_W(surface: VariationSurface, delta: float,
         return 0.0
     ts = _time_grid(surface, t_nodes)
     F = _rhs_integrand(surface, ts, beta_range)
-    per_slice = simpson(F, x=ts, axis=1)
+    per_slice = simpson(F, ts)
     s = surface.s_nodes
-    return float(np.interp(delta, s, cumulative_trapezoid(per_slice, x=s, initial=0)))
+    return float(np.interp(delta, s, cumulative_trapezoid(per_slice, s)))
 
 
 def infinitesimal_conditions(surface: VariationSurface,
@@ -367,7 +368,7 @@ def infinitesimal_conditions(surface: VariationSurface,
              for i in range(triple.lagrangian.state_dim) for b in range(order + 1))
 
     ts = _time_grid(surface, t_nodes)
-    base = float(simpson(_rhs_integrand(surface, ts, beta_range)[0], x=ts))
+    base = float(simpson(_rhs_integrand(surface, ts, beta_range)[0], ts))
     return float(dC), base
 
 
@@ -383,7 +384,7 @@ def mu_prime(surface: VariationSurface, t: float, s_index: int,
     if k == 0:
         return mu_k
     corr = _correction_integrand(surface, t, beta_range)
-    return float(mu_k + cumulative_trapezoid(corr, x=surface.s_nodes, initial=0)[k])
+    return float(mu_k + cumulative_trapezoid(corr, surface.s_nodes)[k])
 
 
 def _correction_integrand(surface: VariationSurface, t: float,
@@ -409,7 +410,7 @@ def mu_prime_gap_direct(surface: VariationSurface) -> float:
     over the whole s-grid (the direct-quadrature side of the two-method check)."""
     T = surface.triple.horizon
     corr = _correction_integrand(surface, T, "full")
-    correction = float(simpson(corr, x=surface.s_nodes))
+    correction = float(simpson(corr, surface.s_nodes))
     return (surface.slices[-1].ext.mu(T) - surface.slices[0].ext.mu(T)
             + correction)
 
@@ -452,6 +453,6 @@ def conservation_residual(surface: VariationSurface, k: int,
     T = surface.triple.horizon
     ts = _time_grid(surface, t_nodes)
     G = _mixed_mu_integrand(surface, ts, beta_range)
-    flux = float(simpson(G[k], x=ts))
+    flux = float(simpson(G[k], ts))
     return (vertical_pairing(surface, T, k)
             - vertical_pairing(surface, 0.0, k) - flux)

@@ -17,14 +17,13 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .controls import ControlCurve, NeedleOverlayControl, SmoothedNeedleControl, stacked_jet
 from .dynamics import Trajectory, integrate_backward
 from .errors import BadParams, NonSolvableForm
 from .homotopy import (SurfaceSlice, VariationSurface, blend_homotopy, build_surfaces,
                        homotopy_lhs, slice_jets)
-from .auxiliary import ExtendedCurve, lagrangian_cumulatives
+from .auxiliary import ExtendedCurve, lagrangian_cumulatives, simpson
 from .classical import Violation
 from .jetspace import JetPoint
 from .problem import DefiningTriple, lagrangian_momenta, pontryagin_p
@@ -147,10 +146,13 @@ def _boundary_pairings(triple: DefiningTriple, surfaces: Sequence[VariationSurfa
     jets = JetPoint(np.full(len(slices), t_star), np.moveaxis(q, 0, -1))
     m = lagrangian_momenta(triple, jets, stacked_jet([sl.traj.control for sl in slices],
                                                      t_star, r + 1))   # (N, r, len(slices))
+    grids: dict = {}   # s-grid -> the live surfaces on it, integrated as rows of one call
     for j in live:
+        grids.setdefault(surfaces[j].s_nodes.tobytes(), []).append(j)
+    for js in grids.values():
         # one (N, r) reduction per slice keeps the rounding of a single node's sum
-        vals = [np.sum(m[..., cuts[j] + k] * Y[:r].T) for k, Y in enumerate(Ys[j])]
-        out[j] = simpson(vals, x=surfaces[j].s_nodes)
+        vals = [[np.sum(m[..., cuts[j] + k] * Y[:r].T) for k, Y in enumerate(Ys[j])] for j in js]
+        out[js] = simpson(np.array(vals), surfaces[js[0]].s_nodes)
     return out
 
 
