@@ -125,7 +125,7 @@ def solve_h(traj: Trajectory, triple: DefiningTriple) -> HCoefficients:
     the already-solved h at t = T.
     """
     r = triple.lagrangian.actual_order
-    N = triple.lagrangian.state_dim
+    N = triple.dynamics.dim
     T = triple.horizon
     depth = _boundary_jet_depth(triple)
 
@@ -288,7 +288,7 @@ def lagrangian_cumulatives(curves: Sequence[ExtendedCurve]) -> list[np.ndarray]:
         if c._lagrangian_cum is None:
             families.setdefault((id(c.base.mesh), c.prefix), []).append(c)
     for (_, prefix), family in families.items():
-        mesh, head = family[0]._mesh(), None
+        mesh, head = family[0].base.mesh, None
         if prefix is not None:
             k = int(np.searchsorted(mesh, family[0].base.splice[1]))
             head = prefix.lagrangian_cumulative()[:k + 1]
@@ -355,14 +355,6 @@ class ExtendedCurve:
 
     # -- Gauss-Legendre over the integrator mesh -------------------------------
 
-    def _mesh(self) -> np.ndarray:
-        mesh = np.unique(np.clip(self.base.mesh, 0.0, self.base.horizon))
-        if mesh[0] > 0.0:
-            mesh = np.concatenate([[0.0], mesh])
-        if mesh[-1] < self.base.horizon:
-            mesh = np.concatenate([mesh, [self.base.horizon]])
-        return mesh
-
     def lagrangian_cumulative(self) -> np.ndarray:
         """Integrals of the bare Lagrangian from 0 to each node of the mesh
         of mu (see :func:`cumulative_integral`): the one-curve case of
@@ -376,7 +368,7 @@ class ExtendedCurve:
     def _ensure_mu(self) -> None:
         if self._mu_nodes is not None:
             return
-        self._mu_nodes = self._mesh()
+        self._mu_nodes = self.base.mesh
         self._mu_cum = cumulative_integral(self.ltilde, self._mu_nodes)
 
     def mu(self, t: float) -> float:
@@ -462,8 +454,8 @@ def pc_form_pairing(triple: DefiningTriple, pt: ExtendedJetPoint,
     """
     L = triple.lagrangian
     r = L.actual_order
-    N = L.state_dim
     jet = pt.jet
+    N = jet.dim
     if jet.n < 2 * r:
         raise InsufficientJetOrder(f"extended jet order must be >= {2 * r}")
 

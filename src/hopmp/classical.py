@@ -74,7 +74,6 @@ def embed_classical(cp: ClassicalProblem) -> DefiningTriple:
     additive constant C(x0) is removed, so jets at t = 0 cost nothing).
     """
     n = cp.dim
-    N = 2 * n
     T = cp.horizon
     xi = tuple(range(n))
     pi = tuple(range(n, 2 * n))
@@ -88,16 +87,11 @@ def embed_classical(cp: ClassicalProblem) -> DefiningTriple:
     reads.update({n + i: 0 for i in range(n)})
     L = ScalarJetField(L_ev, actual_order=1, name="L", reads=reads)
 
-    lag = ControlledLagrangian(field=L, actual_order=1, state_dim=N)
-
     def cost_ev(pt, u):
         return (pt.t / T) * (cp.cost(pt.blocks[0, :n]) - c0)
 
-    cost = CostFunction(
-        field=ScalarJetField(cost_ev, actual_order=0, name="cost",
-                             reads={i: 0 for i in range(n)}),
-        actual_order=0,
-    )
+    cost = CostFunction(ScalarJetField(cost_ev, actual_order=0, name="cost",
+                                       reads={i: 0 for i in range(n)}))
 
     def make_top_p(i):
         # -sum_j p_j df^j/dx^i, one product per component: a matrix product
@@ -115,17 +109,13 @@ def embed_classical(cp: ClassicalProblem) -> DefiningTriple:
 
     base = {f"x{i+1}": [float(np.asarray(cp.x0).ravel()[i])] for i in range(n)}
     base.update({f"p{i+1}": [0.0] for i in range(n)})
-    init = InitialData(base=base, free=[],
-                       predicate=None)
-
     return DefiningTriple(
         controls=cp.controls,
-        lagrangian=lag,
+        lagrangian=ControlledLagrangian(L),
         cost=cost,
         dynamics=dyn,
-        initial_data=init,
+        initial_data=InitialData(base),
         horizon=T,
-        jet_order=3,
         name="classical-embedding",
         state_vars=xi,
         adjoint_vars=pi,
@@ -263,7 +253,7 @@ def chain_reduction_problem(triple, gamma0=None) -> ClassicalProblem:
     dyn = triple.dynamics
     m = dyn.orders[xi]
     top = dyn.blocks[xi].top
-    N_full = triple.lagrangian.state_dim
+    N_full = triple.dynamics.dim
     T = triple.horizon
 
     def jet_from_y(t, y, order):

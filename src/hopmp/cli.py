@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import math
 import sys
 import traceback
@@ -53,7 +54,7 @@ from .needle import (
     transversality_synthesize,
 )
 from .problem import Check, validate_triple
-from .problems import build, optimal_reference
+from .problems import BUILTINS, build, optimal_reference
 
 SUITES = ("validate", "homotopy", "needle", "pmp-scan", "classical-cross",
           "lipschitz", "phi-probe")
@@ -150,12 +151,14 @@ def _fmt(x: float) -> str:
 
 
 def _problem_params(cfg: RunConfig) -> dict:
-    """The keyword arguments of the configured problem's builder."""
-    if cfg.problem_id == "mth-order":
-        return {"a": cfg.a or [1.0, 0.0, 1.0], "T": cfg.T}
-    if cfg.problem_id in ("pendulum-r2", "pendulum-direct", "pendulum-classical"):
-        return {"T": cfg.T, "v_max": cfg.v_max}
-    return {"T": cfg.T}
+    """The keyword arguments of the configured problem's builder: those of
+    T, v_max and a that its signature declares (a only when the config sets
+    it); none for an unknown id, which ``build`` refuses."""
+    builder = BUILTINS.get(cfg.problem_id)
+    declared = inspect.signature(builder).parameters if builder else {}
+    given = {"T": cfg.T, "v_max": cfg.v_max, "a": cfg.a or None}
+    return {key: value for key, value in given.items()
+            if key in declared and value is not None}
 
 
 def _reference_pair(cfg: RunConfig, triple, params: dict):
@@ -201,8 +204,7 @@ def _suite_homotopy(cfg, triple, gamma0) -> list:
     u_mean = u0.value(0.5 * triple.horizon)
     corner = np.where(u_mean >= mid, triple.controls.lower, triple.controls.upper)
     top = ConstantControl(corner, triple.horizon)
-    sigma0 = triple.dynamics.unpack_state(gamma0.initial_state)
-    hom = blend_homotopy(u0, top, lambda s: sigma0, cfg.s_nodes)
+    hom = blend_homotopy(u0, top, lambda s: gamma0.initial_state, cfg.s_nodes)
     surface = build_surface(triple, hom, tol=cfg.tol)
 
     selection = select_beta_range(surface, t_nodes=max(100, cfg.t_nodes // 2))

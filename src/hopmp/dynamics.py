@@ -17,7 +17,8 @@ import numpy as np
 
 from .controls import (ControlCurve, ControlFamily, HarmonicControl, NeedleOverlayControl,
                        stacked_jet)
-from .errors import InsufficientJetOrder, OrderUnavailable, StepSizeUnderflow, TimeOutOfRange
+from .errors import (BadParams, InsufficientJetOrder, OrderUnavailable, StepSizeUnderflow,
+                     TimeOutOfRange)
 from .jetspace import DerivedField, JetField, JetPoint, on_batch
 
 
@@ -79,11 +80,6 @@ class NormalFormDynamics:
         if y.size != self.state_dim:
             raise ValueError(f"state has dimension {self.state_dim}, got {y.size}")
         return y.copy()
-
-    def unpack_state(self, y: np.ndarray) -> dict:
-        """The mapping name -> jets that :meth:`pack_state` turns into ``y``."""
-        return {name: np.asarray(y[off:off + m], dtype=float).copy()
-                for name, off, m in zip(self.names, self.offsets, self.orders)}
 
     def state_labels(self) -> list[str]:
         out = []
@@ -289,6 +285,17 @@ class _DenseOutput:
         return out
 
 
+def _member_rtol(rtol: float, batch: int) -> float:
+    """The rtol of a family of ``batch`` members, ``rtol / sqrt(batch)``.
+    Raises BadParams below 100 eps, which :func:`_rk45` would raise it to,
+    so that no member silently misses its tolerance."""
+    member = rtol / batch ** 0.5
+    if member < 100 * np.finfo(float).eps:
+        raise BadParams(f"rtol {rtol} over {batch} member(s) is {member:.3g}, below the "
+                        f"integrator's floor of 100 eps ({100 * np.finfo(float).eps:.3g})")
+    return member
+
+
 def _rk45(fun: Callable, t0: float, tf: float, y0: np.ndarray, rtol: float, atol: float,
           dense: bool) -> tuple[np.ndarray, np.ndarray, Optional[_DenseOutput]]:
     """Adaptive Dormand-Prince 5(4) from ``t0`` to ``tf`` (either direction):
@@ -439,6 +446,8 @@ def integrate_family(dynamics: NormalFormDynamics, controls: Sequence[ControlCur
     (Dormand-Prince 5(4); Hairer, Norsett and Wanner, *Solving ODEs I*, sec.
     II.4), bit for bit scipy's RK45, takes ``tol = (rtol, atol)`` over
     sqrt(B): its RMS error norm sqrt(sum_b e_b^2) bounds each member's own.
+    A member rtol below 100 eps, which the integrator would raise to that
+    floor unreported, raises BadParams.
     Its right-hand side runs the plan once per stage on the whole family,
     and its dense output is the segment's solution.
 
@@ -475,7 +484,7 @@ def integrate_family(dynamics: NormalFormDynamics, controls: Sequence[ControlCur
                                          if t0 < b < horizon})
     for a, b in zip(cuts[:-1], cuts[1:]):
         ts, ys, sol = _rk45(segment_rhs(dynamics, family, a, b, batch), a, b, y,
-                            rtol / batch ** 0.5, atol / batch ** 0.5, dense=True)
+                            _member_rtol(rtol, batch), atol / batch ** 0.5, dense=True)
         segments.append((a, sol, None))
         skip = 1 if mesh_parts else 0
         mesh_parts.append(ts[skip:])
@@ -496,12 +505,14 @@ def integrate_backward(dynamics: NormalFormDynamics, control: ControlCurve, y_T,
     """The state at t = 0 of the curve under ``control`` that ends at ``y_T``
     at ``horizon``: one :func:`_rk45` run per control segment, from T down
     to 0, through :func:`segment_rhs`, with no dense output.  Raises
-    StepSizeUnderflow when a run fails."""
+    StepSizeUnderflow when a run fails, and BadParams for an rtol below
+    100 eps."""
+    rtol, atol = _member_rtol(tol[0], 1), tol[1]
     cuts = sorted({0.0, float(horizon)} | {float(b) for b in control.breakpoints
                                           if 0.0 < b < horizon})
     y = np.asarray(y_T, dtype=float)
     for a, b in zip(cuts[-2::-1], cuts[:0:-1]):
-        y = _rk45(segment_rhs(dynamics, control, a, b), b, a, y, *tol, dense=False)[1][-1]
+        y = _rk45(segment_rhs(dynamics, control, a, b), b, a, y, rtol, atol, dense=False)[1][-1]
     return y
 
 

@@ -365,7 +365,7 @@ def infinitesimal_conditions(surface: VariationSurface,
     Y_T = surface.jacobi_q(np.array([triple.horizon]), order)[0, 0]   # (order+1, N)
     jet_T = surface.slices[0].traj.terminal_jet(order)
     dC = sum(triple.cost.partial(jet_T, ("q", i, b)) * Y_T[b, i]
-             for i in range(triple.lagrangian.state_dim) for b in range(order + 1))
+             for i in range(jet_T.dim) for b in range(order + 1))
 
     ts = _time_grid(surface, t_nodes)
     base = float(simpson(_rhs_integrand(surface, ts, beta_range)[0], ts))
@@ -423,7 +423,7 @@ def jacobi_tangent(surface: VariationSurface, t: float, k: int) -> ExtendedTange
     (t, s_k), assembled from slice differences."""
     triple = surface.triple
     r = triple.lagrangian.actual_order
-    N = triple.lagrangian.state_dim
+    N = triple.dynamics.dim
     M = triple.controls.dim
     order = max(2 * r, 1)
 

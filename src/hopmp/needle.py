@@ -56,15 +56,10 @@ class NeedleSpec:
                 f"needle support [{self.tau - self.eps0 - pad}, {self.tau + pad}] "
                 f"must sit inside (0, {horizon})")
 
-    def sigma(self, eps: float, s: float, default: Mapping) -> Mapping:
+    def sigma(self, eps: float, s: float, default: np.ndarray):
         if self.sigma_family is None:
             return default
         return self.sigma_family(eps, s)
-
-
-def frozen_family(sigma0: Mapping) -> Callable[[float, float], Mapping]:
-    """The family that never moves the initial data."""
-    return lambda eps, s: sigma0
 
 
 def needle_modification(u0: ControlCurve, spec: NeedleSpec,
@@ -108,8 +103,7 @@ def needle_variations(triple: DefiningTriple, gamma0: Trajectory,
     ``build_surfaces``).  A needle's mirror-image ramps, integrated alone,
     cancel their RK45 errors; in a family the narrower needles' breakpoints
     split the wider ones' down-ramps and the errors add up."""
-    u0 = gamma0.control
-    sigma0 = triple.dynamics.unpack_state(gamma0.initial_state)
+    u0, sigma0 = gamma0.control, gamma0.initial_state
     for spec in specs:
         spec.validate(triple.horizon)
     homs, t_on = [], []
@@ -277,7 +271,7 @@ def transversality_synthesize(triple: DefiningTriple,
     """
     L = triple.lagrangian
     r = L.actual_order
-    N = L.state_dim
+    N = triple.dynamics.dim
     T = triple.horizon
     if not triple.adjoint_vars:
         raise NonSolvableForm("the triple declares no adjoint variables")
@@ -378,8 +372,7 @@ def adjoint_branch(triple: DefiningTriple, gamma0: Trajectory,
     for i in triple.state_vars:
         off, m = dyn.offsets[i], dyn.orders[i]
         y[off:off + m] = gamma0.initial_state[off:off + m]
-    sigma = dyn.unpack_state(y)
-    return triple.controlled_curve(gamma0.control, sigma, tol=tol)
+    return triple.controlled_curve(gamma0.control, y, tol=tol)
 
 
 def oracle_argmax_gap(triple: DefiningTriple, conds: TransversalityConditions,
@@ -515,11 +508,10 @@ def pmp_scan(triple: DefiningTriple, gamma0: Trajectory,
     if eps_sequence is None:
         eps_sequence = default_eps_sequence(eps0)
 
-    sigma0 = triple.dynamics.unpack_state(gamma0.initial_state)
     base = SurfaceSlice(0.0, gamma0, ExtendedCurve(gamma0, triple))
 
     def spec_for(tau: float, omega: np.ndarray) -> NeedleSpec:
-        family = sigma_policy(tau, omega) if sigma_policy else frozen_family(sigma0)
+        family = sigma_policy(tau, omega) if sigma_policy else None
         return NeedleSpec(tau=float(tau), omega=omega, eps0=float(eps0), k=k,
                           sigma_family=family)
 

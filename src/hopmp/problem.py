@@ -67,11 +67,13 @@ class _PartialField(JetField):
 
 @dataclass(frozen=True)
 class ControlledLagrangian:
-    """Lagrangian over (jet, control) of declared actual order ``r >= 1``."""
+    """Lagrangian over (jet, control); its actual order ``r >= 1`` is its field's."""
 
     field: ScalarJetField
-    actual_order: int
-    state_dim: int
+
+    @property
+    def actual_order(self) -> int:
+        return self.field.actual_order
 
     def value(self, p: JetPoint, u) -> float:
         return self.field.value(p, u)
@@ -83,10 +85,13 @@ class ControlledLagrangian:
 @dataclass(frozen=True)
 class CostFunction:
     """Extended terminal cost: a jet field with no control dependence that
-    vanishes identically on jets at t = 0."""
+    vanishes identically on jets at t = 0; its actual order is its field's."""
 
     field: ScalarJetField
-    actual_order: int
+
+    @property
+    def actual_order(self) -> int:
+        return self.field.actual_order
 
     def value(self, p: JetPoint) -> float:
         return self.field.value(p, np.zeros(1))
@@ -148,7 +153,8 @@ class InitialData:
 @dataclass
 class DefiningTriple:
     """A generalized terminal-cost problem: controls, Lagrangian, cost,
-    normal-form dynamics, admissible initial data, horizon and jet order."""
+    normal-form dynamics, admissible initial data, horizon and jet order
+    (by default 2r + 1, the least the Lagrangian's order r admits)."""
 
     controls: ControlSet
     lagrangian: ControlledLagrangian
@@ -156,11 +162,15 @@ class DefiningTriple:
     dynamics: NormalFormDynamics
     initial_data: InitialData
     horizon: float
-    jet_order: int
+    jet_order: Optional[int] = None
     name: str = ""
     # variable split used by transversality synthesis (indices into dynamics.names)
     state_vars: tuple[int, ...] = ()
     adjoint_vars: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.jet_order is None:
+            self.jet_order = 2 * self.lagrangian.actual_order + 1
 
     def controlled_curve(self, u: ControlCurve, sigma=None,
                          tol: tuple[float, float] = (1e-8, 1e-10),
@@ -197,13 +207,12 @@ def el_residual(triple: DefiningTriple, traj, u: ControlCurve, t: float) -> np.n
     """
     L = triple.lagrangian
     r = L.actual_order
-    N = L.state_dim
     jet = traj.jet(t, 2 * r)
     if jet.n < 2 * r:
         raise InsufficientJetOrder(f"need jets of order {2 * r}, got {jet.n}")
     ujet = u.jet(t, r + 1)
-    out = np.zeros(N)
-    for i in range(N):
+    out = np.zeros(jet.dim)
+    for i in range(jet.dim):
         out[i] = L.field.partial(jet, ujet, ("q", i, 0))
         for beta in range(1, r + 1):
             fb = DerivedField(_PartialField(L.field, ("q", i, beta)), beta)
@@ -211,17 +220,16 @@ def el_residual(triple: DefiningTriple, traj, u: ControlCurve, t: float) -> np.n
     return out
 
 
-def momentum_sums(field: JetField, jet: JetPoint, ujet: np.ndarray, dim: int,
-                  r: int) -> np.ndarray:
+def momentum_sums(field: JetField, jet: JetPoint, ujet: np.ndarray, r: int) -> np.ndarray:
     """Boundary momentum sums M[i, beta] of a field F, grouped by contact index.
 
     M[i, beta] = sum_{delta=beta+1..r} (-1)^(delta-beta-1)
                  (d/dt)^(delta-beta-1) (dF/dq^i_(delta))
 
-    On a batched jet each sum is a (B,) row, M of shape (dim, r, B).
+    On a batched jet each sum is a (B,) row, M of shape (jet.dim, r, B).
     """
-    out = np.zeros((dim, r) + jet.blocks.shape[2:])
-    for i in range(dim):
+    out = np.zeros((jet.dim, r) + jet.blocks.shape[2:])
+    for i in range(jet.dim):
         for beta in range(r):
             acc = 0.0
             # dF/dq^i_(delta) vanishes past the depth at which F reads q^i
@@ -238,14 +246,13 @@ def momentum_sums(field: JetField, jet: JetPoint, ujet: np.ndarray, dim: int,
 def lagrangian_momenta(triple: DefiningTriple, jet: JetPoint, ujet: np.ndarray) -> np.ndarray:
     """Momentum sums of L alone (used at t = 0 and in needle boundary terms)."""
     L = triple.lagrangian
-    return momentum_sums(L.field, jet, ujet, L.state_dim, L.actual_order)
+    return momentum_sums(L.field, jet, ujet, L.actual_order)
 
 
 def full_momenta(triple: DefiningTriple, jet: JetPoint, ujet: np.ndarray) -> np.ndarray:
     """Momentum sums of L + dC/dt (used at t = T)."""
-    L = triple.lagrangian
     return (lagrangian_momenta(triple, jet, ujet)
-            + momentum_sums(triple.cost.rate_field(), jet, ujet, L.state_dim, L.actual_order))
+            + momentum_sums(triple.cost.rate_field(), jet, ujet, triple.lagrangian.actual_order))
 
 
 class PontryaginFunction:
@@ -302,7 +309,7 @@ def validate_triple(triple: DefiningTriple, seed: int = 0) -> list[Check]:
     rng = np.random.default_rng(seed)
     r = triple.lagrangian.actual_order
     n = triple.jet_order
-    N = triple.lagrangian.state_dim
+    N = triple.dynamics.dim
     cost_order = min(n, triple.cost.actual_order + 1)
     checks = [
         Check("order inequality 2r+1 <= n", 2 * r + 1, n),

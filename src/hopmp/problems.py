@@ -31,8 +31,26 @@ from .problem import (
     InitialData,
 )
 
-BUILTIN_IDS = ("pendulum-classical", "pendulum-r2", "pendulum-direct",
-               "mth-order", "third-order")
+
+def _chain_builtin(name: str, T: float, lagrangian: ScalarJetField,
+                   blocks: Sequence[ChainBlock], initial_data: InitialData,
+                   adjoint_vars: tuple[int, ...]) -> DefiningTriple:
+    """A builtin on the chains ``blocks``, whose variable 0 is the state x:
+    controls in K = [-1, 1], the cost -(t/T) x, and jets of order 2r + 1
+    for the Lagrangian's order r."""
+    if T <= 0:
+        raise BadParams("horizon must be positive")
+    return DefiningTriple(
+        controls=ControlSet([-1.0], [1.0]),
+        lagrangian=ControlledLagrangian(lagrangian),
+        cost=_gated_cost(T),
+        dynamics=NormalFormDynamics(blocks),
+        initial_data=initial_data,
+        horizon=T,
+        name=name,
+        state_vars=(0,),
+        adjoint_vars=adjoint_vars,
+    )
 
 
 def _gated_cost(T: float) -> CostFunction:
@@ -42,8 +60,7 @@ def _gated_cost(T: float) -> CostFunction:
     def ev(p, u):
         return -(p.t / T) * p.coord(0, 0)
 
-    fld = ScalarJetField(evaluator=ev, actual_order=0, name="cost", reads={0: 0})
-    return CostFunction(field=fld, actual_order=0)
+    return CostFunction(ScalarJetField(evaluator=ev, actual_order=0, name="cost", reads={0: 0}))
 
 
 def _pendulum_top_x() -> ScalarJetField:
@@ -51,6 +68,15 @@ def _pendulum_top_x() -> ScalarJetField:
     formulations."""
     return ScalarJetField(lambda p, u: u[0] - p.coord(0, 0), actual_order=0,
                           name="f_x", reads={0: 0})
+
+
+def _pendulum_data(base: dict, v_max: float, var: str = "x", index: int = 1) -> InitialData:
+    """The pendulum's initial data: x(0) = 0, with the initial velocity
+    ``base[var][index]`` free in [-v_max, v_max]."""
+    if v_max < 0:
+        raise BadParams(f"v_max = {v_max} is negative; the velocity box needs v_max >= 0")
+    return InitialData(base=base, free=[FreeParam("v", var, index, -v_max, v_max)],
+                       predicate=lambda y: abs(y[0]) < 1e-12)
 
 
 # -- pendulum, second-order formulation (one auxiliary variable) -------------
@@ -63,39 +89,19 @@ def pendulum_r2(T: float = math.pi / 2, v_max: float = 1.0) -> DefiningTriple:
     auxiliary variable starts at the terminal-enforcing values, so the
     reference curves already satisfy p(t) = sin(T - t).
     """
-    if T <= 0:
-        raise BadParams("horizon must be positive")
     X, P = 0, 1
-
     L = ScalarJetField(
         evaluator=lambda p, u: p.coord(P, 0) * (p.coord(X, 2) + p.coord(X, 0) - u[0]),
         actual_order=2,
         name="L",
         reads={X: 2, P: 0},
     )
-    lag = ControlledLagrangian(field=L, actual_order=2, state_dim=2)
-
     top_p = ScalarJetField(lambda p, u: -p.coord(P, 0), actual_order=0,
                            name="f_p", reads={P: 0})
-    dyn = NormalFormDynamics([ChainBlock("x", 2, _pendulum_top_x()), ChainBlock("p", 2, top_p)])
-
-    init = InitialData(
-        base={"x": [0.0, 0.0], "p": [math.sin(T), -math.cos(T)]},
-        free=[FreeParam("v", "x", 1, -v_max, v_max)],
-        predicate=lambda y: abs(y[0]) < 1e-12,
-    )
-    return DefiningTriple(
-        controls=ControlSet([-1.0], [1.0]),
-        lagrangian=lag,
-        cost=_gated_cost(T),
-        dynamics=dyn,
-        initial_data=init,
-        horizon=T,
-        jet_order=5,
-        name="pendulum-r2",
-        state_vars=(X,),
-        adjoint_vars=(P,),
-    )
+    init = _pendulum_data({"x": [0.0, 0.0], "p": [math.sin(T), -math.cos(T)]}, v_max)
+    return _chain_builtin("pendulum-r2", T, L,
+                          [ChainBlock("x", 2, _pendulum_top_x()), ChainBlock("p", 2, top_p)],
+                          init, adjoint_vars=(P,))
 
 
 # -- pendulum, direct second-order Lagrangian (no auxiliary variable) --------
@@ -104,8 +110,6 @@ def pendulum_r2(T: float = math.pi / 2, v_max: float = 1.0) -> DefiningTriple:
 def pendulum_direct(T: float = math.pi / 2, v_max: float = 1.0) -> DefiningTriple:
     """q = (x), L = xd^2/2 - x^2/2 + u x; the constraint is its own
     Euler-Lagrange equation xdd = -x + u."""
-    if T <= 0:
-        raise BadParams("horizon must be positive")
     if abs(math.sin(T)) < 1e-9:
         raise BadParams("degenerate horizon: T must avoid multiples of pi")
     X = 0
@@ -116,26 +120,8 @@ def pendulum_direct(T: float = math.pi / 2, v_max: float = 1.0) -> DefiningTripl
         name="L",
         reads={X: 1},
     )
-    lag = ControlledLagrangian(field=L, actual_order=1, state_dim=1)
-
-    dyn = NormalFormDynamics([ChainBlock("x", 2, _pendulum_top_x())])
-    init = InitialData(
-        base={"x": [0.0, 0.0]},
-        free=[FreeParam("v", "x", 1, -v_max, v_max)],
-        predicate=lambda y: abs(y[0]) < 1e-12,
-    )
-    return DefiningTriple(
-        controls=ControlSet([-1.0], [1.0]),
-        lagrangian=lag,
-        cost=_gated_cost(T),
-        dynamics=dyn,
-        initial_data=init,
-        horizon=T,
-        jet_order=3,
-        name="pendulum-direct",
-        state_vars=(X,),
-        adjoint_vars=(),
-    )
+    return _chain_builtin("pendulum-direct", T, L, [ChainBlock("x", 2, _pendulum_top_x())],
+                          _pendulum_data({"x": [0.0, 0.0]}, v_max), adjoint_vars=())
 
 
 # -- pendulum, classical first-order embedding --------------------------------
@@ -160,27 +146,28 @@ def pendulum_classical(T: float = math.pi / 2, v_max: float = 1.0) -> DefiningTr
     triple.name = "pendulum-classical"
     # x(0) = 0 with a free initial velocity; adjoint initial data put the
     # pair on the terminal-enforcing branch p(t) = (cos(T-t), sin(T-t)).
-    triple.initial_data = InitialData(
-        base={"x1": [0.0], "x2": [0.0],
-              "p1": [math.cos(T)], "p2": [math.sin(T)]},
-        free=[FreeParam("v", "x2", 0, -v_max, v_max)],
-        predicate=lambda y: abs(y[0]) < 1e-12,
-    )
+    triple.initial_data = _pendulum_data(
+        {"x1": [0.0], "x2": [0.0], "p1": [math.cos(T)], "p2": [math.sin(T)]},
+        v_max, var="x2", index=0)
     return triple
 
 
 # -- constant-coefficient problem of order m ----------------------------------
 
 
-def mth_order(a: Sequence[float], T: float = 1.0) -> DefiningTriple:
+# the coefficients of xdd + x = u, mth_order's default
+_PENDULUM_A = (1.0, 0.0, 1.0)
+
+
+def mth_order(a: Sequence[float] = _PENDULUM_A, T: float = 1.0) -> DefiningTriple:
     """sum_l a_l d^l x/dt^l = u with zero initial x-data and cost -x(T).
 
     q = (x, p) with L = p (sum_l a_l x_(l) - u) of actual order m.
     """
     a = np.asarray(a, dtype=float)
     m = a.size - 1
-    if T <= 0 or m < 1:
-        raise BadParams("need T > 0 and order m >= 1")
+    if m < 1:
+        raise BadParams("need order m >= 1")
     if a[m] == 0.0:
         raise BadParams("leading coefficient must be nonzero")
     X, P = 0, 1
@@ -190,8 +177,6 @@ def mth_order(a: Sequence[float], T: float = 1.0) -> DefiningTriple:
         return p.coord(P, 0) * (s - u[0])
 
     L = ScalarJetField(L_ev, actual_order=m, name="L", reads={X: m, P: 0})
-
-    lag = ControlledLagrangian(field=L, actual_order=m, state_dim=2)
 
     def fx(p, u):
         return (u[0] - sum(a[l] * p.coord(X, l) for l in range(m))) / a[m]
@@ -208,26 +193,13 @@ def mth_order(a: Sequence[float], T: float = 1.0) -> DefiningTriple:
     top_p = ScalarJetField(fp, actual_order=max(0, m - 1), name="f_p",
                            reads={P: m - 1} if m > 1 else {P: 0})
 
-    dyn = NormalFormDynamics([ChainBlock("x", m, top_x), ChainBlock("p", m, top_p)])
-
-    sigma_p = _adjoint_terminal_chain(dyn, a, T)
-    init = InitialData(
-        base={"x": np.zeros(m), "p": sigma_p},
-        free=[],
-        predicate=lambda y: bool(np.max(np.abs(y[:m])) < 1e-10),
-    )
-    return DefiningTriple(
-        controls=ControlSet([-1.0], [1.0]),
-        lagrangian=lag,
-        cost=_gated_cost(T),
-        dynamics=dyn,
-        initial_data=init,
-        horizon=T,
-        jet_order=2 * m + 1,
-        name=f"mth-order(m={m})",
-        state_vars=(X,),
-        adjoint_vars=(P,),
-    )
+    init = InitialData(base={"x": np.zeros(m)},
+                       predicate=lambda y: bool(np.max(np.abs(y[:m])) < 1e-10))
+    triple = _chain_builtin(f"mth-order(m={m})", T, L,
+                            [ChainBlock("x", m, top_x), ChainBlock("p", m, top_p)],
+                            init, adjoint_vars=(P,))
+    init.base["p"] = _adjoint_terminal_chain(triple.dynamics, a, T)
+    return triple
 
 
 def _adjoint_terminal_chain(dyn: NormalFormDynamics, a: np.ndarray, T: float) -> np.ndarray:
@@ -255,8 +227,6 @@ def third_order(T: float = 1.0,
     ``math`` function) is refused: the adjoint's top reads its partials,
     so the dynamics raise OrderUnavailable.
     """
-    if T <= 0:
-        raise BadParams("horizon must be positive")
     X, P = 0, 1
 
     if f is None:
@@ -266,7 +236,6 @@ def third_order(T: float = 1.0,
         return p.coord(P, 0) * (p.coord(X, 3) - f.evaluator(p, u))
 
     L = ScalarJetField(L_ev, actual_order=3, name="L", reads={X: 3, P: 0})
-    lag = ControlledLagrangian(field=L, actual_order=3, state_dim=2)
 
     # a copy of f itself, so that an override of its partials serves the x-chain
     top_x = replace(f, actual_order=min(f.actual_order, 2), name="f_x",
@@ -281,24 +250,9 @@ def third_order(T: float = 1.0,
         top_p = _LeibnizAdjointTop(f, X, P)
         sigma_p = np.zeros(3)
 
-    dyn = NormalFormDynamics([ChainBlock("x", 3, top_x), ChainBlock("p", 3, top_p)])
-    init = InitialData(
-        base={"x": np.zeros(3), "p": sigma_p},
-        free=[],
-        predicate=None,
-    )
-    return DefiningTriple(
-        controls=ControlSet([-1.0], [1.0]),
-        lagrangian=lag,
-        cost=_gated_cost(T),
-        dynamics=dyn,
-        initial_data=init,
-        horizon=T,
-        jet_order=7,
-        name="third-order",
-        state_vars=(X,),
-        adjoint_vars=(P,),
-    )
+    return _chain_builtin("third-order", T, L,
+                          [ChainBlock("x", 3, top_x), ChainBlock("p", 3, top_p)],
+                          InitialData(base={"x": np.zeros(3), "p": sigma_p}), adjoint_vars=(P,))
 
 
 class _LeibnizAdjointTop(JetField):
@@ -334,19 +288,17 @@ class _LeibnizAdjointTop(JetField):
 # -- dispatch and references ---------------------------------------------------
 
 
+BUILTINS = {"pendulum-classical": pendulum_classical, "pendulum-r2": pendulum_r2,
+            "pendulum-direct": pendulum_direct, "mth-order": mth_order,
+            "third-order": third_order}
+BUILTIN_IDS = tuple(BUILTINS)
+
+
 def build(problem_id: str, **params) -> DefiningTriple:
     """Build a named problem.  Raises BadParams for unknown ids or bad values."""
-    if problem_id == "pendulum-r2":
-        return pendulum_r2(**params)
-    if problem_id == "pendulum-direct":
-        return pendulum_direct(**params)
-    if problem_id == "pendulum-classical":
-        return pendulum_classical(**params)
-    if problem_id == "mth-order":
-        return mth_order(**params)
-    if problem_id == "third-order":
-        return third_order(**params)
-    raise BadParams(f"unknown problem id {problem_id!r}")
+    if problem_id not in BUILTINS:
+        raise BadParams(f"unknown problem id {problem_id!r}")
+    return BUILTINS[problem_id](**params)
 
 
 def optimal_reference(problem_id: str, **params):
@@ -366,13 +318,13 @@ def optimal_reference(problem_id: str, **params):
         sigma = triple.initial_data.make(v=v_max)
         return u_opt, sigma, cost
     if problem_id == "mth-order":
-        a = np.asarray(params["a"], dtype=float)
+        a = np.asarray(params.get("a", _PENDULUM_A), dtype=float)
         T = float(params.get("T", 1.0))
         if a.size == 2 and a[0] == 0.0 and a[1] > 0:
             u_opt = ConstantControl([1.0], T)
             triple = mth_order(a, T)
             return u_opt, triple.initial_data.make(), -T / a[1]
-        if a.size == 3 and np.allclose(a, [1.0, 0.0, 1.0]) and 0 < T < math.pi:
+        if a.size == 3 and np.allclose(a, _PENDULUM_A) and 0 < T < math.pi:
             u_opt = ConstantControl([1.0], T)
             triple = mth_order(a, T)
             return u_opt, triple.initial_data.make(), -(1.0 - math.cos(T))

@@ -136,7 +136,7 @@ def test_solve_h_second_family_matches_h_at_terminal():
 
 def _zero_cost(triple):
     zero = ScalarJetField(lambda p, u: 0.0, actual_order=0, reads={})
-    return dataclasses.replace(triple, cost=CostFunction(field=zero, actual_order=0))
+    return dataclasses.replace(triple, cost=CostFunction(field=zero))
 
 
 def test_mu_zero_when_everything_vanishes():

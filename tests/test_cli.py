@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import textwrap
@@ -8,6 +9,7 @@ from hopmp import cli
 from hopmp.cli import RunConfig, load_config, main, run
 from hopmp.errors import ConfigError
 from hopmp.problem import Check
+from hopmp.problems import BUILTIN_IDS, BUILTINS, build
 
 PI = math.pi
 
@@ -91,6 +93,33 @@ def test_bad_problem_params_exit_two(tmp_path):
         out = {tmp_path / 'out'}
     """)
     assert main(["--config", str(path), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("problem_id", ["pendulum-r2", "pendulum-direct", "pendulum-classical"])
+def test_negative_v_max_exit_two(tmp_path, problem_id):
+    # an empty velocity box is a configuration error, not a numerical failure
+    path = write_config(tmp_path, f"""
+        [problem]
+        id = {problem_id}
+        v_max = -1.0
+        [run]
+        suites = validate
+        out = {tmp_path / 'out'}
+    """)
+    assert main(["--config", str(path), "--quiet"]) == 2
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert "CONFIG ERROR: v_max = -1.0 is negative" in report
+
+
+@pytest.mark.parametrize("problem_id", BUILTIN_IDS)
+def test_problem_params_are_those_the_builder_declares(problem_id):
+    builder = BUILTINS[problem_id]
+    declared = set(inspect.signature(builder).parameters) & {"T", "v_max", "a"}
+    params = cli._problem_params(RunConfig(problem_id=problem_id, a=[0.0, 1.0]))
+    assert set(params) == declared
+    assert build(problem_id, **params).horizon == RunConfig.T
+    # without coefficients in the config, mth-order takes its own default
+    assert "a" not in cli._problem_params(RunConfig(problem_id=problem_id))
 
 
 def test_odd_s_nodes_exit_two(tmp_path, capsys):

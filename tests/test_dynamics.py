@@ -21,10 +21,11 @@ from hopmp.dynamics import (
     _random_smooth_control,
     control_measure_diff,
     integrate,
+    integrate_backward,
     integrate_family,
     lipschitz_probe,
 )
-from hopmp.errors import TimeOutOfRange
+from hopmp.errors import BadParams, TimeOutOfRange
 from hopmp.jetspace import ScalarJetField
 from hopmp.problems import pendulum_r2
 
@@ -63,6 +64,17 @@ def test_integrate_pendulum_forced():
     j = traj.jet(PI, 1)
     assert j.coord(0, 0) == pytest.approx(2.0, abs=1e-8)
     assert j.coord(0, 1) == pytest.approx(0.0, abs=1e-8)
+
+
+def test_tolerance_below_the_integrator_floor_is_refused():
+    # a family of 4 runs at rtol / 2: 3e-14 becomes 1.5e-14, below the
+    # floor of 100 eps (2.2e-14) that the integrator would raise it to
+    dyn = chain_2nd_order()
+    controls = [ConstantControl([c], 1.0) for c in (-1.0, -0.5, 0.5, 1.0)]
+    with pytest.raises(BadParams, match=r"rtol 3e-14 over 4 member"):
+        integrate_family(dyn, controls, [np.zeros(2)] * 4, 1.0, tol=(3e-14, 1e-16))
+    with pytest.raises(BadParams, match=r"rtol 1e-14 over 1 member"):
+        integrate_backward(dyn, controls[0], np.zeros(2), 1.0, tol=(1e-14, 1e-16))
 
 
 def test_zero_rhs_zero_trajectory():
@@ -406,7 +418,7 @@ def test_momenta_on_grids_equal_stacked_node_momenta(problem_id, data):
     ujets = np.stack([u.jet(u.clamp(t), r + 1) for t in ts], axis=-1)
     for momenta in (lagrangian_momenta, full_momenta):
         got = momenta(triple, jets, ujets)
-        assert got.shape == (triple.lagrangian.state_dim, r, ts.size)
+        assert got.shape == (triple.dynamics.dim, r, ts.size)
         assert np.array_equal(got, np.stack([momenta(triple, jets.node(b), ujets[..., b])
                                               for b in range(ts.size)], axis=-1))
 

@@ -205,7 +205,7 @@ def test_needle_slices_continue_gamma0():
     # the s = 1 slice reads gamma0's Lagrangian table up to t_k and sums its
     # own intervals past it: every entry is the plain left-to-right sum
     def plain_sums(ext):
-        mesh, sums = ext._mesh(), [0.0]
+        mesh, sums = ext.base.mesh, [0.0]
         for a, b in zip(mesh[:-1], mesh[1:]):
             sums.append(sums[-1] + gauss_legendre(ext.lagrangian, a, b))
         return np.array(sums)

@@ -45,7 +45,7 @@ def test_validate_cost_vanishing_failure():
     triple = pendulum_r2(T=PI / 2)
     bad = ScalarJetField(lambda p, u: p.coord(0, 0), actual_order=0,
                          reads={0: 0})
-    triple.cost = CostFunction(field=bad, actual_order=0)
+    triple.cost = CostFunction(field=bad)
     failed = [c.label for c in validate_triple(triple) if not c.ok]
     assert "cost vanishes on jets at t=0" in failed
 
@@ -94,15 +94,14 @@ def test_el_residual_linearity_in_lagrangian():
     L1 = triple.lagrangian
     f2 = ScalarJetField(lambda p, u: p.coord(0, 0) * p.coord(0, 1),
                         actual_order=1, reads={0: 1})
-    L2 = ControlledLagrangian(field=f2, actual_order=1, state_dim=1)
+    L2 = ControlledLagrangian(field=f2)
     a, b = 2.0, -0.7
 
     def combo_ev(p, u):
         return a * L1.field.evaluator(p, u) + b * f2.evaluator(p, u)
 
     combo = ControlledLagrangian(
-        field=ScalarJetField(combo_ev, actual_order=1, reads={0: 1}),
-        actual_order=1, state_dim=1)
+        field=ScalarJetField(combo_ev, actual_order=1, reads={0: 1}))
 
     curve = AnalyticCurve([[math.cos, lambda t: -math.sin(t),
                             lambda t: -math.cos(t), math.sin, math.cos]])
@@ -181,7 +180,6 @@ def test_cost_momentum_at_horizon_is_exact(problem_id):
     u = ConstantControl([1.0], T)
     traj = triple.controlled_curve(u, tol=(1e-12, 1e-14))
     r = triple.lagrangian.actual_order
-    cost_part = momentum_sums(triple.cost.rate_field(), traj.jet(T, 2 * r), u.jet(T, r + 1),
-                              triple.lagrangian.state_dim, r)
+    cost_part = momentum_sums(triple.cost.rate_field(), traj.jet(T, 2 * r), u.jet(T, r + 1), r)
     assert cost_part[0, 0] == -1.0
     assert np.all(cost_part[:, 1:] == 0.0)

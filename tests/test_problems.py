@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -176,6 +177,17 @@ def test_optimal_reference_first_and_third_order():
     assert c3 == pytest.approx(-1.0 / 6.0)
     with pytest.raises(NoClosedForm):
         optimal_reference("mth-order", a=[0.3, 0.2, 0.1], T=1.0)
+
+
+@pytest.mark.parametrize("problem_id", ["pendulum-r2", "pendulum-direct", "pendulum-classical",
+                                        "mth-order", "third-order"])
+def test_orders_and_dimensions_come_from_fields_and_dynamics(problem_id):
+    triple = build(problem_id)
+    L = triple.lagrangian
+    assert [f.name for f in dataclasses.fields(L)] == ["field"]
+    assert [f.name for f in dataclasses.fields(triple.cost)] == ["field"]
+    assert (L.actual_order, triple.cost.actual_order) == (L.field.actual_order, 0)
+    assert triple.jet_order == 2 * L.actual_order + 1
 
 
 def test_bad_params():
